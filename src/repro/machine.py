@@ -271,14 +271,20 @@ class Machine:
 
         Timing-only fault plans must leave this digest — taken over the
         application's own allocations — byte-identical to a fault-free run.
+        Float words (cilk5-lu's matrix, ligra-bc's deltas) hash as their
+        IEEE-754 bytes.
         """
         import hashlib
+        import struct
 
         h = hashlib.sha256()
         for region in regions:
             h.update(region.name.encode())
             for word in self.host_read_array(region.base, region.size // WORD_BYTES):
-                h.update((word & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+                if isinstance(word, float):
+                    h.update(struct.pack("<d", word))
+                else:
+                    h.update((word & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
         return h.hexdigest()
 
     @staticmethod
