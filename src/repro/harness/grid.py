@@ -97,12 +97,6 @@ class GridPoint:
     #: points pickle across worker processes).  Injected by run_grid's
     #: checkpoint_dir machinery; not part of the experiment's identity.
     checkpoint: Optional[dict] = None
-    #: Validated parallel replicas per point (repro.engine.pdes); None or
-    #: 1 = plain serial run.  An execution strategy, not part of the
-    #: experiment's identity — memo/store keys ignore it.  run_grid divides
-    #: its worker budget by the largest shard count so shards × jobs never
-    #: oversubscribes the host.
-    shards: Optional[int] = None
 
     def label(self) -> str:
         parts = [self.app, self.kind, self.scale]
@@ -120,8 +114,6 @@ class GridPoint:
             parts.append("sanitize")
         if self.sampling is not None:
             parts.append(f"sample={self.sampling}")
-        if self.shards is not None and self.shards > 1:
-            parts.append(f"shards={self.shards}")
         return " ".join(parts)
 
     def as_fields(self) -> dict:
@@ -144,7 +136,6 @@ class GridPoint:
             watchdog=self.watchdog,
             checkpoint=self.checkpoint,
             sampling=self.sampling,
-            shards=self.shards,
         )
 
 
@@ -540,17 +531,6 @@ def run_grid(
     if jobs is None:
         jobs = default_jobs()
     meter = _Progress(len(points), termlog.progress_enabled(progress))
-    # Sharded points spawn their own replica processes; divide the worker
-    # budget by the widest point so shards × jobs never oversubscribes.
-    max_shards = max((point.shards or 1 for point in points), default=1)
-    if max_shards > 1 and jobs > 1:
-        budgeted = max(1, jobs // max_shards)
-        if budgeted != jobs:
-            meter.note(
-                f"grid: {jobs} jobs / {max_shards}-shard points -> "
-                f"{budgeted} concurrent grid worker(s)"
-            )
-        jobs = budgeted
     if not points:
         return []
     if warm_init:
@@ -607,10 +587,7 @@ def _run_parallel(
         proc = ctx.Process(
             target=_worker_entry,
             args=(child_conn, point.as_fields(), results_dir),
-            # Daemonic processes may not have children, and a sharded
-            # point spawns its own replica workers; the reap machinery
-            # (not daemonization) is what cleans these up either way.
-            daemon=(point.shards or 1) <= 1,
+            daemon=True,
         )
         proc.start()
         child_conn.close()

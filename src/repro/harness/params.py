@@ -123,13 +123,16 @@ APP_PARAMS: Dict[str, Dict[str, dict]] = {
 TABLE5_APPS = ("cilk5-cs", "ligra-bc", "ligra-bfs", "ligra-cc", "ligra-tc")
 
 
-def app_params(app_name: str, scale: str, **overrides) -> dict:
+# ``app_name`` and ``scale`` are positional-only here, in init_signature and
+# in runner.workspan: the Ligra apps take their own ``scale`` (graph size)
+# as an override.
+def app_params(app_name: str, scale: str, /, **overrides) -> dict:
     params = dict(APP_PARAMS[app_name][scale])
     params.update(overrides)
     return params
 
 
-def init_signature(app_name: str, scale: str, **overrides) -> str:
+def init_signature(app_name: str, scale: str, /, **overrides) -> str:
     """Digest identifying an app's init (setup) phase for warm starts.
 
     Two experiments share an init snapshot exactly when this matches: the

@@ -18,10 +18,11 @@ by the job service inherit ``REPRO_LEDGER_SOURCE=serve`` and label their
 lines ``source: "serve"``, so a report over a shared ledger can tell
 service work from ad-hoc runs.
 
-Each line carries the store-key digest (the same SHA-256 the result store
-shards by), the config seed, the robustness block, checkpoint lineage,
-wall time, and the host/python fingerprint — enough for ``repro report``
-to rebuild a sweep's hit/miss/failure accounting from the ledger alone.
+Each line carries the store-key digest (the same SHA-256 that names the
+result store's files), the config seed, the robustness block, checkpoint
+lineage, wall time, and the host/python fingerprint — enough for
+``repro report`` to rebuild a sweep's hit/miss/failure accounting from the
+ledger alone.
 
 Configuration (off by default):
 

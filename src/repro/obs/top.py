@@ -129,53 +129,6 @@ def _core_bar(snap: dict, width: int = 16) -> str:
     return "".join(glyphs)
 
 
-def merge_shard_groups(snaps: List[dict]) -> List[dict]:
-    """Collapse replica heartbeats of one sharded run into a single row.
-
-    Replicas of a ``--shards N`` run (``repro.engine.pdes``) stamp their
-    heartbeats with a shared ``meta["pdes_group"]`` token.  They simulate
-    the same machine, so N rows of near-identical progress is noise; the
-    merged frame shows the *group's* truth instead: the minimum cycle
-    (the validated result can never be further along than its slowest
-    replica), the summed host throughput (those events really are being
-    executed concurrently), and an ``app xN`` label.  Snapshots without
-    a group pass through untouched.
-    """
-    groups: dict = {}
-    out: List[dict] = []
-    for snap in snaps:
-        group = (snap.get("meta") or {}).get("pdes_group")
-        if not group:
-            out.append(snap)
-            continue
-        groups.setdefault(group, []).append(snap)
-    for members in groups.values():
-        if len(members) == 1:
-            out.append(members[0])
-            continue
-        members = sorted(members, key=lambda s: (s.get("meta") or {}).get("shard", 0))
-        lead = dict(members[0])
-        meta = dict(lead.get("meta") or {})
-        meta["app"] = f"{meta.get('app', '?')} x{len(members)}"
-        lead["meta"] = meta
-        lead["cycle"] = min(s.get("cycle", 0) for s in members)
-        lead["events_per_sec"] = sum(s.get("events_per_sec", 0.0) for s in members)
-        lead["updated_at"] = max(s.get("updated_at", 0.0) for s in members)
-        # One replica's task pool is the run's task pool; summing would
-        # overstate it N-fold.
-        lead["tasks"] = max(
-            (s.get("tasks") or {} for s in members),
-            key=lambda t: t.get("outstanding", 0),
-        )
-        statuses = {s.get("status") for s in members}
-        if "running" in statuses:
-            lead["status"] = "running"
-        elif "failed" in statuses:
-            lead["status"] = "failed"
-        out.append(lead)
-    return out
-
-
 def render(
     snaps: List[dict],
     skipped: int = 0,
@@ -185,7 +138,6 @@ def render(
     """One frame of the top view as a plain string."""
     now = time.time() if now is None else now
     stale_after = stale_after_default() if stale_after is None else stale_after
-    snaps = merge_shard_groups(snaps)
     by_status: dict = {}
     for snap in snaps:
         by_status[snap["status"]] = by_status.get(snap["status"], 0) + 1

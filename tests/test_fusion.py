@@ -41,6 +41,11 @@ DIFFERENTIAL_PAIRS = [
     ("cilk5-cs", "bt-mesi", dict(n=96, grain=32), False),
     ("ligra-bfs", "bt-hcc-gwt", dict(scale=5, grain=8), False),
     ("cilk5-cs", "bt-hcc-dts-dnv", dict(n=96, grain=16), False),
+    # The remaining big.TINY configs, so every coherence mix is covered.
+    ("cilk5-cs", "bt-hcc-dnv", dict(n=128, grain=32), False),
+    ("cilk5-cs", "bt-hcc-gwb", dict(n=128, grain=32), False),
+    ("cilk5-cs", "bt-hcc-dts-gwt", dict(n=128, grain=32), False),
+    ("cilk5-cs", "bt-hcc-dts-gwb", dict(n=128, grain=32), False),
     ("kernel-spin", "serial-io", dict(iters=4000, grain=512), True),
     ("kernel-stream", "serial-io", dict(n=64, passes=4, grain=32), True),
 ]
@@ -56,6 +61,9 @@ def test_fused_and_unfused_runs_are_identical(app_name, kind, params, serial):
     assert fused["cycles"] == unfused["cycles"]
     assert fused["flatten"] == unfused["flatten"]
     assert fused["traffic"] == unfused["traffic"]
+    if not serial:
+        # Steals in flight: the identity covers cross-core steal traffic.
+        assert fused["steals"] > 0
     # The slow path never fuses; the fast path must actually engage
     # (else the test proves nothing).
     assert unfused["fusion"]["events_fused"] == 0

@@ -69,6 +69,20 @@ class TestRunner:
         params = app_params("cilk5-mt", "tiny", grain=2)
         assert params["grain"] == 2
 
+    def test_ligra_graph_scale_override(self):
+        """A Ligra app's own ``scale`` (graph size) is an override, not the
+        experiment scale: it must reach the app, the keys and the result."""
+        assert app_params("ligra-bfs", "tiny", scale=4)["scale"] == 4
+        small = run_experiment(
+            "ligra-bfs", "bt-mesi", "tiny", app_overrides={"scale": 4}
+        )
+        default = run_experiment("ligra-bfs", "bt-mesi", "tiny")
+        assert small.scale == default.scale == "tiny"
+        assert 0 < small.instructions < default.instructions
+        assert workspan("ligra-bfs", "tiny", scale=4).work < (
+            workspan("ligra-bfs", "tiny").work
+        )
+
 
 class TestTables:
     def test_table1_covers_four_protocols(self):
