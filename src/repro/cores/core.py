@@ -32,6 +32,13 @@ dispatch.  Otherwise the op parks its result on the core and schedules a
 trampoline when the event fires.  ULI handler entry is checked at exactly
 the op boundaries where the unfused path would check it, so fused and
 unfused runs are cycle- and statistic-identical.
+
+``_resume`` is the only detailed loop.  The engine profiler
+(repro.obs.profile) observes it from outside — probed frames around
+``frame.send`` and wrapped ``_dispatch_table`` entries — so profiling adds
+no code path to it.  The one other loop, :meth:`Core._resume_ff`, runs a
+different algorithm (sampled functional fast-forward); the two share the
+frame-completion step (:meth:`Core._pop_frame`).
 """
 
 from __future__ import annotations
@@ -196,16 +203,17 @@ class Core:
         self._ckpt_log: Optional[List] = None
 
         #: Wall-clock profiler (repro.obs.profile.WallProfiler) armed by
-        #: EngineProfiler.install.  None (the default) costs one branch per
-        #: trampoline entry; when set, _resume redirects to the probed
-        #: twin.  Simulated results are identical either way — only host
+        #: EngineProfiler.install, which also wraps ``_dispatch_table``.
+        #: Read only off the hot loop: :meth:`_push_frame` wraps each new
+        #: frame in a probed frame, and :meth:`_resume_ff` brackets its
+        #: slices.  Simulated results are identical either way — only host
         #: time is observed.
         self._prof = None
 
         #: Functional fast-forward state (repro.sampling.FastForwardState)
         #: armed by the sampling controller between detailed windows.  None
         #: (the default) costs one branch per trampoline entry; when set,
-        #: _resume redirects to :meth:`_resume_ff`, which executes ops
+        #: _resume hands over to :meth:`_resume_ff`, which executes ops
         #: against flat memory with no timing model.
         self._ff = None
 
@@ -216,13 +224,39 @@ class Core:
         """Begin executing ``thread`` on this core."""
         if self._frames:
             raise SimulationError(f"core {self.core_id} already running a thread")
-        self._frames.append(thread)
+        self._push_frame(thread)
         self.halted = False
         self.sim.schedule(delay, self._resume_none_cont)
 
     # ------------------------------------------------------------------
     # Coroutine machinery
     # ------------------------------------------------------------------
+    def _push_frame(self, frame: Generator) -> None:
+        """Push a thread or ULI handler coroutine onto the frame stack.
+
+        Every frame the trampolines drive enters here, so a profiled core
+        (``_prof`` set) gets each one wrapped by the profiler's probed
+        frame, whose ``send`` is charged to generator code.
+        """
+        prof = self._prof
+        self._frames.append(frame if prof is None else prof.probe_frame(frame))
+
+    def _pop_frame(self) -> Any:
+        """The top frame returned: pop it and say how the trampoline goes on.
+
+        Returns the value to resume the uncovered frame with when a
+        finished ULI handler hands control back to a runnable thread, else
+        ``_NO_RESULT`` — the thread finished (the core halts when no frame
+        is left), or it is still blocked on its own ULI response.
+        """
+        frames = self._frames
+        frames.pop()
+        if self._in_handler and frames:
+            return self._finish_handler()
+        if not frames:
+            self.halted = True
+        return _NO_RESULT
+
     def _resume_none(self) -> None:
         self._resume(None)
 
@@ -253,8 +287,6 @@ class Core:
         """
         if self._ff is not None:
             return self._resume_ff(value)
-        if self._prof is not None:
-            return self._resume_profiled(value)
         frames = self._frames
         sim = self.sim
         table = self._dispatch_table
@@ -276,17 +308,11 @@ class Core:
                         log.append((cid, value))
                     op = frame.send(value)
                 except StopIteration:
-                    frames.pop()
-                    if self._in_handler and frames:
-                        saved = self._finish_handler()
-                        if saved is _NO_RESULT:
-                            return
-                        value = saved
-                        frame = frames[-1]
-                        continue
-                    if not frames:
-                        self.halted = True
-                    return
+                    value = self._pop_frame()
+                    if value is _NO_RESULT:
+                        return
+                    frame = frames[-1]
+                    continue
                 try:
                     fn = table[op.KIND]
                 except KeyError:
@@ -311,91 +337,6 @@ class Core:
                     fused += 1
                     # Op boundary: identical ULI handler entry check to the
                     # one _on_complete performs on the unfused path.
-                    if (
-                        self._pending_uli is not None
-                        and self.uli_enabled
-                        and not self._in_handler
-                    ):
-                        self._resume_stack.append(value)
-                        self._enter_handler()
-                        return
-                    continue
-                self._pending_result = value
-                sim.schedule_at(completion, self._complete_cont)
-                return
-        finally:
-            if fused:
-                sim.events_fused += fused
-
-    def _resume_profiled(self, value: Any) -> None:
-        """Probed twin of :meth:`_resume` (repro.obs.profile).
-
-        Identical control flow — every branch below mirrors ``_resume``
-        line for line so simulated outcomes cannot diverge — with wall
-        probes around the two time sinks: ``frame.send`` (app/runtime
-        generator code) and the ``_op_*`` dispatch body.  Kept separate so
-        the unprofiled loop pays a single ``_prof is not None`` branch.
-        """
-        prof = self._prof
-        enter = prof.enter
-        leave = prof.exit
-        frames = self._frames
-        sim = self.sim
-        table = self._dispatch_table
-        queue = sim._queue
-        daemon_queue = sim._daemon_queue
-        max_cycles = sim.max_cycles
-        fusible = sim._fusible
-        log = self._ckpt_log
-        cid = self.core_id
-        fused = 0
-        frame = frames[-1]
-        try:
-            while True:
-                try:
-                    if log is not None:
-                        log.append((cid, value))
-                    enter("runtime.coroutine")
-                    try:
-                        op = frame.send(value)
-                    finally:
-                        leave()
-                except StopIteration:
-                    frames.pop()
-                    if self._in_handler and frames:
-                        saved = self._finish_handler()
-                        if saved is _NO_RESULT:
-                            return
-                        value = saved
-                        frame = frames[-1]
-                        continue
-                    if not frames:
-                        self.halted = True
-                    return
-                try:
-                    fn = table[op.KIND]
-                except KeyError:
-                    raise SimulationError(f"unknown op kind {op.KIND!r}") from None
-                enter(prof.op_label(op.KIND))
-                try:
-                    out = fn(op)
-                finally:
-                    leave()
-                if out is None:
-                    return
-                value, latency = out
-                if self._in_handler:
-                    self._c_uli_handler.add(latency)
-                completion = sim.now + latency
-                if (
-                    fusible
-                    and completion <= max_cycles
-                    and not sim._stop_requested
-                    and (not queue or queue[0][0] > completion)
-                    and (not daemon_queue or daemon_queue[0][0] > completion)
-                ):
-                    sim.now = completion
-                    fused += 1
                     if (
                         self._pending_uli is not None
                         and self.uli_enabled
@@ -474,17 +415,11 @@ class Core:
                 try:
                     op = frame.send(value)
                 except StopIteration:
-                    frames.pop()
-                    if self._in_handler and frames:
-                        saved = self._finish_handler()
-                        if saved is _NO_RESULT:
-                            return
-                        value = saved
-                        frame = frames[-1]
-                        continue
-                    if not frames:
-                        self.halted = True
-                    return
+                    value = self._pop_frame()
+                    if value is _NO_RESULT:
+                        return
+                    frame = frames[-1]
+                    continue
                 kind = op.KIND
                 if kind == "work":
                     n = op.n
@@ -785,18 +720,6 @@ class Core:
         # Otherwise the handler starts at the next op boundary
         # (_on_complete, or the fused boundary check in _resume).
 
-    def _can_enter_handler(self) -> bool:
-        return (
-            self._pending_uli is not None
-            and self.uli_enabled
-            and not self._in_handler
-        )
-
-    def trace_state(self, state: str) -> None:
-        """Record a core-activity state transition (no-op when untraced)."""
-        if self.tracer.enabled:
-            self.tracer.core_state(self.core_id, self.sim.now, state)
-
     def _enter_handler(self) -> None:
         self._in_handler = True
         self._handler_entry_time = self.sim.now
@@ -812,8 +735,7 @@ class Core:
         if self._ckpt_log is not None:
             # Replay marker: a handler frame was pushed for this thief.
             self._ckpt_log.append(("h", self.core_id, thief))
-        handler = self.uli_handler_factory(thief)
-        self._frames.append(handler)
+        self._push_frame(self.uli_handler_factory(thief))
         self.sim.schedule(self.uli_entry_latency, self._resume_none_cont)
 
     def _finish_handler(self) -> Any:

@@ -444,7 +444,7 @@ def _replay_log(machine, log: List) -> None:
         first = entry[0]
         if first.__class__ is str:  # ("h", core_id, thief): handler push
             core = cores[entry[1]]
-            core._frames.append(core.uli_handler_factory(entry[2]))
+            core._push_frame(core.uli_handler_factory(entry[2]))
             continue
         frames = cores[first]._frames
         try:

@@ -20,6 +20,8 @@ label                  what it covers
 ``noc.uli``            ULI network latency computation
 ``trace.tracer``       tracer emission (only when a real tracer is wired)
 ``sanitize.walk``      coherence-sanitizer walks
+``engine.fastforward`` sampled fast-forward slices (``Core._resume_ff``),
+                       exclusive of the generator code they drive
 ``engine.loop``        everything not measured directly: heap push/pop,
                        event dispatch, the fusion test, Python interpreter
                        overhead between probes (computed as residual)
@@ -30,12 +32,18 @@ stack and charges elapsed time to the label on top, so nested probes
 (``op.load`` → ``mem.l1`` → ``mem.l2`` → ``mem.dram``) split one op's wall
 time across the layers that actually spent it.
 
-Cost model: profiling is **off by default** and gated per core by the
-``Core._prof`` slot — a bare run pays exactly one ``is not None`` test per
-trampoline entry (<3% on the perf mix, enforced by the wall-clock bench).
-When on, every op pays a few ``perf_counter`` calls; simulated results are
-bit-identical either way, only host time changes
-(``tests/test_determinism.py`` asserts this).
+Probes sit outside the code they measure.  :meth:`EngineProfiler.install`
+wraps each core's op dispatch table entries and the memory/NoC/tracer/
+sanitizer entry points as instance attributes, and arms ``Core._prof`` so
+the core wraps every frame it pushes in a :class:`ProbedFrame`.
+``Core._resume`` itself has no profiling branch.
+
+Cost model: profiling is **off by default**.  A bare run pays one
+``is not None`` test per frame push and per fast-forward slice, nothing
+per op.  When on, every op pays a few ``perf_counter`` calls and two
+wrapper calls; simulated results are bit-identical either way, only host
+time changes (``tests/test_determinism.py`` asserts this, and that the
+``runtime.coroutine`` and ``op.<kind>`` call counts are exact).
 
 ``repro profile`` drives :func:`run_profile` over the perf mix and renders
 :func:`format_profile`; ``--trace`` additionally writes a Chrome-trace
@@ -65,15 +73,13 @@ class WallProfiler:
     up in the enclosing label).
     """
 
-    __slots__ = ("seconds", "calls", "_stack", "op_labels")
+    __slots__ = ("seconds", "calls", "_stack")
 
     def __init__(self):
         self.seconds: Dict[str, float] = defaultdict(float)
         self.calls: Dict[str, int] = defaultdict(int)
         #: [label, timestamp-of-last-charge] pairs (lists: slot 1 mutates).
         self._stack: List[list] = []
-        #: Interned "op.<kind>" strings so the hot loop never formats.
-        self.op_labels: Dict[str, str] = {}
 
     def enter(self, label: str) -> None:
         now = time.perf_counter()
@@ -91,11 +97,9 @@ class WallProfiler:
         if self._stack:
             self._stack[-1][1] = now
 
-    def op_label(self, kind: str) -> str:
-        label = self.op_labels.get(kind)
-        if label is None:
-            label = self.op_labels[kind] = f"op.{kind}"
-        return label
+    def probe_frame(self, frame) -> "ProbedFrame":
+        """Wrap a core's coroutine frame (called by ``Core._push_frame``)."""
+        return ProbedFrame(self, frame)
 
     def wrap(self, obj, method_names, label: str) -> None:
         """Instance-level wrap of bound methods, charging ``label``."""
@@ -113,6 +117,27 @@ def _probe(prof: WallProfiler, label: str, fn):
             prof.exit()
 
     return probed
+
+
+class ProbedFrame:
+    """A thread or handler coroutine whose ``send`` charges
+    ``runtime.coroutine`` — the app/runtime generator code between yields.
+    ``StopIteration`` passes through, so the core's trampolines drive it
+    exactly like the bare generator."""
+
+    __slots__ = ("prof", "gen")
+
+    def __init__(self, prof: WallProfiler, gen):
+        self.prof = prof
+        self.gen = gen
+
+    def send(self, value):
+        prof = self.prof
+        prof.enter("runtime.coroutine")
+        try:
+            return self.gen.send(value)
+        finally:
+            prof.exit()
 
 
 #: Methods wrapped per component.  These are the complete call surface the
@@ -138,10 +163,12 @@ _SANITIZER_METHODS = ("check_now",)
 class EngineProfiler:
     """Wires a :class:`WallProfiler` into one machine's hot paths.
 
-    ``install`` arms the per-core trampoline probe (``core._prof``) and
-    wraps the memory/NoC/tracer/sanitizer entry points as instance
-    attributes — the classes themselves are untouched, so a profiled
-    machine coexists with bare machines in one process.
+    ``install`` wraps each core's op dispatch table entries (``op.<kind>``)
+    and the memory/NoC/tracer/sanitizer entry points as instance
+    attributes, and arms ``core._prof`` so frames pushed from then on are
+    probed — install before the run starts.  The classes themselves are
+    untouched, so a profiled machine coexists with bare machines in one
+    process.
     """
 
     def __init__(self, profiler: Optional[WallProfiler] = None):
@@ -154,6 +181,9 @@ class EngineProfiler:
         prof = self.wall
         for core in machine.cores:
             core._prof = prof
+            table = core._dispatch_table
+            for kind, fn in table.items():
+                table[kind] = _probe(prof, f"op.{kind}", fn)
         for l1 in machine.l1s:
             prof.wrap(l1, _L1_METHODS, "mem.l1")
         prof.wrap(machine.l2, _L2_METHODS, "mem.l2")

@@ -120,22 +120,33 @@ def test_heartbeat_runs_are_bit_identical_to_bare_runs(
 
 @pytest.mark.parametrize("kind,app_name,params", OBS_MATRIX)
 def test_profiled_runs_are_bit_identical_to_bare_runs(kind, app_name, params):
-    """An engine-profiled run (wall-clock attribution probes in _resume and
-    wrapped memory/NoC methods) is cycle- and digest-identical to bare."""
+    """An engine-profiled run (probed frames, wrapped op dispatch and
+    memory/NoC methods) is cycle- and digest-identical to bare, and its
+    call counts are exact: one ``runtime.coroutine`` per value sent into
+    a thread or ULI handler generator, one ``op.<kind>`` per executed op."""
     from repro.obs import EngineProfiler
 
-    profilers = []
+    runs = []
 
     def instrument(machine, rt):
-        profilers.append(EngineProfiler().install(machine))
+        # The checkpoint send log records every frame.send, ULI handler
+        # frames included: the reference count for runtime.coroutine.
+        machine.enable_checkpointing()
+        runs.append((machine, EngineProfiler().install(machine)))
         return None
 
     bare = observed_fingerprint(kind, app_name, params, seed=42)
     profiled = observed_fingerprint(kind, app_name, params, seed=42, instrument=instrument)
     assert bare == profiled
     # The profiler genuinely measured: it charged wall time somewhere.
-    attribution = profilers[0].attribution()
-    assert attribution["measured_wall_s"] > 0
+    machine, profiler = runs[0]
+    assert profiler.attribution()["measured_wall_s"] > 0
+    calls = profiler.wall.calls
+    sends = sum(1 for entry in machine._ckpt_log if len(entry) == 2)
+    assert calls["runtime.coroutine"] == sends
+    for op_kind in ("load", "store", "amo"):
+        executed = sum(core.stats.get(f"ops_{op_kind}") for core in machine.cores)
+        assert calls[f"op.{op_kind}"] == executed
 
 
 def test_workspan_analysis_deterministic():

@@ -269,7 +269,6 @@ class TestProfiler:
         prof.exit()
         assert prof.calls == {"outer": 1, "inner": 1}
         assert all(s >= 0 for s in prof.seconds.values())
-        assert prof.op_label("load") is prof.op_label("load")
 
     def test_quick_profile_attributes_wall_time(self):
         from repro.obs.profile import (
