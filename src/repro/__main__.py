@@ -414,7 +414,8 @@ def _cmd_top(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.harness.retry import BackoffPolicy
-    from repro.serve import ServePolicy, run_server
+    from repro.serve import ServePolicy
+    from repro.serve.server import run_server
 
     policy = ServePolicy(
         slots=args.slots,

@@ -2,9 +2,11 @@
 
 Every paper artifact (Tables III-V, Figures 5-8) is derived from the same
 experiment grid.  :func:`run_grid` executes a list of :class:`GridPoint`s
-either serially in-process or on a pool of ``multiprocessing`` workers,
-with a per-run timeout, one retry on failure, and an optional progress/ETA
-line.  Completed results are adopted into the parent's memo cache (and the
+either serially in-process or, with ``jobs > 1``, as one batch on an
+in-process :class:`repro.serve.Supervisor` — the job service's own worker
+supervision (per-run timeout, backoff retry, wedge detection, poison-job
+quarantine, work-key dedup) — with an optional progress/ETA line.
+Completed results are adopted into the parent's memo cache (and the
 persistent result store when one is configured), so the table/figure
 producers that follow hit the cache instead of re-simulating.
 
@@ -31,17 +33,13 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence
 
 import repro.harness.runner as runner
-from repro.engine.checkpoint import ParkedRun
-from repro.engine.watchdog import DeadlockError
 from repro.harness import termlog
-from repro.harness.retry import Backoff, BackoffPolicy
-from repro.harness.runner import ExperimentResult
-from repro.sanitize import SanitizerError
+from repro.harness.retry import BackoffPolicy
 
 #: Default retry schedule for failed grid workers: exponential backoff
-#: with decorrelated jitter (repro.harness.retry), shared discipline with
-#: the serve supervisor.  A crashed worker usually shares its cause with
-#: its siblings (OOM, disk, a wedged store), so immediate same-slot
+#: with decorrelated jitter (repro.harness.retry), capped lower than the
+#: job service's SERVE_BACKOFF.  A crashed worker usually shares its cause
+#: with its siblings (OOM, disk, a wedged store), so immediate same-slot
 #: retries mostly burn an attempt reproducing the failure.
 GRID_BACKOFF = BackoffPolicy(base_s=0.2, cap_s=5.0, multiplier=3.0)
 
@@ -57,8 +55,9 @@ class FailedResult:
     Occupies the failed point's slot in ``run_grid``'s output so a sweep
     with one wedged configuration still returns every other cell.  The
     ``error`` field is one of ``"deadlock"``, ``"violation"``,
-    ``"timeout"``, or ``"error"``; ``diagnostic`` carries the watchdog's
-    per-core dump (or the sanitizer's violation list) when available.
+    ``"timeout"``, ``"worker-died"``, ``"wedged"``, or ``"error"``;
+    ``diagnostic`` carries the watchdog's per-core dump (or the
+    sanitizer's violation list) when available.
     """
 
     app: str
@@ -120,6 +119,10 @@ class GridPoint:
         """Constructor kwargs (picklable; rebuilds the point in a worker)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def identity(self) -> dict:
+        """The fields that name the experiment (all but ``checkpoint``)."""
+        return {k: v for k, v in self.as_fields().items() if k != "checkpoint"}
+
     def run_kwargs(self) -> dict:
         """Keyword arguments for :func:`repro.harness.runner.run_experiment`."""
         return dict(
@@ -161,7 +164,7 @@ _DEFAULT_JOBS: Optional[int] = None
 
 
 def set_default_jobs(jobs: Optional[int]) -> None:
-    """Process-wide default for ``run_grid(jobs=None)`` (CLI ``--jobs``)."""
+    """This process's default for ``run_grid(jobs=None)`` (CLI ``--jobs``)."""
     global _DEFAULT_JOBS
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -249,53 +252,8 @@ class _Progress:
 
 
 # ----------------------------------------------------------------------
-# Worker process entry point
+# Worker start method (repro.harness.worker starts the processes)
 # ----------------------------------------------------------------------
-def _worker_entry(conn, point_kwargs: dict, results_dir: Optional[str]) -> None:
-    """Run one grid point in a child process; ship the result (or the
-    failure) back through ``conn`` as JSON-safe plain data."""
-    try:
-        runner.set_result_store(results_dir)
-        point = GridPoint(**point_kwargs)
-        result = runner.run_experiment(**point.run_kwargs())
-        from repro.harness.export import result_to_dict
-
-        # ``sims`` lets the parent's ETA estimator distinguish a real
-        # simulation from a store hit (0 = satisfied from cache/store).
-        conn.send(
-            ("ok", {"result": result_to_dict(result), "sims": runner.simulation_count()})
-        )
-    except ParkedRun as exc:
-        # Preempted by a supervisor (repro.serve): the snapshot is already
-        # on disk; report where the run stopped and exit cleanly.
-        try:
-            conn.send(("parked", {"cycle": exc.cycle, "snapshot": exc.path}))
-        except Exception:
-            pass
-    except DeadlockError as exc:
-        try:
-            conn.send(("deadlock", {"message": str(exc), "diagnostic": exc.diagnostic}))
-        except Exception:
-            pass
-    except SanitizerError as exc:
-        try:
-            conn.send(("violation", {"message": str(exc), "violations": exc.violations}))
-        except Exception:
-            pass
-    except BaseException as exc:  # report, never hang the parent
-        import traceback
-
-        try:
-            conn.send(("err", f"{exc!r}\n{traceback.format_exc()}"))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
 def _live_helper_threads():
     """Names of live non-daemon threads other than the caller's.
 
@@ -347,27 +305,9 @@ def _mp_context():
     return multiprocessing.get_context("spawn")
 
 
-@dataclass
-class _Running:
-    point: GridPoint
-    proc: "multiprocessing.process.BaseProcess"
-    conn: object
-    deadline: Optional[float]
-    attempt: int = 1
-
-
 # ----------------------------------------------------------------------
 # The grid driver
 # ----------------------------------------------------------------------
-def _classify_failure(exc: BaseException):
-    """(error kind, message, diagnostic dict) for a grid point failure."""
-    if isinstance(exc, DeadlockError):
-        return "deadlock", str(exc), exc.diagnostic
-    if isinstance(exc, SanitizerError):
-        return "violation", str(exc), {"violations": exc.violations}
-    return "error", f"{exc!r}", {}
-
-
 def _record_failure(
     point: GridPoint, error: str, message: str, diagnostic: dict, attempts: int
 ) -> FailedResult:
@@ -401,7 +341,7 @@ def _point_checkpoint_spec(
     """
     from repro.harness.resultstore import hash_key
 
-    identity = {k: v for k, v in point.as_fields().items() if k != "checkpoint"}
+    identity = point.identity()
     if identity.get("faults") is not None:
         identity["faults"] = str(identity["faults"])
     digest = hash_key({"grid_point": identity})[:20]
@@ -470,15 +410,18 @@ def run_grid(
 ):
     """Run every grid point; return results in input order.
 
-    ``jobs > 1`` fans points out over a process pool; each run gets at most
-    ``timeout`` wall-clock seconds (None = unlimited) and ``retries`` fresh
-    attempts after a failure or timeout before :class:`GridError` is
-    raised.  Retries wait out an exponential backoff with decorrelated
-    jitter (``backoff``, default :data:`GRID_BACKOFF`; pass
-    ``repro.harness.retry.NO_BACKOFF`` for immediate retries) instead of
-    respawning into the same failure.  All completed results are adopted
-    into the in-process memo cache and the configured result store, so
-    follow-up ``run_experiment`` calls for the same points are free.
+    ``jobs > 1`` submits the points as one batch of non-preemptible jobs
+    to an in-process :class:`repro.serve.Supervisor` with ``jobs`` worker
+    slots; each run gets at most ``timeout`` wall-clock seconds (None =
+    unlimited) and ``retries`` fresh attempts after a failure, timeout,
+    worker death or heartbeat wedge before :class:`GridError` is raised.
+    Identical points coalesce onto one simulation.  Retries wait out an
+    exponential backoff with decorrelated jitter (``backoff``, default
+    :data:`GRID_BACKOFF`; pass ``repro.harness.retry.NO_BACKOFF`` for
+    immediate retries) instead of respawning into the same failure.  All
+    completed results are adopted into the in-process memo cache and the
+    configured result store, so follow-up ``run_experiment`` calls for the
+    same points are free.
 
     ``on_error="record"`` makes sweeps crash-tolerant: a point that
     deadlocks, trips the sanitizer, times out, or errors yields a
@@ -546,7 +489,7 @@ def run_grid(
             except Exception as exc:
                 if on_error != "record":
                     raise
-                error, message, diagnostic = _classify_failure(exc)
+                error, message, diagnostic = runner._classify_failure(exc)
                 results.append(
                     _record_failure(point, error, message, diagnostic, attempts=1)
                 )
@@ -555,192 +498,87 @@ def run_grid(
                 instant=(runner.simulation_count() == sims_before),
             )
         return results
-    return _run_parallel(points, jobs, timeout, retries, meter, on_error, backoff)
+    return _run_supervised(points, jobs, timeout, retries, meter, on_error, backoff)
 
 
-def _run_parallel(
+def _run_supervised(
     points: List[GridPoint],
     jobs: int,
     timeout: Optional[float],
     retries: int,
     meter: _Progress,
-    on_error: str = "raise",
-    backoff: Optional[BackoffPolicy] = None,
-) -> List[ExperimentResult]:
+    on_error: str,
+    backoff: Optional[BackoffPolicy],
+) -> list:
+    """Run ``points`` as one batch on an in-process job supervisor."""
+    import tempfile
+
     from repro.harness.export import result_from_dict
+    from repro.harness.worker import spawn_worker
+    from repro.serve import Job, JobQueue, Journal, ServePolicy, Supervisor
 
-    store = runner.get_result_store()
-    results_dir = str(store.root) if store is not None else None
-    ctx = _mp_context()
-    pending = deque(enumerate(points))
-    running: Dict[int, _Running] = {}
-    results: List[Optional[ExperimentResult]] = [None] * len(points)
-    policy = backoff if backoff is not None else GRID_BACKOFF
-    #: Per-point retry state (decorrelated jitter needs the previous
-    #: delay), created on first failure.
-    backoffs: Dict[int, Backoff] = {}
-    #: Points waiting out their backoff: idx -> (point, next attempt).
-    delayed: Dict[int, tuple] = {}
+    policy = ServePolicy(
+        slots=jobs,
+        max_pending=len(points),
+        max_per_tenant=len(points),
+        max_attempts=retries + 1,
+        timeout_s=timeout,
+        backoff=backoff if backoff is not None else GRID_BACKOFF,
+    )
+    point_of: Dict[str, GridPoint] = {}
 
-    def spawn(idx: int, point: GridPoint, attempt: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_entry,
-            args=(child_conn, point.as_fields(), results_dir),
-            daemon=True,
+    def spawn(record, _checkpoint):
+        # Launch the grid's own point: its checkpoint spec (or none — a
+        # snapshot path would record every generator send) is the grid's.
+        return spawn_worker(point_of[record.id], ledger_source="runner")
+
+    results: list = [None] * len(points)
+    with tempfile.TemporaryDirectory(prefix="repro-grid-") as workdir:
+        supervisor = Supervisor(
+            JobQueue(), Journal(os.path.join(workdir, "journal.jsonl")),
+            policy, workdir, spawn=spawn,
         )
-        proc.start()
-        child_conn.close()
-        deadline = (time.monotonic() + timeout) if timeout else None
-        running[idx] = _Running(point, proc, parent_conn, deadline, attempt)
-
-    def reap(idx: int) -> None:
-        slot = running.pop(idx)
-        slot.conn.close()
-        if slot.proc.is_alive():
-            slot.proc.terminate()
-        slot.proc.join()
-
-    def fail(
-        idx: int,
-        reason: str,
-        error: str = "error",
-        diagnostic: Optional[dict] = None,
-        retryable: bool = True,
-        worker_reported: bool = True,
-    ) -> None:
-        slot = running[idx]
-        reap(idx)
-        # A worker that failed inside run_experiment wrote its own ledger
-        # line before reporting; a killed or timed-out worker could not, so
-        # the parent records the attempt on its behalf.
-        if not worker_reported:
-            from repro.obs.ledger import get_ledger
-
-            ledger = get_ledger()
-            if ledger is not None:
-                ledger.record(
-                    source="grid",
-                    outcome="failed",
-                    error=error,
-                    message=reason.splitlines()[0] if reason else error,
-                    app=slot.point.app,
-                    kind=slot.point.kind,
-                    scale=slot.point.scale,
-                    serial=slot.point.serial,
-                    attempt=slot.attempt,
-                    wall_s=timeout if error == "timeout" else None,
-                )
-        # Deadlocks and sanitizer violations are deterministic functions
-        # of the grid point: a retry would only reproduce them.
-        if retryable and slot.attempt <= retries:
-            state = backoffs.setdefault(idx, Backoff(policy))
-            delay = state.fail()
-            meter.note(
-                f"retrying {slot.point.label()} "
-                f"(attempt {slot.attempt + 1}, backoff {delay:.2f}s): "
-                f"{reason.splitlines()[0]}"
-            )
-            delayed[idx] = (slot.point, slot.attempt + 1)
-        elif on_error == "record":
-            results[idx] = _record_failure(
-                slot.point, error, reason, diagnostic or {}, slot.attempt
-            )
-            meter.step(slot.point.label())
-        else:
-            for other in list(running):
-                reap(other)
-            raise GridError(
-                f"grid point {slot.point.label()} failed after "
-                f"{slot.attempt} attempt(s): {reason}"
-            )
-
-    try:
-        while pending or running or delayed:
-            # Backed-off retries whose delay has elapsed respawn first:
-            # they have been waiting longest and hold a results slot.
-            for idx in list(delayed):
-                if len(running) >= jobs:
-                    break
-                if backoffs[idx].ready():
-                    point, attempt = delayed.pop(idx)
-                    spawn(idx, point, attempt)
-            while pending and len(running) < jobs:
-                idx, point = pending.popleft()
-                spawn(idx, point, attempt=1)
-            made_progress = False
-            for idx in list(running):
-                slot = running[idx]
-                if slot.conn.poll(0):
-                    try:
-                        status, payload = slot.conn.recv()
-                    except (EOFError, OSError):
-                        made_progress = True
-                        fail(
-                            idx,
-                            "worker died before reporting a result",
-                            worker_reported=False,
-                        )
+        supervisor.ledger_source = "grid"
+        records = []
+        for point in points:
+            record = supervisor.submit(Job(**point.identity(), preemptible=False))
+            point_of[record.id] = point
+            records.append(record)
+        waiting = dict(enumerate(records))
+        try:
+            while waiting:
+                supervisor.poll()
+                for idx, record in list(waiting.items()):
+                    if not record.terminal:
                         continue
-                    made_progress = True
-                    if status == "ok":
-                        reap(idx)
-                        result = result_from_dict(payload["result"])
+                    del waiting[idx]
+                    point = points[idx]
+                    if record.state == "done":
+                        result = result_from_dict(record.result)
                         runner.adopt_result(
                             result,
-                            app_overrides=slot.point.app_overrides,
-                            runtime_kwargs=slot.point.runtime_kwargs,
-                            config_overrides=slot.point.config_overrides,
-                            faults=slot.point.faults,
-                            sanitize=slot.point.sanitize,
-                            watchdog=slot.point.watchdog,
-                            sampling=slot.point.sampling,
+                            app_overrides=point.app_overrides,
+                            runtime_kwargs=point.runtime_kwargs,
+                            config_overrides=point.config_overrides,
+                            faults=point.faults,
+                            sanitize=point.sanitize,
+                            watchdog=point.watchdog,
+                            sampling=point.sampling,
                         )
                         results[idx] = result
-                        meter.step(
-                            slot.point.label(), instant=(payload["sims"] == 0)
-                        )
-                    elif status == "deadlock":
-                        fail(
-                            idx, payload["message"], error="deadlock",
-                            diagnostic=payload.get("diagnostic"), retryable=False,
-                        )
-                    elif status == "violation":
-                        fail(
-                            idx, payload["message"], error="violation",
-                            diagnostic={"violations": payload.get("violations", [])},
-                            retryable=False,
-                        )
-                    elif status == "parked":
-                        # The grid never requests parks itself (only the
-                        # serve supervisor does); a stale park file counts
-                        # as a retryable interruption — the retry resumes
-                        # from the snapshot under on_error="resume".
-                        fail(
-                            idx,
-                            f"worker parked at cycle {payload.get('cycle')}",
-                            error="parked",
+                    elif on_error == "record":
+                        results[idx] = _record_failure(
+                            point, record.outcome, record.message,
+                            record.diagnostic, record.attempts,
                         )
                     else:
-                        fail(idx, payload)
-                elif not slot.proc.is_alive():
-                    made_progress = True
-                    fail(
-                        idx,
-                        f"worker exited with code {slot.proc.exitcode}",
-                        worker_reported=False,
-                    )
-                elif slot.deadline is not None and time.monotonic() > slot.deadline:
-                    made_progress = True
-                    fail(
-                        idx,
-                        f"timed out after {timeout}s",
-                        error="timeout",
-                        worker_reported=False,
-                    )
-            if not made_progress:
-                time.sleep(0.02)
-    finally:
-        for idx in list(running):
-            reap(idx)
-    return results  # type: ignore[return-value]
+                        raise GridError(
+                            f"grid point {point.label()} failed after "
+                            f"{record.attempts} attempt(s): {record.message}"
+                        )
+                    meter.step(point.label(), instant=(record.sims == 0))
+                if waiting:
+                    time.sleep(0.02)
+        finally:
+            supervisor.shutdown()
+    return results

@@ -1,9 +1,10 @@
-"""Retry backoff policy shared by the grid and the serve supervisor.
+"""Retry backoff policy for the worker supervisor (``repro.serve``).
 
-One retry discipline for every supervisor-shaped loop in the repo:
-exponential backoff with *decorrelated jitter* (the AWS architecture-blog
-variant): each delay is drawn uniformly from ``[base, prev * multiplier]``
-and clamped to ``cap``.  Compared with plain exponential backoff this
+The one supervisor — the job service and every parallel ``run_grid``
+sweep — retries failed workers with exponential backoff with
+*decorrelated jitter* (the AWS architecture-blog variant): each delay
+is drawn uniformly from ``[base, prev * multiplier]`` and clamped to
+``cap``.  Compared with plain exponential backoff this
 spreads retries of simultaneously failing workers apart (no thundering
 herd after a shared-cause failure) while still growing the expected delay
 geometrically.

@@ -269,16 +269,17 @@ def _workspan_store_key(app_name: str, scale: str, overrides: dict) -> dict:
     }
 
 
-def _classify_error(exc: BaseException) -> str:
-    """Ledger error kind for a simulation failure (mirrors grid labels)."""
+def _classify_failure(exc: BaseException):
+    """(error kind, message, diagnostic dict) for a failed run: the one
+    table the ledger, the serial grid path and grid workers share."""
     from repro.engine.watchdog import DeadlockError
     from repro.sanitize import SanitizerError
 
     if isinstance(exc, DeadlockError):
-        return "deadlock"
+        return "deadlock", str(exc), exc.diagnostic
     if isinstance(exc, SanitizerError):
-        return "violation"
-    return "error"
+        return "violation", str(exc), {"violations": exc.violations}
+    return "error", f"{exc!r}", {}
 
 
 def _ledger_record(
@@ -306,8 +307,8 @@ def _ledger_record(
     if ledger is None:
         return
     ledger.record(
-        # Supervising parents can relabel their workers' lines (the serve
-        # spawn sets "serve" around its fork) so `repro report` can tell
+        # Worker processes relabel their lines (repro.harness.worker sets
+        # "serve" in job-service children) so `repro report` can tell
         # service work from ad-hoc runs.
         source=os.environ.get("REPRO_LEDGER_SOURCE", "runner"),
         outcome=outcome,
@@ -490,7 +491,7 @@ def run_experiment(
             "failed",
             app_name=app_name, kind=kind, scale=scale, serial=serial,
             wall_s=time.perf_counter() - started, store_key=store_key,
-            error=_classify_error(exc),
+            error=_classify_failure(exc)[0],
             message=(str(exc).splitlines() or [repr(exc)])[0],
             seed=ctx.get("seed"), robustness=robustness,
             lineage=ctx.get("lineage"), sampling=sampling,

@@ -9,14 +9,16 @@ line describing its outcome:
 * ``ok``         — a real simulation ran to completion,
 * ``memo-hit``   — satisfied from the in-process memo cache,
 * ``store-hit``  — satisfied from the persistent result store,
-* ``failed``     — the run raised (``error`` holds deadlock / violation /
-  timeout / error, matching ``FailedResult.error``).
+* ``failed``     — the run raised, or its worker was lost (``error`` holds
+  deadlock / violation / timeout / worker-died / wedged / error, matching
+  ``FailedResult.error``).
 
-Timed-out or killed grid workers can't write their own line, so the grid
-parent appends one on their behalf (``source: "grid"``).  Workers forked
-by the job service inherit ``REPRO_LEDGER_SOURCE=serve`` and label their
-lines ``source: "serve"``, so a report over a shared ledger can tell
-service work from ad-hoc runs.
+Workers that died, timed out or wedged can't write their own line, so the
+supervisor that lost them appends one on their behalf (``source: "grid"``
+under ``run_grid``, ``"serve"`` under the job service).  Job-service
+workers label their own lines ``source: "serve"`` too (grid workers keep
+``"runner"``), so a report over a shared ledger can tell service work
+from ad-hoc runs.
 
 Each line carries the store-key digest (the same SHA-256 that names the
 result store's files), the config seed, the robustness block, checkpoint

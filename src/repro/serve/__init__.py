@@ -11,13 +11,15 @@ Layering: ``queue`` (job model, pure bookkeeping) ← ``journal``
 (write-ahead log + replay) ← ``supervisor`` (dispatch, retry/backoff,
 preemption, wedged detection) ← ``server`` (asyncio socket front end) /
 ``client`` (blocking CLI client); ``policy`` parameterizes everything.
+The server is imported from ``repro.serve.server``, not re-exported
+here: parallel ``run_grid`` sweeps import this package for the
+supervisor, and asyncio would cost each of their workers ~2.5 MB.
 """
 
 from repro.serve.journal import Journal, recover, replay
 from repro.serve.policy import SERVE_BACKOFF, ServePolicy, admission_reason
 from repro.serve.queue import Job, JobQueue, JobRecord
 from repro.serve.supervisor import Supervisor
-from repro.serve.server import JobServer, run_server
 from repro.serve.client import ServeClient, ServeError, connect
 
 __all__ = [
@@ -25,7 +27,6 @@ __all__ = [
     "JobQueue",
     "JobRecord",
     "Journal",
-    "JobServer",
     "SERVE_BACKOFF",
     "ServeClient",
     "ServeError",
@@ -35,5 +36,4 @@ __all__ = [
     "connect",
     "recover",
     "replay",
-    "run_server",
 ]

@@ -2,9 +2,11 @@
 
 One frozen :class:`ServePolicy` object parameterizes the whole service —
 the supervisor, the admission controller, and the server all read from it
-and none of them carry tuning constants of their own.  Everything is
-injectable for tests (a policy with ``wedged_after_s=0.05`` and a fake
-clock exercises the wedged-worker path in milliseconds).
+and none of them carry tuning constants of their own.  ``run_grid`` builds
+one per parallel sweep (slots = jobs, attempts = retries + 1, admission
+sized to the batch).  Everything is injectable for tests (a policy with
+``wedged_after_s=0.05`` and a fake clock exercises the wedged-worker path
+in milliseconds).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Optional
 
 from repro.harness.retry import BackoffPolicy
 
-#: Default supervisor retry schedule — shared discipline with the grid
-#: (repro.harness.grid.GRID_BACKOFF) but a slower cap: service jobs are
-#: long-lived, so hammering a failing configuration helps nobody.
+#: Default service retry schedule — ``run_grid`` passes its faster
+#: repro.harness.grid.GRID_BACKOFF instead; service jobs are long-lived,
+#: so hammering a failing configuration helps nobody.
 SERVE_BACKOFF = BackoffPolicy(base_s=0.5, cap_s=30.0, multiplier=3.0)
 
 

@@ -37,6 +37,8 @@ from typing import Dict, List, Optional
 #: States a job can be in; TERMINAL states never change again.
 STATES = ("pending", "running", "parked", "done", "failed", "rejected")
 TERMINAL = ("done", "failed", "rejected")
+#: Job fields that schedule the experiment rather than name it.
+SERVICE_FIELDS = ("tenant", "priority", "deadline_s", "preemptible")
 
 
 @dataclass
@@ -52,6 +54,11 @@ class Job:
     runtime_kwargs: Optional[dict] = None
     config_overrides: Optional[dict] = None
     sampling: Optional[str] = None
+    check: bool = True
+    #: Fault plan (preset/spec string, dict, or ``FaultPlan``).
+    faults: Optional[object] = None
+    sanitize: bool = False
+    watchdog: Optional[int] = None
     tenant: str = "default"
     #: Lower is more urgent; ties break on deadline, then submit order.
     priority: int = 5
@@ -80,31 +87,18 @@ class Job:
         """
         from repro.harness.resultstore import hash_key
 
-        return hash_key(
-            {
-                "app": self.app,
-                "kind": self.kind,
-                "scale": self.scale,
-                "serial": bool(self.serial),
-                "app_overrides": self.app_overrides or {},
-                "runtime_kwargs": self.runtime_kwargs or {},
-                "config_overrides": self.config_overrides or {},
-                "sampling": self.sampling,
-            }
-        )
+        key = self.grid_fields()
+        for name in ("app_overrides", "runtime_kwargs", "config_overrides"):
+            key[name] = key[name] or {}
+        return hash_key(key)
 
     def grid_fields(self) -> dict:
-        """GridPoint constructor kwargs for the worker process."""
-        return dict(
-            app=self.app,
-            kind=self.kind,
-            scale=self.scale,
-            serial=self.serial,
-            app_overrides=self.app_overrides,
-            runtime_kwargs=self.runtime_kwargs,
-            config_overrides=self.config_overrides,
-            sampling=self.sampling,
-        )
+        """GridPoint constructor kwargs: every field but service metadata."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in SERVICE_FIELDS
+        }
 
 
 @dataclass
@@ -122,6 +116,12 @@ class JobRecord:
     #: Result payload (export.result_to_dict form) once done.  In-memory
     #: only — recovered servers re-resolve results through the store.
     result: Optional[dict] = None
+    #: The worker's simulation count once done (0 = a store hit; dedup
+    #: followers ran nothing themselves).  In-memory only.
+    sims: Optional[int] = None
+    #: Failure detail once failed (watchdog dump, sanitizer violations).
+    #: In-memory only.
+    diagnostic: dict = field(default_factory=dict)
     #: Run-snapshot path once the job has been parked (resume source).
     snapshot: Optional[str] = None
     #: Leader job id when this job was deduped onto an identical one.

@@ -9,29 +9,34 @@ timer; unit tests call it directly with an injected clock, spawn function,
 and heartbeat probe, so every failure path is exercisable in milliseconds
 without real processes.
 
-Workers are the *grid's* workers: each dispatch builds a
-:class:`repro.harness.grid.GridPoint` and forks
-``repro.harness.grid._worker_entry`` — the same entry point, pipe
-protocol, and result serialization as ``run_grid``, so serve inherits the
-grid's determinism and store adoption for free.  Every run gets a
-periodic checkpoint (resume point for kills) and, when preemptible, a
-park file the supervisor can touch to request a cooperative preemption
-(``repro.engine.checkpoint.ParkDaemon``).
+Workers come from ``repro.harness.worker.spawn_worker`` — the one
+worker process, pipe protocol and result serialization in the repo —
+so a job inherits the grid's determinism and store adoption for free.
+The spawn function is injectable: the job service's default gives every
+run a periodic checkpoint (resume point for kills) and, when preemptible,
+a park file the supervisor can touch to request a cooperative preemption
+(``repro.engine.checkpoint.ParkDaemon``); ``run_grid`` injects a spawn
+that launches its own grid points with their own checkpoint specs and
+drives this class as a batch client.
 
 Supervision verdicts per worker, in check order:
 
-1. message received — terminal (``ok``/``deadlock``/``violation``),
-   ``parked``, or a retryable error;
+1. message received — ``ok``, ``parked``, a deterministic failure
+   (``deadlock``/``violation``: quarantined at once) or a retryable
+   ``error``;
 2. process died without a message — retryable (``worker-died``);
 3. wall-clock budget exceeded — kill, retryable (``timeout``);
 4. heartbeat snapshot too old — kill, retryable (``wedged``);
 5. park grace expired — kill, requeue *without* burning an attempt
    (``park-timeout``; the job restarts from its last periodic snapshot).
 
-Retryable failures wait out the policy's decorrelated-jitter backoff
-(shared helper with the grid: ``repro.harness.retry``); a job that fails
-``max_attempts`` times is quarantined as terminally ``failed`` — one
-poison job can never wedge the service.
+A worker that could not report (verdicts 2-5) never wrote its own run
+ledger line, so the supervisor writes a ``failed`` line on its behalf
+(``source`` is :attr:`Supervisor.ledger_source`: ``"serve"``, or
+``"grid"`` under ``run_grid``).  Retryable failures wait out the
+policy's decorrelated-jitter backoff (``repro.harness.retry``); a job
+that fails ``max_attempts`` times is quarantined as terminally
+``failed`` — one poison job can never wedge the service.
 """
 
 from __future__ import annotations
@@ -42,77 +47,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.harness.grid import GridPoint
 from repro.harness.retry import Backoff
+from repro.harness.worker import WorkerHandle, spawn_worker
 from repro.serve.journal import Journal
 from repro.serve.policy import ServePolicy, admission_reason
 from repro.serve.queue import Job, JobQueue, JobRecord
 
 #: Errors that are deterministic functions of the job — retrying would
-#: only reproduce them (mirrors the grid's retryable=False set).
+#: only reproduce them.
 DETERMINISTIC_ERRORS = ("deadlock", "violation")
 
 
-class WorkerHandle:
-    """A live grid worker process plus its result pipe."""
-
-    def __init__(self, proc, conn):
-        self.proc = proc
-        self.conn = conn
-
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def poll_message(self):
-        """The worker's (status, payload) message, or None; "gone" when
-        the pipe broke before any message arrived."""
-        try:
-            if not self.conn.poll(0):
-                return None
-            return self.conn.recv()
-        except (EOFError, OSError):
-            return ("gone", None)
-
-    def kill(self) -> None:
-        if self.proc.is_alive():
-            self.proc.kill()
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except Exception:
-            pass
-        if self.proc.is_alive():
-            self.proc.terminate()
-        self.proc.join()
-
-
-def spawn_grid_worker(record: JobRecord, checkpoint: dict) -> WorkerHandle:
-    """Fork one grid worker for ``record`` (the default spawn function)."""
-    from repro.harness import grid, runner
-
-    store = runner.get_result_store()
-    results_dir = str(store.root) if store is not None else None
-    ctx = grid._mp_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    point = grid.GridPoint(**record.job.grid_fields(), checkpoint=checkpoint)
-    proc = ctx.Process(
-        target=grid._worker_entry,
-        args=(child_conn, point.as_fields(), results_dir),
-        daemon=True,
-    )
-    # The fork inherits the environment: ledger lines written by this
-    # worker carry source "serve" instead of "runner".
-    os.environ["REPRO_LEDGER_SOURCE"] = "serve"
-    try:
-        proc.start()
-    finally:
-        os.environ.pop("REPRO_LEDGER_SOURCE", None)
-    child_conn.close()
-    return WorkerHandle(proc, parent_conn)
+def spawn_serve_worker(record: JobRecord, checkpoint: dict) -> WorkerHandle:
+    """Start one worker for ``record`` (the default spawn function)."""
+    point = GridPoint(**record.job.grid_fields(), checkpoint=checkpoint)
+    return spawn_worker(point, ledger_source="serve")
 
 
 class HeartbeatAgeTracker:
@@ -205,7 +155,7 @@ class Supervisor:
         journal: Journal,
         policy: ServePolicy,
         workdir: str,
-        spawn: Callable[[JobRecord, dict], WorkerHandle] = spawn_grid_worker,
+        spawn: Callable[[JobRecord, dict], WorkerHandle] = spawn_serve_worker,
         clock: Callable[[], float] = time.monotonic,
         heartbeat_age: Optional[Callable[[int], Optional[float]]] = None,
         log: Optional[Callable[[str], None]] = None,
@@ -232,6 +182,9 @@ class Supervisor:
         self._backoffs: Dict[str, Backoff] = {}
         #: leader job id -> follower records coalesced behind it.
         self.followers: Dict[str, List[JobRecord]] = {}
+        #: ``source`` of the ledger lines written for workers that could
+        #: not report (killed or dead); a batch client relabels it.
+        self.ledger_source = "serve"
 
     # ------------------------------------------------------------------
     # Intake
@@ -288,27 +241,28 @@ class Supervisor:
             active = self.active[jid]
             message = active.handle.poll_message()
             if message is not None:
-                status, payload = message
-                self._on_message(jid, active, status, payload)
+                self._on_message(jid, active, *message)
             elif not active.handle.alive():
-                self._close(jid)
-                self._retry(active.record, "worker-died",
-                            "worker exited without reporting a result")
+                self._lost(jid, "worker-died",
+                           "worker exited without reporting a result")
 
     def _on_message(self, jid: str, active: _Active, status, payload) -> None:
+        if status == "gone":
+            self._lost(jid, "worker-died", "result pipe broke")
+            return
         record = active.record
+        payload = payload or {}
         self._close(jid)
         if status == "ok":
-            self._complete(record, payload["result"])
+            self._complete(record, payload)
         elif status == "parked":
             self._on_parked(active, payload)
         elif status in DETERMINISTIC_ERRORS:
-            message = (payload or {}).get("message", status)
-            self._quarantine(record, status, message)
-        elif status == "gone":
-            self._retry(record, "worker-died", "result pipe broke")
-        else:  # "err" payload is the worker's traceback string
-            self._retry(record, "error", str(payload))
+            self._quarantine(record, status, payload.get("message", status),
+                             payload.get("diagnostic"))
+        else:
+            self._retry(record, status, payload.get("message", status),
+                        payload.get("diagnostic"))
 
     def _close(self, jid: str) -> None:
         active = self.active.pop(jid)
@@ -324,14 +278,40 @@ class Supervisor:
             except OSError:
                 pass
 
+    def _lost(self, jid: str, error: str, message: str) -> None:
+        """Kill (if still alive) and reap a worker that cannot report, write
+        the ledger line it never will, and retry its job."""
+        active = self.active[jid]
+        active.handle.kill()
+        self._close(jid)
+        from repro.obs.ledger import get_ledger
+
+        ledger = get_ledger()
+        if ledger is not None:
+            job = active.record.job
+            ledger.record(
+                source=self.ledger_source,
+                outcome="failed",
+                error=error,
+                message=message,
+                app=job.app,
+                kind=job.kind,
+                scale=job.scale,
+                serial=bool(job.serial),
+                attempt=active.record.attempts,
+                wall_s=self.clock() - active.started_at,
+            )
+        self._retry(active.record, error, message)
+
     # ------------------------------------------------------------------
     # Verdicts
     # ------------------------------------------------------------------
-    def _complete(self, record: JobRecord, result: dict) -> None:
+    def _complete(self, record: JobRecord, payload: dict) -> None:
         self.journal.append("done", id=record.id, outcome="ok")
         record.state = "done"
         record.outcome = "ok"
-        record.result = result
+        record.result = payload["result"]
+        record.sims = payload.get("sims")
         record.snapshot = None
         self._backoffs.pop(record.id, None)
         self.log(f"{record.id} done")
@@ -339,26 +319,30 @@ class Supervisor:
             self.journal.append("done", id=follower.id, outcome="dedup")
             follower.state = "done"
             follower.outcome = "dedup"
-            follower.result = result
+            follower.result = record.result
+            follower.sims = 0
             self.log(f"{follower.id} done (dedup of {record.id})")
 
-    def _on_parked(self, active: _Active, payload) -> None:
+    def _on_parked(self, active: _Active, payload: dict) -> None:
         record = active.record
-        snapshot = (payload or {}).get("snapshot") or active.snapshot_path
+        snapshot = payload.get("snapshot") or active.snapshot_path
         self.journal.append(
-            "park", id=record.id,
-            snapshot=snapshot, cycle=(payload or {}).get("cycle"),
+            "park", id=record.id, snapshot=snapshot, cycle=payload.get("cycle"),
         )
         record.snapshot = snapshot
         record.parks += 1
         self.queue.repark(record)
-        self.log(f"{record.id} parked at cycle {(payload or {}).get('cycle')}")
+        self.log(f"{record.id} parked at cycle {payload.get('cycle')}")
 
-    def _quarantine(self, record: JobRecord, error: str, message: str) -> None:
+    def _quarantine(
+        self, record: JobRecord, error: str, message: str,
+        diagnostic: Optional[dict] = None,
+    ) -> None:
         self.journal.append("failed", id=record.id, error=error, message=message)
         record.state = "failed"
         record.outcome = error
         record.message = message
+        record.diagnostic = diagnostic or {}
         self._backoffs.pop(record.id, None)
         self.log(f"{record.id} failed: {error}")
         # Followers must run for themselves now (and will store-hit if the
@@ -367,11 +351,15 @@ class Supervisor:
             follower.dedup_of = None
             self.queue.requeue(follower)
 
-    def _retry(self, record: JobRecord, error: str, message: str) -> None:
+    def _retry(
+        self, record: JobRecord, error: str, message: str,
+        diagnostic: Optional[dict] = None,
+    ) -> None:
         if error != "park-timeout" and record.attempts >= self.policy.max_attempts:
             self._quarantine(
                 record, error,
                 f"quarantined after {record.attempts} attempts: {message}",
+                diagnostic,
             )
             return
         self.journal.append(
@@ -402,26 +390,15 @@ class Supervisor:
         for jid in list(self.active):
             active = self.active[jid]
             if active.park_deadline is not None and now > active.park_deadline:
-                active.handle.kill()
-                self._close(jid)
-                self._retry(active.record, "park-timeout",
-                            "worker missed the park grace window")
+                self._lost(jid, "park-timeout",
+                           "worker missed the park grace window")
             elif active.deadline is not None and now > active.deadline:
-                active.handle.kill()
-                self._close(jid)
-                self._retry(
-                    active.record, "timeout",
-                    f"exceeded {self.policy.timeout_s}s wall budget",
-                )
+                self._lost(jid, "timeout",
+                           f"timed out after {self.policy.timeout_s}s")
             elif self.policy.wedged_after_s is not None:
                 age = self.heartbeat_age(active.handle.pid)
                 if age is not None and age > self.policy.wedged_after_s:
-                    active.handle.kill()
-                    self._close(jid)
-                    self._retry(
-                        active.record, "wedged",
-                        f"no heartbeat for {age:.1f}s",
-                    )
+                    self._lost(jid, "wedged", f"no heartbeat for {age:.1f}s")
 
     # ------------------------------------------------------------------
     # Backoff admission

@@ -302,6 +302,45 @@ class TestHarnessIntegration:
         a.pop("extras"), b.pop("extras")
         assert a == b
 
+    def test_parallel_grid_resume_picks_up_interrupted_point(self, tmp_path):
+        """The checkpoint specs reach parallel workers too: a jobs=2 rerun
+        resumes the point that left a snapshot and cold-runs the other,
+        both identical to uninterrupted runs."""
+        from repro.harness import run_experiment
+        from repro.harness.grid import (
+            GridPoint,
+            _point_checkpoint_spec,
+            run_grid,
+        )
+
+        p = GridPoint(APP, "bt-hcc-dts-gwb", "tiny")
+        q = GridPoint("cilk5-mt", "bt-mesi", "tiny")
+        cold = [
+            run_experiment(**dict(point.run_kwargs(), use_cache=False))
+            for point in (p, q)
+        ]
+        ckpt_dir = str(tmp_path / "ckpts")
+        spec = _point_checkpoint_spec(
+            p, ckpt_dir, 2000, resume=False, warm_init=False
+        )
+        clear_cache()
+        run_experiment(
+            **dict(p.run_kwargs(), use_cache=False,
+                   checkpoint=dict(spec, keep=True)),
+        )
+        assert os.path.exists(spec["path"])
+        clear_cache()
+        resumed = run_grid(
+            [p, q], jobs=2, checkpoint_dir=ckpt_dir,
+            checkpoint_interval=2000, on_error="resume",
+        )
+        assert "ckpt_resumed_from" in resumed[0].extras
+        assert "ckpt_resumed_from" not in resumed[1].extras
+        for c, r in zip(cold, resumed):
+            a, b = dataclasses.asdict(c), dataclasses.asdict(r)
+            a.pop("extras"), b.pop("extras")
+            assert a == b
+
     def test_grid_warm_init_fan_out(self, tmp_path):
         """ISSUE acceptance (scaled down): warm_init precomputes each app's
         init once and every configuration variant warm-starts from it,

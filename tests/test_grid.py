@@ -100,6 +100,19 @@ class TestDeterminism:
         _run_fresh(SUB_GRID[:2], jobs=2)
         assert len(store) == 2
 
+    def test_duplicate_points_coalesce_onto_one_simulation(self, tmp_path):
+        from repro.obs.ledger import read_ledger, set_ledger
+
+        point = GridPoint("cilk5-mt", "bt-mesi", "tiny")
+        set_ledger(tmp_path / "ledger.jsonl")
+        try:
+            first, second = _run_fresh([point, point], jobs=2)
+        finally:
+            set_ledger(None)
+        assert first == second and first.cycles > 0
+        lines = read_ledger(tmp_path / "ledger.jsonl")
+        assert [(e["source"], e["outcome"]) for e in lines] == [("runner", "ok")]
+
 
 class TestMpContext:
     def test_spawn_override_is_honored(self, monkeypatch):

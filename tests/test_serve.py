@@ -372,6 +372,33 @@ class TestSupervisor:
         retries = [e for e in events if e["ev"] == "retry"]
         assert retries and retries[0]["error"] == "timeout"
 
+    def test_timed_out_worker_leaves_one_failed_ledger_line(self, tmp_path):
+        """A worker the supervisor kills cannot write its own ledger line;
+        the supervisor writes exactly one on its behalf."""
+        from repro.obs.ledger import read_ledger, set_ledger
+
+        supervisor, spawner, clock = make_supervisor(
+            tmp_path, slots=1, timeout_s=30.0, max_attempts=1
+        )
+        set_ledger(tmp_path / "ledger.jsonl")
+        try:
+            record = supervisor.submit(job())
+            supervisor.poll()
+            clock.advance(31.0)
+            supervisor.poll()
+        finally:
+            set_ledger(None)
+        assert spawner.handle_for(record.id).killed
+        assert record.state == "failed" and record.outcome == "timeout"
+        assert "timed out after 30.0s" in record.message
+        (line,) = read_ledger(tmp_path / "ledger.jsonl")
+        assert line["outcome"] == "failed" and line["error"] == "timeout"
+        assert line["source"] == "serve"
+        assert (line["app"], line["kind"], line["scale"]) == (
+            "cilk5-mt", "bt-mesi", "tiny"
+        )
+        assert line["attempt"] == 1 and line["wall_s"] == 31.0
+
     def test_wedged_worker_detected_via_heartbeat_age(self, tmp_path):
         supervisor, spawner, _ = make_supervisor(
             tmp_path, slots=1, wedged_after_s=10.0
