@@ -76,7 +76,9 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.engine.checkpoint import CheckpointError
     from repro.harness import run_experiment, run_serial_baseline
+    from repro.sampling.spec import SamplingError
 
     tracer = None
     sample_interval = None
@@ -94,12 +96,17 @@ def _cmd_run(args) -> int:
             "init_dir": args.init_dir,
             "keep": args.keep_checkpoint,
         }
-    result = run_experiment(
-        args.app, args.config, args.scale, serial=args.serial,
-        tracer=tracer, sample_interval=sample_interval,
-        faults=args.faults, sanitize=args.sanitize, watchdog=args.watchdog,
-        checkpoint=checkpoint, sampling=args.sample,
-    )
+    try:
+        result = run_experiment(
+            args.app, args.config, args.scale, serial=args.serial,
+            tracer=tracer, sample_interval=sample_interval,
+            faults=args.faults, sanitize=args.sanitize, watchdog=args.watchdog,
+            checkpoint=checkpoint, sampling=args.sample,
+        )
+    except (SamplingError, CheckpointError) as exc:
+        # A refused mode combination or unusable snapshot: a usage error.
+        print(f"repro run: {exc}", file=sys.stderr)
+        return 2
     if tracer is not None:
         from repro.trace import export_chrome_trace
 
@@ -230,59 +237,6 @@ def _cmd_fig(args) -> int:
         print(f"no figure {args.number} in the paper's evaluation", file=sys.stderr)
         return 2
     return 0
-
-
-def _cmd_perf(args) -> int:
-    from repro.harness.perf import (
-        DEFAULT_MIX,
-        SAMPLED_MIX,
-        SMOKE_MIX,
-        SMOKE_SAMPLED_MIX,
-        compare_baseline,
-        format_baseline_report,
-        format_report,
-        format_sampled_report,
-        read_bench,
-        run_mix,
-        run_sampled_mix,
-        write_bench,
-    )
-
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = read_bench(args.baseline)
-        except OSError as exc:
-            print(f"repro perf: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-    mix = SMOKE_MIX if args.smoke else DEFAULT_MIX
-    payload = run_mix(list(mix), repeats=args.repeats)
-    if args.sampled:
-        sampled_mix = SMOKE_SAMPLED_MIX if args.smoke else SAMPLED_MIX
-        payload["sampled"] = run_sampled_mix(list(sampled_mix), repeats=1)
-    print(format_report(payload))
-    if args.sampled:
-        print()
-        print(format_sampled_report(payload["sampled"]))
-    if args.out:
-        write_bench(payload, args.out)
-        print(f"\nbench written  : {args.out}", file=sys.stderr)
-    code = 0
-    if baseline is not None:
-        report = compare_baseline(payload, baseline, tolerance=args.tolerance)
-        print()
-        print(format_baseline_report(report))
-        if not report["ok"]:
-            code = 1
-    speedup = payload["aggregate"]["speedup"]
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"FAIL: mix speedup {speedup:.2f}x below required "
-            f"{args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        code = 1
-    return code
 
 
 def _cmd_sample(args) -> int:
@@ -730,38 +684,6 @@ def main(argv=None) -> int:
     ws_parser.add_argument("app", choices=sorted(PAPER_APPS))
     ws_parser.add_argument("--scale", default="quick", choices=sorted(SCALES))
 
-    perf_parser = sub.add_parser(
-        "perf",
-        help="benchmark the simulator's own wall-clock throughput "
-             "(event-fusion fast path vs REPRO_NO_FUSION slow path)")
-    perf_parser.add_argument(
-        "--out", default="BENCH_wallclock.json", metavar="FILE",
-        help="write the benchmark payload as JSON (default: "
-             "BENCH_wallclock.json; pass '' to skip)")
-    perf_parser.add_argument(
-        "--repeats", type=positive_int, default=2, metavar="N",
-        help="runs per mode per entry; wall time is the best of N "
-             "(default: 2)")
-    perf_parser.add_argument(
-        "--smoke", action="store_true",
-        help="run the small CI smoke mix instead of the full default mix")
-    perf_parser.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero if the mix-aggregate fused/unfused speedup "
-             "falls below X")
-    perf_parser.add_argument(
-        "--sampled", action="store_true",
-        help="also benchmark the exact-vs-sampled pairs (repro.sampling) "
-             "and record them in the payload's 'sampled' section")
-    perf_parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="compare against a committed BENCH_wallclock.json and exit "
-             "non-zero on any regression beyond --tolerance")
-    perf_parser.add_argument(
-        "--tolerance", type=float, default=0.15, metavar="FRAC",
-        help="allowed fractional drop per metric for --baseline "
-             "(default: 0.15)")
-
     sample_parser = sub.add_parser(
         "sample",
         help="differentially validate sampled simulation against exact "
@@ -917,7 +839,7 @@ def main(argv=None) -> int:
         "profile",
         help="profile the simulator itself: wall-clock attribution per op "
              "kind and component (coroutines, L1/L2/DRAM, NoC, event loop) "
-             "over the perf mix")
+             "over the profile mix")
     profile_parser.add_argument(
         "--quick", action="store_true",
         help="profile the small CI smoke mix instead of the full default mix")
@@ -945,6 +867,9 @@ def main(argv=None) -> int:
         help="emit the summary as JSON on stdout")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and not args.checkpoint and (
+            args.resume or args.keep_checkpoint):
+        run_parser.error("--resume and --keep-checkpoint need --checkpoint")
     _apply_harness_flags(args)
     handler = {
         "list": _cmd_list,
@@ -953,7 +878,6 @@ def main(argv=None) -> int:
         "table": _cmd_table,
         "fig": _cmd_fig,
         "workspan": _cmd_workspan,
-        "perf": _cmd_perf,
         "sample": _cmd_sample,
         "fuzz": _cmd_fuzz,
         "verify": _cmd_verify,

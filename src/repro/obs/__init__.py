@@ -35,8 +35,8 @@ import sys
 def host_fingerprint() -> dict:
     """A stable identity block for the executing host + interpreter.
 
-    Embedded in ``BENCH_wallclock.json`` and every ledger line so perf
-    trajectories and past runs stay attributable across machines.
+    Embedded in every ledger line so past runs stay attributable across
+    machines.
     """
     return {
         "python": sys.version.split()[0],

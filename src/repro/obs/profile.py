@@ -1,6 +1,6 @@
 """Engine self-profiling: wall-clock attribution for the hot loop.
 
-The engine floor (~0.4 µs/op on the perf mix) cannot be attacked blind:
+The engine floor (~0.4 µs/op on the profile mix) cannot be attacked blind:
 "the simulator is slow" is not actionable, "38% of wall time is inside
 ``frame.send`` and 22% inside the L2 directory" is.  This module measures
 where *host* wall-clock time goes during a simulation, per architectural
@@ -45,10 +45,10 @@ wrapper calls; simulated results are bit-identical either way, only host
 time changes (``tests/test_determinism.py`` asserts this, and that the
 ``runtime.coroutine`` and ``op.<kind>`` call counts are exact).
 
-``repro profile`` drives :func:`run_profile` over the perf mix and renders
-:func:`format_profile`; ``--trace`` additionally writes a Chrome-trace
-JSON (:func:`chrome_trace`) that catapult / Perfetto render as a
-flamegraph-style timeline.
+``repro profile`` drives :func:`run_profile` over :data:`PROFILE_MIX` (or
+:data:`SMOKE_MIX` with ``--quick``) and renders :func:`format_profile`;
+``--trace`` additionally writes a Chrome-trace JSON (:func:`chrome_trace`)
+that catapult / Perfetto render as a flamegraph-style timeline.
 """
 
 from __future__ import annotations
@@ -57,6 +57,25 @@ import json
 import time
 from collections import defaultdict
 from typing import Dict, List, Optional
+
+#: The ``repro profile`` mix as ``(app, kind, scale, serial)`` rows, weighted
+#: toward dispatch-bound runs (the ``kernel-*`` microkernels and
+#: serial-elision baselines) with one task-parallel run on a DTS config.
+PROFILE_MIX = (
+    ("kernel-spin", "serial-io", "large", True),
+    ("kernel-spin", "serial-io", "quick", True),
+    ("kernel-stream", "serial-io", "quick", True),
+    ("cilk5-cs", "serial-io", "quick", True),
+    ("ligra-bfs", "serial-io", "quick", True),
+    ("cilk5-cs", "bt-hcc-dts-dnv", "tiny", False),
+)
+
+#: Small mix for ``repro profile --quick`` and CI smoke runs (seconds).
+SMOKE_MIX = (
+    ("kernel-spin", "serial-io", "tiny", True),
+    ("kernel-stream", "serial-io", "tiny", True),
+    ("cilk5-cs", "bt-hcc-dts-dnv", "tiny", False),
+)
 
 #: Components the acceptance criterion counts as "named": every label the
 #: profiler can emit, including the residual.
@@ -238,12 +257,11 @@ class EngineProfiler:
 # The `repro profile` driver
 # ----------------------------------------------------------------------
 def profile_entry(entry, profiler: Optional[EngineProfiler] = None) -> EngineProfiler:
-    """Run one perf-mix entry under a profiled machine.
+    """Run one ``(app, kind, scale, serial)`` mix row under a profiled machine.
 
-    Mirrors ``repro.harness.perf._run_once`` (fresh machine, fusion on) so
-    the attribution describes the same workload the wall-clock bench
-    measures.  Passing one ``profiler`` across entries accumulates a
-    mix-wide attribution.
+    Each row gets a fresh machine with fusion on, and only ``runtime.run``
+    counts toward ``total_wall`` (setup and check are excluded).  Passing
+    one ``profiler`` across rows accumulates a mix-wide attribution.
     """
     from repro.apps import make_app
     from repro.config import make_config
@@ -251,12 +269,13 @@ def profile_entry(entry, profiler: Optional[EngineProfiler] = None) -> EnginePro
     from repro.harness.params import app_params
     from repro.machine import Machine
 
+    app_name, kind, scale, serial = entry
     prof = profiler if profiler is not None else EngineProfiler()
-    app = make_app(entry.app, **app_params(entry.app, entry.scale))
-    machine = Machine(make_config(entry.kind, entry.scale))
+    app = make_app(app_name, **app_params(app_name, scale))
+    machine = Machine(make_config(kind, scale))
     app.setup(machine)
     prof.install(machine)
-    kwargs = {"serial_elision": True} if entry.serial else {}
+    kwargs = {"serial_elision": True} if serial else {}
     runtime = WorkStealingRuntime(machine, **kwargs)
     start = time.perf_counter()
     runtime.run(app.make_root(serial=False))
@@ -266,19 +285,18 @@ def profile_entry(entry, profiler: Optional[EngineProfiler] = None) -> EnginePro
 
 
 def run_profile(mix=None, repeats: int = 1, quick: bool = False) -> dict:
-    """Profile the perf mix; returns the attribution payload."""
-    from repro.harness.perf import DEFAULT_MIX, SMOKE_MIX
-
+    """Profile a mix (default :data:`PROFILE_MIX`, or :data:`SMOKE_MIX`
+    when ``quick``); returns the attribution payload."""
     if mix is None:
-        mix = list(SMOKE_MIX if quick else DEFAULT_MIX)
+        mix = SMOKE_MIX if quick else PROFILE_MIX
     prof = EngineProfiler()
     for entry in mix:
         for _ in range(max(1, repeats)):
             profile_entry(entry, prof)
     payload = prof.attribution()
     payload["mix"] = [
-        {"app": e.app, "kind": e.kind, "scale": e.scale, "serial": e.serial}
-        for e in mix
+        {"app": app, "kind": kind, "scale": scale, "serial": serial}
+        for app, kind, scale, serial in mix
     ]
     payload["repeats"] = repeats
     return payload
@@ -309,7 +327,7 @@ def chrome_trace(payload: dict) -> dict:
     on a single track, sized by its exclusive seconds — load the file in
     ``chrome://tracing`` / Perfetto and the width ordering *is* the ranked
     attribution.  (A true call-by-call timeline would be gigabytes for a
-    perf-mix run; this is the summary view.)
+    profile-mix run; this is the summary view.)
     """
     events = []
     t_us = 0.0

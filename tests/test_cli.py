@@ -81,3 +81,53 @@ def test_fuzz_positive_control(capsys):
         "no-thief-flush", "--expect-violations",
     ])
     assert code == 0  # violations expected and found
+
+
+@pytest.mark.parametrize("flag", ["--resume", "--keep-checkpoint"])
+def test_checkpoint_flags_without_checkpoint_rejected(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "cilk5-cs", "--scale", "tiny", flag])
+    assert exc.value.code == 2
+    assert "need --checkpoint" in capsys.readouterr().err
+
+
+def test_refused_run_mode_is_a_usage_error(capsys, tmp_path):
+    code = main([
+        "run", "cilk5-cs", "--scale", "tiny", "--sample", "600:400:200",
+        "--trace", str(tmp_path / "t.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro run: sampled runs cannot be traced")
+    assert "Traceback" not in err
+
+
+def test_unreadable_checkpoint_is_a_usage_error(capsys, tmp_path):
+    snapshot = tmp_path / "bad.ckpt"
+    snapshot.write_text("not a snapshot")
+    code = main([
+        "run", "cilk5-cs", "--scale", "tiny",
+        "--checkpoint", str(snapshot), "--resume",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("repro run: unreadable snapshot")
+
+
+def test_profile_quick_writes_smoke_mix(capsys, tmp_path):
+    import json
+
+    out = tmp_path / "p.json"
+    assert main(["profile", "--quick", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["mix"] == [
+        {"app": "kernel-spin", "kind": "serial-io", "scale": "tiny",
+         "serial": True},
+        {"app": "kernel-stream", "kind": "serial-io", "scale": "tiny",
+         "serial": True},
+        {"app": "cilk5-cs", "kind": "bt-hcc-dts-dnv", "scale": "tiny",
+         "serial": False},
+    ]
+    calls = {row["component"]: row["calls"] for row in payload["components"]}
+    for label in ("runtime.coroutine", "op.work", "op.load"):
+        assert calls.get(label, 0) > 0, label
+    assert "runtime.coroutine" in capsys.readouterr().out

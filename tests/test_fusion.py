@@ -68,6 +68,9 @@ def test_fused_and_unfused_runs_are_identical(app_name, kind, params, serial):
     # (else the test proves nothing).
     assert unfused["fusion"]["events_fused"] == 0
     assert fused["fusion"]["events_fused"] > 0
+    if app_name.startswith("kernel-"):
+        # The dispatch-bound kernels must fuse nearly every event.
+        assert fused["fusion"]["fused_ratio"] > 0.9
     # Both paths execute the same set of continuations in total.
     assert (
         fused["fusion"]["events_total"] == unfused["fusion"]["events_total"]
@@ -132,14 +135,3 @@ def test_traced_runs_byte_identical_across_modes(tmp_path, app_name, kind,
     assert texts[0] == texts[1]
     assert texts[0].encode() == texts[1].encode()
 
-
-def test_perf_harness_smoke():
-    """repro.harness.perf runs an entry in both modes and verifies stats."""
-    from repro.harness.perf import PerfEntry, run_entry
-
-    entry = PerfEntry("kernel-spin", "serial-io", "tiny", serial=True)
-    row = run_entry(entry, repeats=1)
-    assert row["stats_identical"] is True
-    assert row["events_fused"] > 0
-    assert row["fused_ratio"] > 0.9
-    assert row["wall_fused_s"] > 0 and row["wall_unfused_s"] > 0
