@@ -78,7 +78,6 @@ def _cmd_list(_args) -> int:
 def _cmd_run(args) -> int:
     from repro.engine.checkpoint import CheckpointError
     from repro.harness import run_experiment, run_serial_baseline
-    from repro.sampling.spec import SamplingError
 
     tracer = None
     sample_interval = None
@@ -101,9 +100,9 @@ def _cmd_run(args) -> int:
             args.app, args.config, args.scale, serial=args.serial,
             tracer=tracer, sample_interval=sample_interval,
             faults=args.faults, sanitize=args.sanitize, watchdog=args.watchdog,
-            checkpoint=checkpoint, sampling=args.sample,
+            checkpoint=checkpoint,
         )
-    except (SamplingError, CheckpointError) as exc:
+    except CheckpointError as exc:
         # A refused mode combination or unusable snapshot: a usage error.
         print(f"repro run: {exc}", file=sys.stderr)
         return 2
@@ -122,25 +121,6 @@ def _cmd_run(args) -> int:
         return 0
     print(f"app            : {result.app}")
     print(f"config         : {result.kind} @ {result.scale}")
-    if result.sampling is not None:
-        s = result.sampling
-        if s.get("exact_fallback"):
-            print("mode           : sampled (run ended in the initial "
-                  "warmup; statistics are exact)")
-        else:
-            spec = s.get("spec", {})
-            spec_str = ":".join(
-                str(spec.get(k, "?"))
-                for k in ("interval", "warmup", "window")
-            )
-            ci = s.get("cycles_ci95_pct")
-            print(f"mode           : sampled (spec {spec_str}, "
-                  f"{s.get('windows', 0)} windows, "
-                  f"coverage {100 * s.get('coverage', 1.0):.1f}%"
-                  + (f", cycles CI95 ±{ci:.1f}%" if ci is not None else "")
-                  + ")")
-            print("                 cycles/traffic/energy below are "
-                  "extrapolated estimates")
     print(f"cycles         : {result.cycles}")
     print(f"instructions   : {result.instructions}")
     print(f"tasks/spawns   : {result.tasks}/{result.spawns}")
@@ -236,40 +216,6 @@ def _cmd_fig(args) -> int:
     else:
         print(f"no figure {args.number} in the paper's evaluation", file=sys.stderr)
         return 2
-    return 0
-
-
-def _cmd_sample(args) -> int:
-    from repro.sampling.differential import (
-        DEFAULT_VALIDATION_MIX,
-        DEFAULT_VALIDATION_SPEC,
-        format_validation,
-        validate_mix,
-    )
-
-    if args.app:
-        mix = [(args.app, args.config, args.scale)]
-    else:
-        mix = list(DEFAULT_VALIDATION_MIX)
-    spec = args.spec or DEFAULT_VALIDATION_SPEC
-    payload = validate_mix(mix, spec=spec)
-    if args.json:
-        import json
-
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(format_validation(payload))
-    worst = max(
-        payload["aggregate"]["cycles_error"]["max"],
-        payload["aggregate"]["traffic_error"]["max"],
-    )
-    if args.max_error is not None and 100.0 * worst > args.max_error:
-        print(
-            f"FAIL: worst cycles/traffic error {100 * worst:.2f}% exceeds "
-            f"--max-error {args.max_error:.2f}%",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -403,7 +349,6 @@ def _cmd_submit(args) -> int:
         "priority": args.priority,
         "deadline_s": args.deadline,
         "preemptible": not args.no_preempt,
-        "sampling": args.sample,
     }
     try:
         with connect(path, retry_for_s=args.retry_for) as client:
@@ -561,14 +506,6 @@ def main(argv=None) -> int:
                             help="warm-start: reuse (or create) per-app init "
                                  "snapshots in DIR, skipping the serial setup "
                                  "phase on later runs")
-    run_parser.add_argument("--sample", default=None, metavar="U:W:D[:Q]",
-                            help="periodic-sampling mode: fast-forward U "
-                                 "instructions between detailed windows of W "
-                                 "warmup + D measured instructions; cycles/"
-                                 "traffic/energy become extrapolated estimates "
-                                 "(sampled results get their own cache/store "
-                                 "keys and never mix with exact ones)")
-
     trace_parser = sub.add_parser(
         "trace",
         help="run one experiment with full tracing and export it for Perfetto",
@@ -684,32 +621,6 @@ def main(argv=None) -> int:
     ws_parser.add_argument("app", choices=sorted(PAPER_APPS))
     ws_parser.add_argument("--scale", default="quick", choices=sorted(SCALES))
 
-    sample_parser = sub.add_parser(
-        "sample",
-        help="differentially validate sampled simulation against exact "
-             "runs (cycles/traffic error per app) on affordable scales",
-        parents=[harness_flags])
-    sample_parser.add_argument(
-        "--app", type=_app_arg, default=None, metavar="APP",
-        help="validate a single app instead of the default validation mix")
-    sample_parser.add_argument(
-        "--config", "--kind", dest="config", type=_kind_arg,
-        default="bt-hcc-dts-dnv", metavar="KIND",
-        help="configuration for --app (default: bt-hcc-dts-dnv)")
-    sample_parser.add_argument(
-        "--scale", default="paper", choices=sorted(SCALES),
-        help="scale for --app (default: paper)")
-    sample_parser.add_argument(
-        "--spec", default=None, metavar="U:W:D[:Q[:S]]",
-        help="sampling spec to validate (default: the qualified "
-             "validation spec)")
-    sample_parser.add_argument(
-        "--max-error", type=float, default=None, metavar="PCT",
-        help="exit non-zero if the worst cycles/traffic error exceeds PCT")
-    sample_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the full validation payload as JSON")
-
     top_parser = sub.add_parser(
         "top",
         help="live top-style view over heartbeat snapshots written by runs "
@@ -822,9 +733,6 @@ def main(argv=None) -> int:
         "--no-preempt", action="store_true",
         help="never park this job to make room for a deadline job")
     submit_parser.add_argument(
-        "--sample", default=None, metavar="U:W:D[:Q]",
-        help="run in periodic-sampling mode (not preemptible)")
-    submit_parser.add_argument(
         "--wait", action="store_true",
         help="block until the job is terminal and report its outcome")
     submit_parser.add_argument(
@@ -878,7 +786,6 @@ def main(argv=None) -> int:
         "table": _cmd_table,
         "fig": _cmd_fig,
         "workspan": _cmd_workspan,
-        "sample": _cmd_sample,
         "fuzz": _cmd_fuzz,
         "verify": _cmd_verify,
         "checkpoint": _cmd_checkpoint,

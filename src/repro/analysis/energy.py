@@ -43,10 +43,8 @@ class EnergyReport:
 def energy_counts(machine: Machine) -> Dict[str, float]:
     """Raw activity counts the energy model is a linear function of.
 
-    Split out from :func:`estimate_energy` so the sampled-simulation
-    estimator (repro.sampling) can delta these counts over detailed
-    windows and extrapolate them before pricing — the coefficients apply
-    to counts, not to machines.
+    Priced by :func:`energy_from_counts`: the coefficients apply to
+    counts, not to machines.
     """
     tiny_busy = big_busy = tiny_idle = big_idle = 0
     for core in machine.cores:

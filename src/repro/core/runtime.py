@@ -539,7 +539,7 @@ class WorkStealingRuntime:
 
         def handler(thief_core_id: int):
             # Handler runs scale with steal-attempt arrivals (timing), so
-            # their instructions are spin for the sampling estimator.
+            # their instructions count as spin (instructions_spin).
             core = ctx.core
             spin_prev = core.spinning
             core.spinning = True

@@ -33,12 +33,10 @@ trampoline when the event fires.  ULI handler entry is checked at exactly
 the op boundaries where the unfused path would check it, so fused and
 unfused runs are cycle- and statistic-identical.
 
-``_resume`` is the only detailed loop.  The engine profiler
+``_resume`` is the only op loop.  The engine profiler
 (repro.obs.profile) observes it from outside — probed frames around
 ``frame.send`` and wrapped ``_dispatch_table`` entries — so profiling adds
-no code path to it.  The one other loop, :meth:`Core._resume_ff`, runs a
-different algorithm (sampled functional fast-forward); the two share the
-frame-completion step (:meth:`Core._pop_frame`).
+no code path to it.
 """
 
 from __future__ import annotations
@@ -50,10 +48,6 @@ from typing import Any, Callable, Generator, List, Optional
 from repro.cores import ops
 from repro.engine.simulator import SimulationError, Simulator
 from repro.engine.stats import StatGroup
-from repro.mem.address import LINE_MASK as _LINE_MASK
-from repro.mem.address import WORD_INDEX_MASK as _WORD_INDEX_MASK
-from repro.mem.address import WORD_SHIFT as _WORD_SHIFT
-from repro.mem.amo import apply_amo
 from repro.trace.tracer import NULL_TRACER
 
 #: Sentinel pushed on the resume stack when a handler interrupts a core
@@ -109,7 +103,6 @@ class Core:
         "_c_uli_handler",
         "_ckpt_log",
         "_prof",
-        "_ff",
     )
 
     #: Op kind -> unbound ``_op_*`` method name; bound per instance into
@@ -159,9 +152,9 @@ class Core:
         #: thread is hunting for work (steal attempts, join polling, worker
         #: idle loops), False inside task bodies and their fixed per-task
         #: bookkeeping.  Spin instruction counts scale with *wait
-        #: durations*, so they are timing artifacts, not work; counting
-        #: them separately gives the sampling estimator a timing-invariant
-        #: instruction measure (repro.sampling.estimate).
+        #: durations*, so they are timing artifacts, not work.  The
+        #: ``instructions_spin`` counter it feeds is part of the stats tree
+        #: that pinned results and result digests hash, so it stays.
         self.spinning = False
 
         # ULI receiver state.
@@ -205,17 +198,9 @@ class Core:
         #: Wall-clock profiler (repro.obs.profile.WallProfiler) armed by
         #: EngineProfiler.install, which also wraps ``_dispatch_table``.
         #: Read only off the hot loop: :meth:`_push_frame` wraps each new
-        #: frame in a probed frame, and :meth:`_resume_ff` brackets its
-        #: slices.  Simulated results are identical either way — only host
-        #: time is observed.
+        #: frame in a probed frame.  Simulated results are identical either
+        #: way — only host time is observed.
         self._prof = None
-
-        #: Functional fast-forward state (repro.sampling.FastForwardState)
-        #: armed by the sampling controller between detailed windows.  None
-        #: (the default) costs one branch per trampoline entry; when set,
-        #: _resume hands over to :meth:`_resume_ff`, which executes ops
-        #: against flat memory with no timing model.
-        self._ff = None
 
     # ------------------------------------------------------------------
     # Thread startup
@@ -234,7 +219,7 @@ class Core:
     def _push_frame(self, frame: Generator) -> None:
         """Push a thread or ULI handler coroutine onto the frame stack.
 
-        Every frame the trampolines drive enters here, so a profiled core
+        Every frame the trampoline drives enters here, so a profiled core
         (``_prof`` set) gets each one wrapped by the profiler's probed
         frame, whose ``send`` is charged to generator code.
         """
@@ -285,8 +270,6 @@ class Core:
         running, so hoisting is safe); with fusion disabled the loop pays
         exactly one extra branch per op.
         """
-        if self._ff is not None:
-            return self._resume_ff(value)
         frames = self._frames
         sim = self.sim
         table = self._dispatch_table
@@ -352,201 +335,6 @@ class Core:
         finally:
             if fused:
                 sim.events_fused += fused
-
-    def _resume_ff(self, value: Any) -> None:
-        """Functional fast-forward trampoline (repro.sampling).
-
-        Executes up to ``ff.slice_budget`` instructions of the thread
-        inline against the *flat* main-memory word store — architectural
-        state (memory words, task queues, RNG draws, ULI handshakes)
-        evolves exactly as it would in detail, but no caches, NoC, or
-        latency models are touched.  Each op charges its kind's
-        calibrated pseudo-cycle cost from ``ff.costs`` (the previous
-        measurement window's average load/store/AMO/... latency — see
-        :class:`repro.sampling.ff.FastForwardState`), work charges one
-        cycle per instruction, and the slice parks at
-        ``now + round(charged) + idle`` with *real* idle latency — so
-        work, the steal protocol's contended memory ops, and spin
-        backoff keep their detailed relative rates and the
-        fast-forwarded schedule stays representative.
-
-        The memory system must be reconciled with flat memory before the
-        first fast-forward slice
-        (:meth:`repro.machine.Machine.prepare_fastforward`): L1s are
-        empty throughout the period, the L2 stays warm with clean copies,
-        and every line a store/AMO mutates is recorded in ``ff.written``
-        so its stale L2 copy can be purged on exit.
-        Only ``instructions`` is counted here (identically to the detailed
-        ``_op_*`` handlers); the ``cycles_*`` breakdown counters advance
-        only during detailed phases and are extrapolated from window
-        deltas.  ULI send/deliver/handler flows are the ordinary ones —
-        interrupt latencies stay real — and the handler-entry check after
-        each op matches the detailed op-boundary check exactly.
-        """
-        ff = self._ff
-        frames = self._frames
-        sim = self.sim
-        cid = self.core_id
-        cnt = self._cnt
-        mem_lines = ff.memory._lines
-        ff_written = ff.written
-        quantum = ff.slice_budget
-        costs = ff.costs
-        c_load = costs["load"]
-        c_store = costs["store"]
-        c_amo = costs["amo"]
-        line_mask = _LINE_MASK
-        word_shift = _WORD_SHIFT
-        word_index_mask = _WORD_INDEX_MASK
-        # Instruction counts accumulate in locals and flush once per slice
-        # (in the ``finally``): the trampoline is the sampled mode's inner
-        # loop, and two counter-dict writes per op dominate it.  No
-        # checkpoint send-log here — sampling refuses checkpointing.
-        executed = 0
-        spin = 0
-        charged = 0.0
-        idle_cycles = 0
-        prof = self._prof
-        if prof is not None:
-            prof.enter("engine.fastforward")
-        frame = frames[-1]
-        try:
-            while True:
-                try:
-                    op = frame.send(value)
-                except StopIteration:
-                    value = self._pop_frame()
-                    if value is _NO_RESULT:
-                        return
-                    frame = frames[-1]
-                    continue
-                kind = op.KIND
-                if kind == "work":
-                    n = op.n
-                    executed += n
-                    if self.spinning:
-                        spin += n
-                    charged += n
-                    value = None
-                elif kind == "load":
-                    # bypass and cached loads are architecturally identical
-                    # here: flat memory is the single coherent view.
-                    addr = op.addr
-                    line = mem_lines.get(addr & line_mask)
-                    value = (
-                        0
-                        if line is None
-                        else line[(addr >> word_shift) & word_index_mask]
-                    )
-                    executed += 1
-                    if self.spinning:
-                        spin += 1
-                    charged += c_load
-                elif kind == "store":
-                    addr = op.addr
-                    base = addr & line_mask
-                    ff_written.add(base)
-                    line = mem_lines.get(base)
-                    if line is None:
-                        line = mem_lines[base] = [0] * 8
-                    line[(addr >> word_shift) & word_index_mask] = op.value
-                    executed += 1
-                    if self.spinning:
-                        spin += 1
-                    charged += c_store
-                    value = None
-                elif kind == "amo":
-                    addr = op.addr
-                    base = addr & line_mask
-                    ff_written.add(base)
-                    line = mem_lines.get(base)
-                    if line is None:
-                        line = mem_lines[base] = [0] * 8
-                    idx = (addr >> word_shift) & word_index_mask
-                    new, value = apply_amo(op.op, line[idx], op.operand)
-                    line[idx] = new
-                    executed += 1
-                    if self.spinning:
-                        spin += 1
-                    charged += c_amo
-                elif kind == "idle":
-                    # Specs with stretch > 1 lengthen idle backoff:
-                    # blocked cores re-poll less often, thinning the
-                    # spin-wait instructions that otherwise dominate
-                    # fast-forward on large machines.  Never shortened —
-                    # spin loops must not collapse relative to busy
-                    # cores — and never stretched in the period's
-                    # cooldown tail, so every sleeper wakes to real-rate
-                    # polling before the next measurement window opens.
-                    idle_cycles = max(1, op.n)
-                    if ff.consumed + executed < ff.stretch_until:
-                        idle_cycles *= ff.idle_scale
-                    value = None
-                    break
-                elif kind == "uli_send":
-                    executed += 1
-                    if self.spinning:
-                        spin += 1
-                    charged += 1.0
-                    # Asynchronous: resumes via deliver_uli_response with
-                    # the real ULI network latency.
-                    self._send_uli(op.victim)
-                    return
-                elif kind == "invalidate" or kind == "flush":
-                    # This core's L1 was dropped entering fast-forward and
-                    # stays empty throughout it: architecturally a no-op.
-                    executed += 1
-                    if self.spinning:
-                        spin += 1
-                    charged += costs[kind]
-                    value = None
-                elif kind == "uli_enable":
-                    self.uli_enabled = True
-                    executed += 1
-                    if self.spinning:
-                        spin += 1
-                    charged += 1.0
-                    value = None
-                elif kind == "uli_disable":
-                    self.uli_enabled = False
-                    executed += 1
-                    if self.spinning:
-                        spin += 1
-                    charged += 1.0
-                    value = None
-                else:
-                    raise SimulationError(f"unknown op kind {kind!r}")
-                # Op boundary: identical ULI handler entry check to the
-                # detailed trampoline's.
-                if (
-                    self._pending_uli is not None
-                    and self.uli_enabled
-                    and not self._in_handler
-                ):
-                    self._resume_stack.append(value)
-                    self._enter_handler()
-                    return
-                if executed >= quantum:
-                    break
-            # Deterministic ±25% per-slice jitter on the charged pseudo-time.
-            # Uniform charges would hold cores in perfect lockstep (real
-            # machines de-phase through contention randomness); lockstepped
-            # cores arrive at shared AMO counters in synchronized convoys
-            # and the detailed windows then measure serialization the exact
-            # run never exhibits.
-            seed = (cid * 0x9E3779B1 + cnt["instructions"] + executed) & 0xFFFFFFFF
-            r = ((seed * 2654435761 + 1013904223) & 0xFFFFFFFF) / 2.0**32
-            delay = int(round(charged * (0.75 + 0.5 * r))) + idle_cycles
-            self._pending_result = value
-            sim.schedule_at(sim.now + (delay if delay > 0 else 1), self._complete_cont)
-        finally:
-            if executed:
-                cnt["instructions"] += executed
-                if spin:
-                    cnt["instructions_spin"] += spin
-                ff.consume(executed)
-            if prof is not None:
-                prof.exit()
 
     def _charge_memory(self, latency: int) -> int:
         """Scale exposed memory latency for big cores (MLP overlap)."""
@@ -688,11 +476,7 @@ class Core:
         # charge only the genuine wait here.
         wait = self.sim.now - self._uli_send_time - self._wait_handler_cycles
         self._wait_handler_cycles = 0
-        if self._ff is None:
-            # Fast-forward waits elapse in pseudo-cycles; charging them
-            # would leak pseudo-time into the (detailed-only) counters
-            # that sampled estimation treats as measured.
-            self.stats.add("cycles_uli", max(0, wait))
+        self.stats.add("cycles_uli", max(0, wait))
         self._resume(ack)
 
     # ------------------------------------------------------------------
@@ -727,11 +511,8 @@ class Core:
             self.tracer.push_state(self.core_id, self.sim.now, "uli-handler")
         thief = self._pending_uli
         self.stats.add("uli_handled")
-        if self._ff is None:
-            # Architectural count above is exact even during fast-forward;
-            # cycle charges are timing and stay detailed-only.
-            self.stats.add("cycles_uli", self.uli_entry_latency)
-            self.stats.add("cycles_uli_handler", self.uli_entry_latency)
+        self.stats.add("cycles_uli", self.uli_entry_latency)
+        self.stats.add("cycles_uli_handler", self.uli_entry_latency)
         if self._ckpt_log is not None:
             # Replay marker: a handler frame was pushed for this thief.
             self._ckpt_log.append(("h", self.core_id, thief))

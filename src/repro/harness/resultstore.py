@@ -47,10 +47,10 @@ from typing import Optional
 #:    byte-identical to a cold one, so either must satisfy the other's
 #:    probes.
 #: 4: experiment keys gained "mode" (exact vs sampled plus the sampling
-#:    spec; see repro.sampling).  A sampled result carries *estimated*
-#:    cycles/traffic, so it must never satisfy a probe for an exact run —
-#:    the firewall is the key itself.
-STORE_SCHEMA = 4
+#:    spec), firewalling sampled estimates from exact results.
+#: 5: "mode" dropped again with sampled simulation; every run is exact.
+#:    The bump makes schema-4 entries miss cleanly instead of colliding.
+STORE_SCHEMA = 5
 
 #: A default-repr containing a memory address: never stable across runs.
 _ADDRESS_REPR = re.compile(r" at 0x[0-9a-fA-F]+>")

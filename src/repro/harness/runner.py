@@ -70,11 +70,8 @@ class ExperimentResult:
     uli_nacks: int = 0
     uli_utilization: float = 0.0
     uli_avg_latency: float = 0.0
-    #: "exact" or "sampled" — sampled results carry extrapolated cycles,
-    #: traffic, and rates (repro.sampling) and are firewalled from exact
-    #: ones by the memo/store keys and the run ledger.
+    #: Always "exact"/None; kept because result_to_dict serialises them into digests.
     mode: str = "exact"
-    #: Sampling summary (spec, windows, coverage, CIs) for sampled runs.
     sampling: Optional[Dict] = None
     extras: Dict[str, float] = field(default_factory=dict)
 
@@ -167,20 +164,6 @@ def _robustness_dict(
     }
 
 
-def _mode_dict(sampling) -> dict:
-    """Canonical mode descriptor for cache keys.
-
-    Part of both the memo key and the persistent store key: a sampled
-    result (estimated cycles/traffic) must never satisfy a probe for an
-    exact one, or vice versa — and two sampled runs with different
-    sampling parameters are different experiments.
-    """
-    return {
-        "mode": "sampled" if sampling is not None else "exact",
-        "sampling": sampling.as_dict() if sampling is not None else None,
-    }
-
-
 def memo_key(
     app_name: str,
     kind: str,
@@ -192,7 +175,6 @@ def memo_key(
     faults: Optional[FaultPlan] = None,
     sanitize: bool = False,
     watchdog: Optional[int] = None,
-    sampling=None,
 ) -> Tuple:
     """The in-process memo key for one experiment (always hashable)."""
     return (
@@ -204,7 +186,6 @@ def memo_key(
         canonicalize(runtime_kwargs or {}),
         canonicalize(config_overrides or {}),
         canonicalize(_robustness_dict(faults, sanitize, watchdog)),
-        canonicalize(_mode_dict(sampling)),
     )
 
 
@@ -219,7 +200,6 @@ def _experiment_store_key(
     faults: Optional[FaultPlan] = None,
     sanitize: bool = False,
     watchdog: Optional[int] = None,
-    sampling=None,
 ) -> dict:
     """The persistent store key: resolved params + config + code version.
 
@@ -248,11 +228,6 @@ def _experiment_store_key(
             "init_signature": init_signature(
                 app_name, scale, **(app_overrides or {})
             ),
-            # Schema 4: the exact/sampled firewall.  Sampled estimates and
-            # exact measurements of the same experiment hash to different
-            # store paths, so neither can ever satisfy a warm-rerun probe
-            # for the other.
-            "mode": _mode_dict(sampling),
         },
     }
 
@@ -297,7 +272,6 @@ def _ledger_record(
     seed=None,
     robustness=None,
     lineage=None,
-    sampling=None,
 ) -> None:
     """Append one run-manifest line when a ledger is configured (no-op
     otherwise — the ledger is strictly off by default)."""
@@ -323,10 +297,6 @@ def _ledger_record(
         seed=seed,
         robustness=robustness,
         lineage=lineage,
-        # The exact/sampled firewall extends into run accounting: every
-        # line carries the mode so `repro report` can never mix them.
-        mode="sampled" if sampling is not None else "exact",
-        sampling=sampling.spec_str() if sampling is not None else None,
         store_key=hash_key(store_key) if store_key is not None else None,
     )
 
@@ -347,7 +317,6 @@ def run_experiment(
     sanitize: bool = False,
     watchdog: Optional[int] = None,
     checkpoint=None,
-    sampling=None,
 ) -> ExperimentResult:
     """Simulate ``app_name`` on configuration ``kind`` at ``scale``.
 
@@ -376,53 +345,17 @@ def run_experiment(
     outcome, so it participates in neither the memo key nor the store key;
     provenance lands in ``result.extras`` (``ckpt_*`` keys) and the store
     payload's ``lineage``.
-
-    ``sampling`` (a :class:`repro.sampling.SamplingSpec` or a ``"U:W:D"``
-    spec string) runs the experiment in periodic-sampling mode: detailed
-    measurement windows alternate with functional fast-forward, and the
-    result's cycles/traffic/rates are window extrapolations (exact
-    architectural counts stay exact).  Sampled results are firewalled:
-    ``mode`` + the spec enter the memo key, store key, and ledger line,
-    so they can never satisfy a probe for an exact result.  Sampling is
-    incompatible with tracing, the interval sampler, fault injection, the
-    sanitizer, and run checkpoints (warm-start ``init_dir`` is fine).
     """
     started = time.perf_counter()
     faults = FaultPlan.coerce(faults)
     ckpt = CheckpointConfig.coerce(checkpoint)
     robustness = _robustness_dict(faults, sanitize, watchdog)
-    if sampling is not None:
-        from repro.sampling import SamplingError, SamplingSpec
-
-        sampling = SamplingSpec.coerce(sampling)
-        if tracer is not None or sample_interval is not None:
-            raise SamplingError(
-                "sampled runs cannot be traced: fast-forward has no "
-                "cycle-accurate timeline to trace"
-            )
-        if faults is not None:
-            raise SamplingError(
-                "sampled runs cannot inject faults: fault sites live in "
-                "the timing models fast-forward bypasses"
-            )
-        if sanitize:
-            raise SamplingError(
-                "sampled runs cannot be sanitized: coherence invariants "
-                "are vacuous while the cache hierarchy is drained"
-            )
-        if ckpt is not None and (
-            ckpt.path or ckpt.resume or ckpt.interval or ckpt.park_path
-        ):
-            raise SamplingError(
-                "sampled runs cannot take or resume run checkpoints, and "
-                "so cannot be parked (warm-start init_dir is allowed)"
-            )
     traced = tracer is not None or sample_interval is not None
     if traced:
         use_cache = False
     key = memo_key(
         app_name, kind, scale, serial, app_overrides, runtime_kwargs,
-        config_overrides, faults, sanitize, watchdog, sampling,
+        config_overrides, faults, sanitize, watchdog,
     )
     if use_cache and key in _CACHE:
         result = _CACHE[key]
@@ -430,7 +363,7 @@ def run_experiment(
             "memo-hit",
             app_name=app_name, kind=kind, scale=scale, serial=serial,
             wall_s=time.perf_counter() - started,
-            cycles=result.cycles, robustness=robustness, sampling=sampling,
+            cycles=result.cycles, robustness=robustness,
         )
         return result
 
@@ -440,7 +373,7 @@ def run_experiment(
         store_key = _experiment_store_key(
             app_name, kind, scale, serial,
             app_overrides, runtime_kwargs, config_overrides,
-            faults, sanitize, watchdog, sampling,
+            faults, sanitize, watchdog,
         )
         payload = store.load(store_key)
         if payload is not None:
@@ -453,7 +386,7 @@ def run_experiment(
                 app_name=app_name, kind=kind, scale=scale, serial=serial,
                 wall_s=time.perf_counter() - started, store_key=store_key,
                 cycles=result.cycles, robustness=robustness,
-                lineage=payload.get("lineage"), sampling=sampling,
+                lineage=payload.get("lineage"),
             )
             return result
 
@@ -466,7 +399,7 @@ def run_experiment(
             app_name, kind, scale, serial, check, use_cache,
             app_overrides, runtime_kwargs, config_overrides,
             tracer, sample_interval, faults, sanitize, watchdog,
-            ckpt, sampling, key, store, store_key, ctx,
+            ckpt, key, store, store_key, ctx,
         )
     except ParkedRun as exc:
         # Preemption is not a failure: the run's snapshot is on disk and a
@@ -480,7 +413,7 @@ def run_experiment(
             app_name=app_name, kind=kind, scale=scale, serial=serial,
             wall_s=time.perf_counter() - started, store_key=store_key,
             cycles=exc.cycle, seed=ctx.get("seed"), robustness=robustness,
-            lineage=ctx.get("lineage"), sampling=sampling,
+            lineage=ctx.get("lineage"),
         )
         raise
     except Exception as exc:
@@ -494,7 +427,7 @@ def run_experiment(
             error=_classify_failure(exc)[0],
             message=(str(exc).splitlines() or [repr(exc)])[0],
             seed=ctx.get("seed"), robustness=robustness,
-            lineage=ctx.get("lineage"), sampling=sampling,
+            lineage=ctx.get("lineage"),
         )
         raise
     heartbeat = ctx.get("heartbeat")
@@ -505,7 +438,7 @@ def run_experiment(
         app_name=app_name, kind=kind, scale=scale, serial=serial,
         wall_s=time.perf_counter() - started, store_key=store_key,
         cycles=result.cycles, seed=ctx.get("seed"),
-        robustness=robustness, lineage=ctx.get("lineage"), sampling=sampling,
+        robustness=robustness, lineage=ctx.get("lineage"),
     )
     return result
 
@@ -526,7 +459,6 @@ def _simulate_experiment(
     sanitize: bool,
     watchdog: Optional[int],
     ckpt,
-    sampling,
     key,
     store,
     store_key,
@@ -645,12 +577,6 @@ def _simulate_experiment(
             lambda m: save_snapshot(ckpt.path, capture_run_state(m)),
             snapshot_path=ckpt.path,
         )
-    controller = None
-    if sampling is not None:
-        from repro.sampling import SamplingController
-
-        controller = SamplingController(machine, sampling)
-        controller.start()
 
     if resume_snap is not None:
         machine.restore(resume_snap, app.make_root(serial=False))
@@ -681,8 +607,6 @@ def _simulate_experiment(
         # The run completed; a leftover snapshot would only be clutter
         # (and a stale resume source).  ``keep=True`` preserves it.
         os.remove(ckpt.path)
-    if controller is not None:
-        controller.finalize()
     if sampler is not None:
         sampler.finalize()
     if tracer is not None:
@@ -700,8 +624,6 @@ def _simulate_experiment(
         app.check()
 
     result = assemble_result(app_name, kind, scale, serial, machine, runtime, cycles)
-    if controller is not None:
-        _apply_sampled_estimates(result, machine, sampling, controller)
     if machine.fault_injector is not None:
         result.extras["faults_fired"] = machine.fault_injector.total_fired()
     if machine.sanitizer is not None:
@@ -778,43 +700,6 @@ def assemble_result(
     )
 
 
-def _apply_sampled_estimates(result, machine, sampling, controller) -> None:
-    """Overwrite a sampled result's timing-derived fields with window
-    extrapolations (repro.sampling.estimate).
-
-    Architectural counts (instructions, tasks, spawns, steals, ULI
-    handler runs/NACKs) are left alone — fast-forward counts them exactly.
-    When no measurement window completed, the run never left the initial
-    detailed warmup, so the raw values are already exact and only the
-    mode/summary markers change.
-    """
-    result.mode = "sampled"
-    est = controller.estimates()
-    if est is None:
-        result.sampling = {
-            "spec": sampling.as_dict(),
-            "windows": 0,
-            "ff_periods": 0,
-            "ff_instructions": 0,
-            "coverage": 1.0,
-            "exact_fallback": True,
-        }
-        return
-    result.cycles = est["cycles"]
-    result.l1_hit_rate_tiny = est["l1_hit_rate_tiny"]
-    result.lines_invalidated = est["lines_invalidated"]
-    result.lines_flushed = est["lines_flushed"]
-    result.invalidate_ops = est["invalidate_ops"]
-    result.flush_ops = est["flush_ops"]
-    result.amos = est["amos"]
-    result.traffic_bytes = est["traffic_bytes"]
-    result.tiny_breakdown = est["tiny_breakdown"]
-    result.energy = est["energy"]
-    result.uli_handler_cycles = est["uli_handler_cycles"]
-    result.uli_utilization = machine.uli_network.utilization(max(1, est["cycles"]))
-    result.sampling = est["summary"]
-
-
 def adopt_result(
     result: ExperimentResult,
     app_overrides: Optional[dict] = None,
@@ -823,7 +708,6 @@ def adopt_result(
     faults=None,
     sanitize: bool = False,
     watchdog: Optional[int] = None,
-    sampling=None,
 ) -> None:
     """Insert an externally computed result (e.g. from a grid worker) into
     the in-process memo cache and, when configured, the result store.
@@ -838,14 +722,10 @@ def adopt_result(
             "cache/store: only successful ExperimentResults are cacheable"
         )
     faults = FaultPlan.coerce(faults)
-    if sampling is not None:
-        from repro.sampling import SamplingSpec
-
-        sampling = SamplingSpec.coerce(sampling)
     key = memo_key(
         result.app, result.kind, result.scale, result.serial,
         app_overrides, runtime_kwargs, config_overrides,
-        faults, sanitize, watchdog, sampling,
+        faults, sanitize, watchdog,
     )
     _CACHE[key] = result
     store = get_result_store()
@@ -853,7 +733,7 @@ def adopt_result(
         store_key = _experiment_store_key(
             result.app, result.kind, result.scale, result.serial,
             app_overrides, runtime_kwargs, config_overrides,
-            faults, sanitize, watchdog, sampling,
+            faults, sanitize, watchdog,
         )
         if not store.contains(store_key):
             from repro.harness.export import result_to_dict

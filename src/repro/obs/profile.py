@@ -20,8 +20,6 @@ label                  what it covers
 ``noc.uli``            ULI network latency computation
 ``trace.tracer``       tracer emission (only when a real tracer is wired)
 ``sanitize.walk``      coherence-sanitizer walks
-``engine.fastforward`` sampled fast-forward slices (``Core._resume_ff``),
-                       exclusive of the generator code they drive
 ``engine.loop``        everything not measured directly: heap push/pop,
                        event dispatch, the fusion test, Python interpreter
                        overhead between probes (computed as residual)
@@ -39,10 +37,10 @@ the core wraps every frame it pushes in a :class:`ProbedFrame`.
 ``Core._resume`` itself has no profiling branch.
 
 Cost model: profiling is **off by default**.  A bare run pays one
-``is not None`` test per frame push and per fast-forward slice, nothing
-per op.  When on, every op pays a few ``perf_counter`` calls and two
-wrapper calls; simulated results are bit-identical either way, only host
-time changes (``tests/test_determinism.py`` asserts this, and that the
+``is not None`` test per frame push, nothing per op.  When on, every op
+pays a few ``perf_counter`` calls and two wrapper calls; simulated
+results are bit-identical either way, only host time changes
+(``tests/test_determinism.py`` asserts this, and that the
 ``runtime.coroutine`` and ``op.<kind>`` call counts are exact).
 
 ``repro profile`` drives :func:`run_profile` over :data:`PROFILE_MIX` (or

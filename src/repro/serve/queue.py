@@ -53,7 +53,6 @@ class Job:
     app_overrides: Optional[dict] = None
     runtime_kwargs: Optional[dict] = None
     config_overrides: Optional[dict] = None
-    sampling: Optional[str] = None
     check: bool = True
     #: Fault plan (preset/spec string, dict, or ``FaultPlan``).
     faults: Optional[object] = None
@@ -66,7 +65,6 @@ class Job:
     #: Deadline jobs may preempt running batch jobs to get a slot.
     deadline_s: Optional[float] = None
     #: Preemptible jobs may be parked via checkpoint to free their slot.
-    #: Sampled jobs can never be parked (no snapshots in sampled mode).
     preemptible: bool = True
 
     def as_dict(self) -> dict:
@@ -74,6 +72,8 @@ class Job:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Job":
+        """Rebuild a job, ignoring keys that are not fields: journals
+        written by older versions carry fields since removed."""
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 

@@ -41,6 +41,7 @@ import asyncio
 import json
 import os
 import time
+from dataclasses import fields
 from typing import Optional
 
 from repro.serve.journal import Journal, recover
@@ -131,8 +132,18 @@ class JobServer:
         if op == "ping":
             return {"ok": True, "pid": os.getpid()}
         if op == "submit":
+            data = request.get("job") or {}
+            # Unlike journal replay, a live submit must not drop a field it
+            # does not know: a misspelled option would silently run a
+            # different experiment.
+            unknown = sorted(set(data) - {f.name for f in fields(Job)})
+            if unknown:
+                return {
+                    "ok": False,
+                    "error": f"bad job: unknown field(s) {unknown}",
+                }
             try:
-                job = Job.from_dict(request.get("job") or {})
+                job = Job.from_dict(data)
             except TypeError as exc:
                 return {"ok": False, "error": f"bad job: {exc}"}
             record = supervisor.submit(job)

@@ -480,16 +480,11 @@ class Supervisor:
 
     def _start(self, record: JobRecord) -> None:
         snapshot_path = os.path.join(self.snapshots_dir, f"{record.id}.ckpt")
-        parkable = record.job.preemptible and record.job.sampling is None
-        park_path = f"{snapshot_path}.park" if parkable else None
+        park_path = f"{snapshot_path}.park" if record.job.preemptible else None
         checkpoint = dict(
-            path=snapshot_path if record.job.sampling is None else None,
-            interval=(
-                self.policy.checkpoint_interval
-                if record.job.sampling is None
-                else None
-            ),
-            resume=record.job.sampling is None,
+            path=snapshot_path,
+            interval=self.policy.checkpoint_interval,
+            resume=True,
             park_path=park_path,
             park_poll=self.policy.park_poll,
         )

@@ -92,13 +92,29 @@ def test_checkpoint_flags_without_checkpoint_rejected(capsys, flag):
 
 
 def test_refused_run_mode_is_a_usage_error(capsys, tmp_path):
+    from repro.harness.runner import clear_cache
+
+    # A memo hit would skip the run and leave no snapshot behind; clearing
+    # afterwards keeps this run's result from satisfying later tests.
+    clear_cache()
+    snapshot = str(tmp_path / "s")
+    try:
+        assert main([
+            "run", "cilk5-cs", "--scale", "tiny", "--checkpoint", snapshot,
+            "--checkpoint-interval", "2000", "--keep-checkpoint",
+        ]) == 0
+    finally:
+        clear_cache()
+    capsys.readouterr()
     code = main([
-        "run", "cilk5-cs", "--scale", "tiny", "--sample", "600:400:200",
-        "--trace", str(tmp_path / "t.json"),
+        "run", "cilk5-cs", "--scale", "tiny", "--checkpoint", snapshot,
+        "--resume", "--trace", str(tmp_path / "t.json"),
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("repro run: sampled runs cannot be traced")
+    assert err.startswith(
+        "repro run: cannot resume an untraced snapshot with tracing enabled"
+    )
     assert "Traceback" not in err
 
 

@@ -124,6 +124,30 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------
+# Server requests
+# ----------------------------------------------------------------------
+class TestServerRequests:
+    def test_submit_rejects_unknown_job_fields(self, tmp_path):
+        import asyncio
+
+        from repro.serve.server import JobServer
+
+        server = JobServer(str(tmp_path), log=lambda message: None)
+        supervisor = server.build_supervisor()
+        bad = dict(job().as_dict(), sanitise=True)  # misspelled "sanitize"
+        response = asyncio.run(server._handle_request({"op": "submit", "job": bad}))
+        assert response == {
+            "ok": False,
+            "error": "bad job: unknown field(s) ['sanitise']",
+        }
+        assert supervisor.queue.records == {}
+        ok = asyncio.run(
+            server._handle_request({"op": "submit", "job": job().as_dict()})
+        )
+        assert ok["ok"] is True and ok["state"] == "pending"
+
+
+# ----------------------------------------------------------------------
 # Journal
 # ----------------------------------------------------------------------
 class TestJournal:
@@ -161,6 +185,16 @@ class TestJournal:
         records, orphans, stats = replay(journal.path)
         assert records["j-1"].state == "pending"  # torn start never took
         assert stats["torn_tail"] is True
+        assert stats["malformed"] == 0
+
+    def test_replay_ignores_fields_removed_since(self, tmp_path):
+        # Journals written before sampled simulation was removed carry
+        # "sampling": null on every job; recovery must still load them.
+        journal = Journal(tmp_path / "journal.jsonl")
+        journal.append("submit", id="j-1", job=dict(job().as_dict(), sampling=None))
+        records, _, stats = replay(journal.path)
+        assert records["j-1"].job == job()
+        assert records["j-1"].state == "pending"
         assert stats["malformed"] == 0
 
     def test_recover_requeues_and_kills_orphans(self, tmp_path):
