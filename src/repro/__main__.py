@@ -85,12 +85,14 @@ def _cmd_run(args) -> int:
         from repro.trace import Tracer
 
         tracer = Tracer()
-        sample_interval = args.trace_interval
+        sample_interval = args.trace_interval or 10_000
     checkpoint = None
     if args.checkpoint or args.init_dir:
         checkpoint = {
             "path": args.checkpoint,
-            "interval": args.checkpoint_interval if args.checkpoint else None,
+            "interval": (
+                (args.checkpoint_interval or 50_000) if args.checkpoint else None
+            ),
             "resume": args.resume,
             "init_dir": args.init_dir,
             "keep": args.keep_checkpoint,
@@ -471,7 +473,7 @@ def main(argv=None) -> int:
                             help="record a cycle-accurate trace to FILE "
                                  "(Chrome trace-event JSON; bypasses the result "
                                  "store and memo cache)")
-    run_parser.add_argument("--trace-interval", type=positive_int, default=10_000,
+    run_parser.add_argument("--trace-interval", type=positive_int, default=None,
                             metavar="N", help="stat sampling interval in cycles "
                                               "for --trace (default: 10000)")
     run_parser.add_argument("--faults", default=None, metavar="SPEC",
@@ -493,7 +495,7 @@ def main(argv=None) -> int:
                                  "state to FILE; the file is removed after a "
                                  "successful run unless --keep-checkpoint")
     run_parser.add_argument("--checkpoint-interval", type=positive_int,
-                            default=50_000, metavar="N",
+                            default=None, metavar="N",
                             help="cycles between snapshots for --checkpoint "
                                  "(default: 50000)")
     run_parser.add_argument("--resume", action="store_true",
@@ -775,9 +777,14 @@ def main(argv=None) -> int:
         help="emit the summary as JSON on stdout")
 
     args = parser.parse_args(argv)
-    if args.command == "run" and not args.checkpoint and (
-            args.resume or args.keep_checkpoint):
-        run_parser.error("--resume and --keep-checkpoint need --checkpoint")
+    if args.command == "run":
+        if not args.checkpoint and (
+                args.resume or args.keep_checkpoint
+                or args.checkpoint_interval is not None):
+            run_parser.error("--resume, --keep-checkpoint and "
+                             "--checkpoint-interval need --checkpoint")
+        if not args.trace and args.trace_interval is not None:
+            run_parser.error("--trace-interval needs --trace")
     _apply_harness_flags(args)
     handler = {
         "list": _cmd_list,

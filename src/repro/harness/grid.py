@@ -2,8 +2,10 @@
 
 Every paper artifact (Tables III-V, Figures 5-8) is derived from the same
 experiment grid.  :func:`run_grid` executes a list of :class:`GridPoint`s
-either serially in-process or, with ``jobs > 1``, as one batch on an
-in-process :class:`repro.serve.Supervisor` — the job service's own worker
+(defined in ``repro.harness.runner``, re-exported here), each with the
+checkpoint spec the grid derives for it, either serially in-process or,
+with ``jobs > 1``, as one batch on an in-process
+:class:`repro.serve.Supervisor` — the job service's own worker
 supervision (per-run timeout, backoff retry, wedge detection, poison-job
 quarantine, work-key dedup) — with an optional progress/ETA line.
 Completed results are adopted into the parent's memo cache (and the
@@ -29,12 +31,14 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
 import repro.harness.runner as runner
 from repro.harness import termlog
+from repro.harness.resultstore import hash_key
 from repro.harness.retry import BackoffPolicy
+from repro.harness.runner import GridPoint
 
 #: Default retry schedule for failed grid workers: exponential backoff
 #: with decorrelated jitter (repro.harness.retry), capped lower than the
@@ -71,68 +75,6 @@ class FailedResult:
 
     #: Discriminator mirroring ExperimentResult duck-typing checks.
     failed: bool = True
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One cell of the experiment grid: run_experiment's arguments."""
-
-    app: str
-    kind: str
-    scale: str
-    serial: bool = False
-    check: bool = True
-    app_overrides: Optional[dict] = None
-    runtime_kwargs: Optional[dict] = None
-    config_overrides: Optional[dict] = None
-    faults: Optional[object] = None
-    sanitize: bool = False
-    watchdog: Optional[int] = None
-    #: Checkpoint spec (CheckpointConfig kwargs dict; kept as plain data so
-    #: points pickle across worker processes).  Injected by run_grid's
-    #: checkpoint_dir machinery; not part of the experiment's identity.
-    checkpoint: Optional[dict] = None
-
-    def label(self) -> str:
-        parts = [self.app, self.kind, self.scale]
-        if self.serial:
-            parts.append("serial")
-        if self.app_overrides:
-            parts.append(f"app={self.app_overrides}")
-        if self.runtime_kwargs:
-            parts.append(f"rt={self.runtime_kwargs}")
-        if self.config_overrides:
-            parts.append(f"cfg={self.config_overrides}")
-        if self.faults is not None:
-            parts.append(f"faults={self.faults}")
-        if self.sanitize:
-            parts.append("sanitize")
-        return " ".join(parts)
-
-    def as_fields(self) -> dict:
-        """Constructor kwargs (picklable; rebuilds the point in a worker)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def identity(self) -> dict:
-        """The fields that name the experiment (all but ``checkpoint``)."""
-        return {k: v for k, v in self.as_fields().items() if k != "checkpoint"}
-
-    def run_kwargs(self) -> dict:
-        """Keyword arguments for :func:`repro.harness.runner.run_experiment`."""
-        return dict(
-            app_name=self.app,
-            kind=self.kind,
-            scale=self.scale,
-            serial=self.serial,
-            check=self.check,
-            app_overrides=self.app_overrides,
-            runtime_kwargs=self.runtime_kwargs,
-            config_overrides=self.config_overrides,
-            faults=self.faults,
-            sanitize=self.sanitize,
-            watchdog=self.watchdog,
-            checkpoint=self.checkpoint,
-        )
 
 
 def expand_grid(
@@ -325,35 +267,30 @@ def _point_checkpoint_spec(
     resume: bool,
     warm_init: bool,
 ) -> dict:
-    """The CheckpointConfig kwargs injected into one grid point.
+    """The CheckpointConfig kwargs one grid point runs with.
 
-    The snapshot filename is derived from the point's full identity (all
-    constructor fields except ``checkpoint`` itself), so a rerun of the
+    The snapshot filename is ``hash_key(point.key())``, so a rerun of the
     same sweep — or a retry of one point — finds exactly its own snapshot
     and two different points can never collide.
     """
-    from repro.harness.resultstore import hash_key
-
-    identity = point.identity()
-    if identity.get("faults") is not None:
-        identity["faults"] = str(identity["faults"])
-    digest = hash_key({"grid_point": identity})[:20]
     return dict(
-        path=os.path.join(checkpoint_dir, f"{digest}.ckpt"),
+        path=os.path.join(checkpoint_dir, f"{hash_key(point.key())[:20]}.ckpt"),
         interval=checkpoint_interval,
         resume=resume,
         init_dir=os.path.join(checkpoint_dir, "init") if warm_init else None,
     )
 
 
-def _precompute_init_snapshots(points: Sequence[GridPoint], meter) -> None:
+def _precompute_init_snapshots(
+    points: Sequence[GridPoint], init_dir: str, meter
+) -> None:
     """Run each distinct app init phase once, serially, in the parent.
 
-    Every point whose ``checkpoint`` spec names an ``init_dir`` gets its
-    post-setup image written there (keyed by init signature), so the
-    fanned-out configuration variants all warm-start from one shared init
-    instead of each re-running it.  Apps whose setup consumes the machine
-    RNG are skipped with a note — they cold-start safely.
+    Every point gets its post-setup image written to ``init_dir`` (keyed
+    by init signature), so the fanned-out configuration variants all
+    warm-start from one shared init instead of each re-running it.  Apps
+    whose setup consumes the machine RNG are skipped with a note — they
+    cold-start safely.
     """
     from repro.apps import make_app
     from repro.config import make_config
@@ -367,9 +304,6 @@ def _precompute_init_snapshots(points: Sequence[GridPoint], meter) -> None:
 
     seen = set()
     for point in points:
-        init_dir = (point.checkpoint or {}).get("init_dir")
-        if not init_dir:
-            continue
         overrides = point.app_overrides or {}
         sig = init_signature(point.app, point.scale, **overrides)
         if sig in seen:
@@ -441,17 +375,15 @@ def run_grid(
     if warm_init and checkpoint_dir is None:
         raise ValueError("warm_init requires checkpoint_dir")
     points = list(points)
+    specs: List[Optional[dict]] = [None] * len(points)
     if checkpoint_dir is not None:
-        points = [
-            replace(
+        specs = [
+            _point_checkpoint_spec(
                 point,
-                checkpoint=_point_checkpoint_spec(
-                    point,
-                    checkpoint_dir,
-                    checkpoint_interval,
-                    resume=(on_error == "resume"),
-                    warm_init=warm_init,
-                ),
+                checkpoint_dir,
+                checkpoint_interval,
+                resume=(on_error == "resume"),
+                warm_init=warm_init,
             )
             for point in points
         ]
@@ -461,15 +393,17 @@ def run_grid(
     if not points:
         return []
     if warm_init:
-        _precompute_init_snapshots(points, meter)
+        _precompute_init_snapshots(
+            points, os.path.join(checkpoint_dir, "init"), meter
+        )
     if on_error == "resume":
         on_error = "record"
     if jobs <= 1 or len(points) == 1:
         results = []
-        for point in points:
+        for point, spec in zip(points, specs):
             sims_before = runner.simulation_count()
             try:
-                results.append(runner.run_experiment(**point.run_kwargs()))
+                results.append(runner.run_point(point, checkpoint=spec))
             except Exception as exc:
                 if on_error != "record":
                     raise
@@ -482,11 +416,14 @@ def run_grid(
                 instant=(runner.simulation_count() == sims_before),
             )
         return results
-    return _run_supervised(points, jobs, timeout, retries, meter, on_error, backoff)
+    return _run_supervised(
+        points, specs, jobs, timeout, retries, meter, on_error, backoff
+    )
 
 
 def _run_supervised(
     points: List[GridPoint],
+    specs: List[Optional[dict]],
     jobs: int,
     timeout: Optional[float],
     retries: int,
@@ -509,12 +446,12 @@ def _run_supervised(
         timeout_s=timeout,
         backoff=backoff if backoff is not None else GRID_BACKOFF,
     )
-    point_of: Dict[str, GridPoint] = {}
+    spec_of: dict = {}
 
     def spawn(record, _checkpoint):
-        # Launch the grid's own point: its checkpoint spec (or none — a
-        # snapshot path would record every generator send) is the grid's.
-        return spawn_worker(point_of[record.id], ledger_source="runner")
+        # The grid's own checkpoint spec (or none — a snapshot path would
+        # record every generator send), not the service's.
+        return spawn_worker(record.job, spec_of[record.id], ledger_source="runner")
 
     results: list = [None] * len(points)
     with tempfile.TemporaryDirectory(prefix="repro-grid-") as workdir:
@@ -524,9 +461,9 @@ def _run_supervised(
         )
         supervisor.ledger_source = "grid"
         records = []
-        for point in points:
-            record = supervisor.submit(Job(**point.identity(), preemptible=False))
-            point_of[record.id] = point
+        for point, spec in zip(points, specs):
+            record = supervisor.submit(Job(**vars(point), preemptible=False))
+            spec_of[record.id] = spec
             records.append(record)
         waiting = dict(enumerate(records))
         try:
@@ -539,15 +476,7 @@ def _run_supervised(
                     point = points[idx]
                     if record.state == "done":
                         result = result_from_dict(record.result)
-                        runner.adopt_result(
-                            result,
-                            app_overrides=point.app_overrides,
-                            runtime_kwargs=point.runtime_kwargs,
-                            config_overrides=point.config_overrides,
-                            faults=point.faults,
-                            sanitize=point.sanitize,
-                            watchdog=point.watchdog,
-                        )
+                        runner.adopt_result(result, point)
                         results[idx] = result
                     elif on_error == "record":
                         results[idx] = _record_failure(

@@ -78,8 +78,8 @@ def _canonical_default(value):
     return text
 
 
-def hash_key(key: dict) -> str:
-    """Canonical SHA-256 digest of a JSON-able key dict."""
+def hash_key(key) -> str:
+    """Canonical SHA-256 digest of a JSON-able key (a dict or a tuple)."""
     text = json.dumps(key, sort_keys=True, default=_canonical_default)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

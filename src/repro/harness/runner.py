@@ -1,4 +1,7 @@
-"""Experiment runner: one (app, config, scale) simulation -> ExperimentResult.
+"""Experiment runner: one :class:`GridPoint` simulation -> ExperimentResult.
+
+:class:`GridPoint` is the one definition of an experiment; its memo key,
+store key, work key and snapshot name all derive from it.
 
 Results are memoized per process *and* persisted to an optional on-disk
 :class:`repro.harness.resultstore.ResultStore`, the way a results database
@@ -146,90 +149,115 @@ def canonicalize(value):
     return value
 
 
-def _robustness_dict(
-    faults: Optional[FaultPlan], sanitize: bool, watchdog: Optional[int]
-) -> dict:
-    """Canonical description of the fault/sanitizer/watchdog setup.
+@dataclass(frozen=True)
+class GridPoint:
+    """One experiment: every field that decides a run's outcome.
 
-    Part of both the memo key and the persistent store key: a faulted or
-    sanitized run must never satisfy a cache probe for a clean one (or
-    vice versa).  The watchdog participates too — it cannot change a
-    *successful* run's numbers, but a result produced under a different
-    deadlock policy is a different experiment.
+    This is the only definition of an experiment.  The in-process memo key
+    (:meth:`key`), the persistent store key (:meth:`store_key`), the job
+    service's work key and a grid point's snapshot name (both
+    ``hash_key(point.key())``) and the progress label all derive from these
+    fields.  ``repro.serve.Job`` subclasses it and adds only scheduling
+    metadata, which no identity reads.  How a point is run (tracer,
+    checkpoint spec, cache use) is passed beside it to :func:`run_point`.
     """
-    return {
-        "faults": faults.as_dict() if faults is not None else None,
-        "sanitize": bool(sanitize),
-        "watchdog": watchdog,
-    }
 
+    app: str
+    kind: str
+    scale: str
+    serial: bool = False
+    app_overrides: Optional[dict] = None
+    runtime_kwargs: Optional[dict] = None
+    config_overrides: Optional[dict] = None
+    #: Fault plan (preset/spec string, dict, or ``FaultPlan``).
+    faults: Optional[object] = None
+    sanitize: bool = False
+    watchdog: Optional[int] = None
 
-def memo_key(
-    app_name: str,
-    kind: str,
-    scale: str,
-    serial: bool = False,
-    app_overrides: Optional[dict] = None,
-    runtime_kwargs: Optional[dict] = None,
-    config_overrides: Optional[dict] = None,
-    faults: Optional[FaultPlan] = None,
-    sanitize: bool = False,
-    watchdog: Optional[int] = None,
-) -> Tuple:
-    """The in-process memo key for one experiment (always hashable)."""
-    return (
-        app_name,
-        kind,
-        scale,
-        bool(serial),
-        canonicalize(app_overrides or {}),
-        canonicalize(runtime_kwargs or {}),
-        canonicalize(config_overrides or {}),
-        canonicalize(_robustness_dict(faults, sanitize, watchdog)),
-    )
+    def robustness(self) -> dict:
+        """Canonical description of the fault/sanitizer/watchdog setup.
 
+        Part of both the memo key and the persistent store key: a faulted or
+        sanitized run must never satisfy a cache probe for a clean one (or
+        vice versa).  The watchdog participates too — it cannot change a
+        *successful* run's numbers, but a result produced under a different
+        deadlock policy is a different experiment.
+        """
+        faults = FaultPlan.coerce(self.faults)
+        return {
+            "faults": faults.as_dict() if faults is not None else None,
+            "sanitize": bool(self.sanitize),
+            "watchdog": self.watchdog,
+        }
 
-def _experiment_store_key(
-    app_name: str,
-    kind: str,
-    scale: str,
-    serial: bool,
-    app_overrides: Optional[dict],
-    runtime_kwargs: Optional[dict],
-    config_overrides: Optional[dict],
-    faults: Optional[FaultPlan] = None,
-    sanitize: bool = False,
-    watchdog: Optional[int] = None,
-) -> dict:
-    """The persistent store key: resolved params + config + code version.
+    def key(self) -> Tuple:
+        """The in-process memo key (always hashable).
 
-    App parameters and the system configuration are resolved before
-    hashing, so editing a scale preset or an input table invalidates
-    exactly the affected entries.
-    """
-    config = make_config(kind, scale, **(config_overrides or {}))
-    return {
-        "schema": STORE_SCHEMA,
-        "code_version": __version__,
-        "experiment": {
-            "app": app_name,
-            "kind": kind,
-            "scale": scale,
-            "serial": bool(serial),
-            "app_params": app_params(app_name, scale, **(app_overrides or {})),
-            "runtime_kwargs": runtime_kwargs or {},
-            "config": dataclasses.asdict(config),
-            "robustness": _robustness_dict(faults, sanitize, watchdog),
-            # Schema 3: identifies the shared init phase.  Computed the
-            # same way for cold and warm-started runs (checkpointing never
-            # perturbs outcomes), so either satisfies probes for the other;
-            # whether a stored result actually warm-started or resumed is
-            # recorded in the payload's "lineage", not the key.
-            "init_signature": init_signature(
-                app_name, scale, **(app_overrides or {})
-            ),
-        },
-    }
+        Built from this class's own fields only, so a subclass's extra
+        fields never enter it.  Nothing is resolved here: a bad override
+        fails when the point runs, not when it is keyed.
+        """
+        return (
+            self.app,
+            self.kind,
+            self.scale,
+            bool(self.serial),
+            canonicalize(self.app_overrides or {}),
+            canonicalize(self.runtime_kwargs or {}),
+            canonicalize(self.config_overrides or {}),
+            canonicalize(self.robustness()),
+        )
+
+    def store_key(self) -> dict:
+        """The persistent store key: resolved params + config + code version.
+
+        App parameters and the system configuration are resolved before
+        hashing, so editing a scale preset or an input table invalidates
+        exactly the affected entries.
+        """
+        app_overrides = self.app_overrides or {}
+        config = make_config(self.kind, self.scale, **(self.config_overrides or {}))
+        return {
+            "schema": STORE_SCHEMA,
+            "code_version": __version__,
+            "experiment": {
+                "app": self.app,
+                "kind": self.kind,
+                "scale": self.scale,
+                "serial": bool(self.serial),
+                "app_params": app_params(self.app, self.scale, **app_overrides),
+                "runtime_kwargs": self.runtime_kwargs or {},
+                "config": dataclasses.asdict(config),
+                "robustness": self.robustness(),
+                # Schema 3: identifies the shared init phase.  Computed the
+                # same way for cold and warm-started runs (checkpointing never
+                # perturbs outcomes), so either satisfies probes for the other;
+                # whether a stored result actually warm-started or resumed is
+                # recorded in the payload's "lineage", not the key.
+                "init_signature": init_signature(
+                    self.app, self.scale, **app_overrides
+                ),
+            },
+        }
+
+    def label(self) -> str:
+        """Progress/failure label naming every field not at its default."""
+        parts = [self.app, self.kind, self.scale]
+        if self.serial:
+            parts.append("serial")
+        if self.app_overrides:
+            parts.append(f"app={self.app_overrides}")
+        if self.runtime_kwargs:
+            parts.append(f"rt={self.runtime_kwargs}")
+        if self.config_overrides:
+            parts.append(f"cfg={self.config_overrides}")
+        if self.faults is not None:
+            parts.append(f"faults={self.faults}")
+        if self.sanitize:
+            parts.append("sanitize")
+        if self.watchdog is not None:
+            parts.append(f"watchdog={self.watchdog}")
+        return " ".join(parts)
 
 
 def _workspan_store_key(app_name: str, scale: str, overrides: dict) -> dict:
@@ -259,18 +287,14 @@ def _classify_failure(exc: BaseException):
 
 def _ledger_record(
     outcome: str,
+    point: GridPoint,
     *,
-    app_name: str,
-    kind: str,
-    scale: str,
-    serial: bool,
     wall_s: float,
     store_key=None,
     error=None,
     message=None,
     cycles=None,
     seed=None,
-    robustness=None,
     lineage=None,
 ) -> None:
     """Append one run-manifest line when a ledger is configured (no-op
@@ -286,16 +310,16 @@ def _ledger_record(
         # service work from ad-hoc runs.
         source=os.environ.get("REPRO_LEDGER_SOURCE", "runner"),
         outcome=outcome,
-        app=app_name,
-        kind=kind,
-        scale=scale,
-        serial=bool(serial),
+        app=point.app,
+        kind=point.kind,
+        scale=point.scale,
+        serial=bool(point.serial),
         error=error,
         message=message,
         wall_s=wall_s,
         cycles=cycles,
         seed=seed,
-        robustness=robustness,
+        robustness=point.robustness(),
         lineage=lineage,
         store_key=hash_key(store_key) if store_key is not None else None,
     )
@@ -306,7 +330,6 @@ def run_experiment(
     kind: str,
     scale: str,
     serial: bool = False,
-    check: bool = True,
     use_cache: bool = True,
     app_overrides: Optional[dict] = None,
     runtime_kwargs: Optional[dict] = None,
@@ -320,6 +343,29 @@ def run_experiment(
 ) -> ExperimentResult:
     """Simulate ``app_name`` on configuration ``kind`` at ``scale``.
 
+    Builds the :class:`GridPoint` these arguments name and runs it with
+    :func:`run_point`.
+    """
+    point = GridPoint(
+        app_name, kind, scale, serial, app_overrides, runtime_kwargs,
+        config_overrides, faults, sanitize, watchdog,
+    )
+    return run_point(
+        point, use_cache=use_cache, tracer=tracer,
+        sample_interval=sample_interval, checkpoint=checkpoint,
+    )
+
+
+def run_point(
+    point: GridPoint,
+    *,
+    use_cache: bool = True,
+    tracer=None,
+    sample_interval: Optional[int] = None,
+    checkpoint=None,
+) -> ExperimentResult:
+    """Simulate one experiment, or serve it from the memo cache or store.
+
     Passing a :class:`repro.trace.Tracer` (and optionally a
     ``sample_interval`` in cycles for the interval statistics sampler)
     records a cycle-accurate event trace of the run.  Traced runs always
@@ -327,13 +373,14 @@ def run_experiment(
     since a cached result carries no events — but the *result* is
     identical either way: tracing never perturbs simulated timing.
 
-    ``faults`` (a :class:`repro.faults.FaultPlan`, preset name, or spec
-    string), ``sanitize``, and ``watchdog`` (a grace in cycles) configure
-    the robustness subsystem; all three participate in the memo and store
-    keys.  A sanitized run raises :class:`repro.sanitize.SanitizerError`
-    on any invariant violation; a watchdogged run raises
-    :class:`repro.engine.DeadlockError` with a per-core diagnostic instead
-    of grinding to ``max_cycles``.
+    The point's ``faults`` (a :class:`repro.faults.FaultPlan`, preset
+    name, or spec string), ``sanitize``, and ``watchdog`` (a grace in
+    cycles) configure the robustness subsystem; all three participate in
+    the memo and store keys.  A sanitized run raises
+    :class:`repro.sanitize.SanitizerError` on any invariant violation; a
+    watchdogged run raises :class:`repro.engine.DeadlockError` with a
+    per-core diagnostic instead of grinding to ``max_cycles``.  Every run
+    ends with the app's own result check.
 
     ``checkpoint`` (a :class:`repro.engine.CheckpointConfig`, a snapshot
     path, or a kwargs dict) enables deterministic checkpoint/restore:
@@ -347,34 +394,23 @@ def run_experiment(
     payload's ``lineage``.
     """
     started = time.perf_counter()
-    faults = FaultPlan.coerce(faults)
     ckpt = CheckpointConfig.coerce(checkpoint)
-    robustness = _robustness_dict(faults, sanitize, watchdog)
     traced = tracer is not None or sample_interval is not None
     if traced:
         use_cache = False
-    key = memo_key(
-        app_name, kind, scale, serial, app_overrides, runtime_kwargs,
-        config_overrides, faults, sanitize, watchdog,
-    )
+    key = point.key()
     if use_cache and key in _CACHE:
         result = _CACHE[key]
         _ledger_record(
-            "memo-hit",
-            app_name=app_name, kind=kind, scale=scale, serial=serial,
-            wall_s=time.perf_counter() - started,
-            cycles=result.cycles, robustness=robustness,
+            "memo-hit", point,
+            wall_s=time.perf_counter() - started, cycles=result.cycles,
         )
         return result
 
     store = get_result_store() if use_cache else None
     store_key = None
     if store is not None:
-        store_key = _experiment_store_key(
-            app_name, kind, scale, serial,
-            app_overrides, runtime_kwargs, config_overrides,
-            faults, sanitize, watchdog,
-        )
+        store_key = point.store_key()
         payload = store.load(store_key)
         if payload is not None:
             from repro.harness.export import result_from_dict
@@ -382,11 +418,9 @@ def run_experiment(
             result = result_from_dict(payload["result"])
             _CACHE[key] = result
             _ledger_record(
-                "store-hit",
-                app_name=app_name, kind=kind, scale=scale, serial=serial,
+                "store-hit", point,
                 wall_s=time.perf_counter() - started, store_key=store_key,
-                cycles=result.cycles, robustness=robustness,
-                lineage=payload.get("lineage"),
+                cycles=result.cycles, lineage=payload.get("lineage"),
             )
             return result
 
@@ -395,12 +429,17 @@ def run_experiment(
     # line per call (success or failure) and a finalized heartbeat file.
     ctx: dict = {}
     try:
-        result = _simulate_experiment(
-            app_name, kind, scale, serial, check, use_cache,
-            app_overrides, runtime_kwargs, config_overrides,
-            tracer, sample_interval, faults, sanitize, watchdog,
-            ckpt, key, store, store_key, ctx,
-        )
+        result = _simulate_experiment(point, tracer, sample_interval, ckpt, ctx)
+        if use_cache:
+            _CACHE[key] = result
+        if store is not None:
+            from repro.harness.export import result_to_dict
+
+            store.store(store_key, {
+                "key": store_key,
+                "result": result_to_dict(result),
+                "lineage": ctx["lineage"],
+            })
     except ParkedRun as exc:
         # Preemption is not a failure: the run's snapshot is on disk and a
         # later resume finishes it byte-identically.  The ledger records
@@ -409,11 +448,9 @@ def run_experiment(
         if heartbeat is not None:
             heartbeat.finalize("parked")
         _ledger_record(
-            "parked",
-            app_name=app_name, kind=kind, scale=scale, serial=serial,
+            "parked", point,
             wall_s=time.perf_counter() - started, store_key=store_key,
-            cycles=exc.cycle, seed=ctx.get("seed"), robustness=robustness,
-            lineage=ctx.get("lineage"),
+            cycles=exc.cycle, seed=ctx.get("seed"), lineage=ctx.get("lineage"),
         )
         raise
     except Exception as exc:
@@ -421,50 +458,28 @@ def run_experiment(
         if heartbeat is not None:
             heartbeat.finalize("failed", error=repr(exc))
         _ledger_record(
-            "failed",
-            app_name=app_name, kind=kind, scale=scale, serial=serial,
+            "failed", point,
             wall_s=time.perf_counter() - started, store_key=store_key,
             error=_classify_failure(exc)[0],
             message=(str(exc).splitlines() or [repr(exc)])[0],
-            seed=ctx.get("seed"), robustness=robustness,
-            lineage=ctx.get("lineage"),
+            seed=ctx.get("seed"), lineage=ctx.get("lineage"),
         )
         raise
     heartbeat = ctx.get("heartbeat")
     if heartbeat is not None:
         heartbeat.finalize("done")
     _ledger_record(
-        "ok",
-        app_name=app_name, kind=kind, scale=scale, serial=serial,
+        "ok", point,
         wall_s=time.perf_counter() - started, store_key=store_key,
-        cycles=result.cycles, seed=ctx.get("seed"),
-        robustness=robustness, lineage=ctx.get("lineage"),
+        cycles=result.cycles, seed=ctx.get("seed"), lineage=ctx.get("lineage"),
     )
     return result
 
 
 def _simulate_experiment(
-    app_name: str,
-    kind: str,
-    scale: str,
-    serial: bool,
-    check: bool,
-    use_cache: bool,
-    app_overrides: Optional[dict],
-    runtime_kwargs: Optional[dict],
-    config_overrides: Optional[dict],
-    tracer,
-    sample_interval: Optional[int],
-    faults,
-    sanitize: bool,
-    watchdog: Optional[int],
-    ckpt,
-    key,
-    store,
-    store_key,
-    ctx: dict,
+    point: GridPoint, tracer, sample_interval: Optional[int], ckpt, ctx: dict
 ) -> ExperimentResult:
-    """The uncached simulation path of :func:`run_experiment`.
+    """The uncached simulation path of :func:`run_point`.
 
     ``ctx`` is an out-channel for provenance the caller needs even when
     this function raises mid-run: the machine seed, the checkpoint lineage
@@ -473,12 +488,13 @@ def _simulate_experiment(
     """
     global _SIM_COUNT
     _SIM_COUNT += 1
-    params = app_params(app_name, scale, **(app_overrides or {}))
+    app_overrides = point.app_overrides or {}
+    params = app_params(point.app, point.scale, **app_overrides)
     machine = Machine(
-        make_config(kind, scale, **(config_overrides or {})),
+        make_config(point.kind, point.scale, **(point.config_overrides or {})),
         tracer=tracer,
-        faults=faults,
-        sanitize=sanitize,
+        faults=FaultPlan.coerce(point.faults),
+        sanitize=point.sanitize,
     )
     ctx["seed"] = machine.config.seed
     run_snapshots = ckpt is not None and ckpt.path is not None
@@ -497,13 +513,13 @@ def _simulate_experiment(
     # but the app object it produces must exist either way.
     app = None
     if resume_snap is None and ckpt is not None and ckpt.init_dir:
-        sig = init_signature(app_name, scale, **(app_overrides or {}))
+        sig = init_signature(point.app, point.scale, **app_overrides)
         init_path = os.path.join(ckpt.init_dir, f"{sig}.init")
         if os.path.exists(init_path):
             app = restore_init_state(machine, load_snapshot(init_path), signature=sig)
             lineage["warm_start"] = True
     if app is None:
-        app = make_app(app_name, **params)
+        app = make_app(point.app, **params)
         app.setup(machine)
         if resume_snap is None and ckpt is not None and ckpt.init_dir and ckpt.save_init:
             try:
@@ -513,13 +529,13 @@ def _simulate_experiment(
                 # configuration-invariant, so every run must cold-start.
                 pass
 
-    rt_kwargs = dict(runtime_kwargs or {})
-    if serial:
+    rt_kwargs = dict(point.runtime_kwargs or {})
+    if point.serial:
         # Table III "serial IO" baseline: the serial elision of the same
         # program (same grain, no runtime bookkeeping).
         rt_kwargs["serial_elision"] = True
-    if watchdog is not None:
-        rt_kwargs["watchdog"] = watchdog
+    if point.watchdog is not None:
+        rt_kwargs["watchdog"] = point.watchdog
     runtime = WorkStealingRuntime(machine, **rt_kwargs)
 
     heartbeat = None
@@ -530,10 +546,10 @@ def _simulate_experiment(
         heartbeat = HeartbeatWriter.for_run(
             machine, runtime, hb_dir,
             meta={
-                "app": app_name,
-                "kind": kind,
-                "scale": scale,
-                "serial": bool(serial),
+                "app": point.app,
+                "kind": point.kind,
+                "scale": point.scale,
+                "serial": bool(point.serial),
             },
         )
         ctx["heartbeat"] = heartbeat
@@ -612,7 +628,8 @@ def _simulate_experiment(
     if tracer is not None:
         tracer.core_labels.update(machine.core_labels())
         tracer.set_meta(
-            app=app_name, kind=kind, scale=scale, serial=bool(serial),
+            app=point.app, kind=point.kind, scale=point.scale,
+            serial=bool(point.serial),
             seed=machine.config.seed, n_cores=machine.config.n_cores,
             cycles=cycles, sample_interval=sample_interval,
         )
@@ -620,10 +637,11 @@ def _simulate_experiment(
     if machine.sanitizer is not None:
         # Raises SanitizerError before any (less diagnostic) check failure.
         machine.sanitizer.finish(runtime)
-    if check:
-        app.check()
+    app.check()
 
-    result = assemble_result(app_name, kind, scale, serial, machine, runtime, cycles)
+    result = assemble_result(
+        point.app, point.kind, point.scale, point.serial, machine, runtime, cycles
+    )
     if machine.fault_injector is not None:
         result.extras["faults_fired"] = machine.fault_injector.total_fired()
     if machine.sanitizer is not None:
@@ -637,15 +655,6 @@ def _simulate_experiment(
         result.extras["ckpt_resumed_from"] = float(lineage["resumed_from_cycle"])
     if lineage["snapshots_taken"]:
         result.extras["ckpt_snapshots"] = float(lineage["snapshots_taken"])
-    if use_cache:
-        _CACHE[key] = result
-    if store is not None:
-        from repro.harness.export import result_to_dict
-
-        store.store(
-            store_key,
-            {"key": store_key, "result": result_to_dict(result), "lineage": lineage},
-        )
     return result
 
 
@@ -700,17 +709,10 @@ def assemble_result(
     )
 
 
-def adopt_result(
-    result: ExperimentResult,
-    app_overrides: Optional[dict] = None,
-    runtime_kwargs: Optional[dict] = None,
-    config_overrides: Optional[dict] = None,
-    faults=None,
-    sanitize: bool = False,
-    watchdog: Optional[int] = None,
-) -> None:
-    """Insert an externally computed result (e.g. from a grid worker) into
-    the in-process memo cache and, when configured, the result store.
+def adopt_result(result: ExperimentResult, point: GridPoint) -> None:
+    """Insert ``point``'s externally computed result (e.g. from a grid
+    worker) into the in-process memo cache and, when configured, the
+    result store.
 
     Refuses anything that is not a successful :class:`ExperimentResult`:
     adopting a ``FailedResult`` would persist a failure as a success and
@@ -721,20 +723,10 @@ def adopt_result(
             f"refusing to adopt {type(result).__name__} into the result "
             "cache/store: only successful ExperimentResults are cacheable"
         )
-    faults = FaultPlan.coerce(faults)
-    key = memo_key(
-        result.app, result.kind, result.scale, result.serial,
-        app_overrides, runtime_kwargs, config_overrides,
-        faults, sanitize, watchdog,
-    )
-    _CACHE[key] = result
+    _CACHE[point.key()] = result
     store = get_result_store()
     if store is not None:
-        store_key = _experiment_store_key(
-            result.app, result.kind, result.scale, result.serial,
-            app_overrides, runtime_kwargs, config_overrides,
-            faults, sanitize, watchdog,
-        )
+        store_key = point.store_key()
         if not store.contains(store_key):
             from repro.harness.export import result_to_dict
 

@@ -1,11 +1,12 @@
 """Worker processes: the one place the repo starts simulation children.
 
 :func:`spawn_worker` forks (or spawns) one child that runs a single
-:class:`repro.harness.grid.GridPoint` through ``run_experiment`` and ships
-the outcome back over a one-way pipe as JSON-safe plain data; the caller
-gets a :class:`WorkerHandle`.  ``repro.serve.Supervisor`` drives these
-handles for both of its clients: the job service and ``run_grid``'s
-parallel path.
+:class:`repro.harness.runner.GridPoint` (a ``repro.serve.Job`` is one)
+through ``run_point`` with the checkpoint spec passed beside it, and
+ships the outcome back over a one-way pipe as JSON-safe plain data; the
+caller gets a :class:`WorkerHandle`.  ``repro.serve.Supervisor`` drives
+these handles for both of its clients: the job service and
+``run_grid``'s parallel path.
 
 Pipe protocol — exactly one ``(status, payload)`` message per worker:
 
@@ -27,19 +28,20 @@ from typing import Optional
 
 import repro.harness.runner as runner
 from repro.engine.checkpoint import ParkedRun
-from repro.harness.grid import GridPoint, _mp_context
+from repro.harness.grid import _mp_context
+from repro.harness.runner import GridPoint
 
 
 def _worker_entry(
-    conn, point_kwargs: dict, results_dir: Optional[str], ledger_source: str
+    conn, point: GridPoint, checkpoint: Optional[dict],
+    results_dir: Optional[str], ledger_source: str,
 ) -> None:
-    """Run one grid point in a child process; send one message on ``conn``."""
+    """Run one point in a child process; send one message on ``conn``."""
     try:
         # Ledger lines this child writes carry its supervisor's label.
         os.environ["REPRO_LEDGER_SOURCE"] = ledger_source
         runner.set_result_store(results_dir)
-        point = GridPoint(**point_kwargs)
-        result = runner.run_experiment(**point.run_kwargs())
+        result = runner.run_point(point, checkpoint=checkpoint)
         from repro.harness.export import result_to_dict
 
         message = (
@@ -101,11 +103,15 @@ class WorkerHandle:
         self.proc.join()
 
 
-def spawn_worker(point: GridPoint, ledger_source: str) -> WorkerHandle:
+def spawn_worker(
+    point: GridPoint, checkpoint: Optional[dict], ledger_source: str
+) -> WorkerHandle:
     """Start one worker for ``point`` against the configured result store.
 
-    ``ledger_source`` labels the run-ledger lines the child writes
-    (``"runner"`` for grid sweeps, ``"serve"`` for the job service).
+    ``checkpoint`` is the run's CheckpointConfig kwargs (plain data, so it
+    pickles), or None.  ``ledger_source`` labels the run-ledger lines the
+    child writes (``"runner"`` for grid sweeps, ``"serve"`` for the job
+    service).
     """
     store = runner.get_result_store()
     results_dir = str(store.root) if store is not None else None
@@ -113,7 +119,7 @@ def spawn_worker(point: GridPoint, ledger_source: str) -> WorkerHandle:
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_worker_entry,
-        args=(child_conn, point.as_fields(), results_dir, ledger_source),
+        args=(child_conn, point, checkpoint, results_dir, ledger_source),
         daemon=True,
     )
     proc.start()

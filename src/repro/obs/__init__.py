@@ -17,7 +17,7 @@ durable record of *past* work:
   machine-readable manifest line (keys, seeds, lineage, wall time, host
   fingerprint, outcome) to a JSONL ledger; ``repro report`` aggregates it.
 * :mod:`repro.obs.metrics` — a counter/gauge registry over ``StatGroup``
-  with JSONL/CSV/Prometheus-textfile exporters, decoupling the interval
+  with a Prometheus-textfile exporter, decoupling the interval
   sampler from the tracer.
 
 All three data producers (heartbeat, profiler, ledger) are **off by
@@ -55,7 +55,6 @@ from repro.obs.metrics import (  # noqa: E402
     MetricsRegistry,
     machine_metrics,
     prometheus_lines,
-    samples_to_jsonl,
     write_prometheus_textfile,
 )
 from repro.obs.profile import EngineProfiler, WallProfiler  # noqa: E402
@@ -70,7 +69,6 @@ __all__ = [
     "MetricsRegistry",
     "machine_metrics",
     "prometheus_lines",
-    "samples_to_jsonl",
     "write_prometheus_textfile",
     "EngineProfiler",
     "WallProfiler",

@@ -5,8 +5,8 @@ the tracer: the only consumer of a statistics time series was the Chrome
 trace counter track.  The registry decouples *what is sampled* from *where
 samples go*: any number of sources (StatGroup subtrees, traffic meters,
 fusion counters, ad-hoc gauges) merge into one flat namespace, and any
-number of sinks (tracer counter tracks, JSONL, CSV, a Prometheus textfile
-for the future sweep server) consume the same snapshots.
+number of sinks (tracer counter tracks, a Prometheus textfile for
+``repro top``) consume the same snapshots.
 
 Nothing here touches simulated state: ``collect()`` is a pure read, so a
 registry-backed sampler run stays cycle-identical to a bare run (the same
@@ -15,8 +15,6 @@ argument as ``IntervalSampler`` itself).
 
 from __future__ import annotations
 
-import io
-import json
 import os
 import re
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -46,11 +44,6 @@ class MetricsRegistry:
         """Add a snapshot source: a StatGroup subtree or a callable."""
         fn = source.snapshot if isinstance(source, StatGroup) else source
         self._sources.append((prefix, fn))
-        return self
-
-    def register_gauge(self, name: str, fn: Callable[[], Number]) -> "MetricsRegistry":
-        """Add a single named gauge (a zero-arg callable returning a number)."""
-        self._sources.append(("", lambda: {name: fn()}))
         return self
 
     def collect(self) -> Snapshot:
@@ -102,16 +95,6 @@ def machine_metrics(machine, engine: bool = True) -> MetricsRegistry:
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
-def samples_to_jsonl(samples: List[Tuple[int, Snapshot]]) -> str:
-    """Interval samples as JSON lines: ``{"cycle": N, "deltas": {...}}``."""
-    buffer = io.StringIO()
-    for cycle, delta in samples:
-        buffer.write(
-            json.dumps({"cycle": cycle, "deltas": delta}, sort_keys=True) + "\n"
-        )
-    return buffer.getvalue()
-
-
 def _prom_name(name: str, prefix: str) -> str:
     return _PROM_BAD.sub("_", f"{prefix}{name}")
 

@@ -3,9 +3,10 @@
 A :class:`Job` is one client-submitted (app × config × scale) experiment
 plus its service metadata: tenant, priority, optional deadline, and
 whether it may be preempted.  The :class:`JobQueue` holds every job the
-server knows about, indexed by id and by *work key* — the sha256 identity
-of the underlying experiment — and orders runnable jobs by (priority,
-deadline, submission order).
+server knows about, indexed by id and by *work key* —
+``hash_key(GridPoint.key())``, the sha256 identity of the underlying
+experiment — and orders runnable jobs by (priority, deadline, submission
+order).
 
 Lifecycle state machine (every transition is journaled before it becomes
 visible; see ``repro.serve.journal``)::
@@ -34,30 +35,24 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
+from repro.harness.resultstore import hash_key
+from repro.harness.runner import GridPoint
+
 #: States a job can be in; TERMINAL states never change again.
 STATES = ("pending", "running", "parked", "done", "failed", "rejected")
 TERMINAL = ("done", "failed", "rejected")
-#: Job fields that schedule the experiment rather than name it.
-SERVICE_FIELDS = ("tenant", "priority", "deadline_s", "preemptible")
 
 
-@dataclass
-class Job:
+@dataclass(frozen=True)
+class Job(GridPoint):
     """One submitted experiment plus service metadata (plain data,
-    JSON-serializable via :meth:`as_dict` for the journal and the wire)."""
+    JSON-serializable via :meth:`as_dict` for the journal and the wire).
 
-    app: str
-    kind: str
-    scale: str
-    serial: bool = False
-    app_overrides: Optional[dict] = None
-    runtime_kwargs: Optional[dict] = None
-    config_overrides: Optional[dict] = None
-    check: bool = True
-    #: Fault plan (preset/spec string, dict, or ``FaultPlan``).
-    faults: Optional[object] = None
-    sanitize: bool = False
-    watchdog: Optional[int] = None
+    The experiment fields are :class:`GridPoint`'s; the fields declared
+    here only schedule it, and no identity (memo, store or work key)
+    reads them.
+    """
+
     tenant: str = "default"
     #: Lower is more urgent; ties break on deadline, then submit order.
     priority: int = 5
@@ -78,27 +73,13 @@ class Job:
         return cls(**{k: v for k, v in data.items() if k in known})
 
     def work_key(self) -> str:
-        """sha256 identity of the underlying experiment (dedupe key).
+        """``hash_key(GridPoint.key())``: the dedupe key.
 
         Two jobs with the same work key are the same simulation — the
         queue coalesces them so only one ever runs, and the result store
-        (which hashes a superset of these fields plus resolved params)
         satisfies any later rerun as a store hit.
         """
-        from repro.harness.resultstore import hash_key
-
-        key = self.grid_fields()
-        for name in ("app_overrides", "runtime_kwargs", "config_overrides"):
-            key[name] = key[name] or {}
-        return hash_key(key)
-
-    def grid_fields(self) -> dict:
-        """GridPoint constructor kwargs: every field but service metadata."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in SERVICE_FIELDS
-        }
+        return hash_key(self.key())
 
 
 @dataclass

@@ -144,7 +144,9 @@ class JobServer:
                 }
             try:
                 job = Job.from_dict(data)
-            except TypeError as exc:
+                # A malformed fault spec fails here, before it is journaled.
+                job.key()
+            except (TypeError, ValueError) as exc:
                 return {"ok": False, "error": f"bad job: {exc}"}
             record = supervisor.submit(job)
             response = {"ok": True, "id": record.id, "state": record.state}

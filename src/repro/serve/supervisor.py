@@ -44,10 +44,9 @@ from __future__ import annotations
 import glob
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.harness.grid import GridPoint
 from repro.harness.retry import Backoff
 from repro.harness.worker import WorkerHandle, spawn_worker
 from repro.serve.journal import Journal
@@ -60,9 +59,9 @@ DETERMINISTIC_ERRORS = ("deadlock", "violation")
 
 
 def spawn_serve_worker(record: JobRecord, checkpoint: dict) -> WorkerHandle:
-    """Start one worker for ``record`` (the default spawn function)."""
-    point = GridPoint(**record.job.grid_fields(), checkpoint=checkpoint)
-    return spawn_worker(point, ledger_source="serve")
+    """Start one worker for ``record`` (the default spawn function): the
+    job is itself the point it runs."""
+    return spawn_worker(record.job, checkpoint, ledger_source="serve")
 
 
 class HeartbeatAgeTracker:

@@ -271,7 +271,7 @@ class TestHarnessIntegration:
     def test_grid_resume_picks_up_interrupted_point(self, tmp_path):
         """A killed sweep's leftover snapshot is found by the rerun: the
         point resumes mid-run instead of starting over."""
-        from repro.harness import run_experiment
+        from repro.harness import run_experiment, run_point
         from repro.harness.grid import (
             GridPoint,
             _point_checkpoint_spec,
@@ -287,10 +287,7 @@ class TestHarnessIntegration:
         # Simulate the "killed mid-sweep" state: a run that left its
         # snapshot behind (keep=True stands in for the kill).
         clear_cache()
-        run_experiment(
-            **dict(point.run_kwargs(), use_cache=False,
-                   checkpoint=dict(spec, keep=True)),
-        )
+        run_point(point, use_cache=False, checkpoint=dict(spec, keep=True))
         assert os.path.exists(spec["path"])
         clear_cache()
         (resumed,) = run_grid(
@@ -306,7 +303,7 @@ class TestHarnessIntegration:
         """The checkpoint specs reach parallel workers too: a jobs=2 rerun
         resumes the point that left a snapshot and cold-runs the other,
         both identical to uninterrupted runs."""
-        from repro.harness import run_experiment
+        from repro.harness import run_point
         from repro.harness.grid import (
             GridPoint,
             _point_checkpoint_spec,
@@ -315,19 +312,13 @@ class TestHarnessIntegration:
 
         p = GridPoint(APP, "bt-hcc-dts-gwb", "tiny")
         q = GridPoint("cilk5-mt", "bt-mesi", "tiny")
-        cold = [
-            run_experiment(**dict(point.run_kwargs(), use_cache=False))
-            for point in (p, q)
-        ]
+        cold = [run_point(point, use_cache=False) for point in (p, q)]
         ckpt_dir = str(tmp_path / "ckpts")
         spec = _point_checkpoint_spec(
             p, ckpt_dir, 2000, resume=False, warm_init=False
         )
         clear_cache()
-        run_experiment(
-            **dict(p.run_kwargs(), use_cache=False,
-                   checkpoint=dict(spec, keep=True)),
-        )
+        run_point(p, use_cache=False, checkpoint=dict(spec, keep=True))
         assert os.path.exists(spec["path"])
         clear_cache()
         resumed = run_grid(

@@ -83,12 +83,16 @@ def test_fuzz_positive_control(capsys):
     assert code == 0  # violations expected and found
 
 
-@pytest.mark.parametrize("flag", ["--resume", "--keep-checkpoint"])
+@pytest.mark.parametrize("flag", [
+    "--resume", "--keep-checkpoint",
+    "--checkpoint-interval=2000", "--trace-interval=500",
+])
 def test_checkpoint_flags_without_checkpoint_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["run", "cilk5-cs", "--scale", "tiny", flag])
     assert exc.value.code == 2
-    assert "need --checkpoint" in capsys.readouterr().err
+    needs = "needs --trace" if flag.startswith("--trace") else "need --checkpoint"
+    assert needs in capsys.readouterr().err
 
 
 def test_refused_run_mode_is_a_usage_error(capsys, tmp_path):

@@ -10,8 +10,8 @@ from repro.harness import (
     GridPoint,
     clear_cache,
     expand_grid,
-    memo_key,
     run_experiment,
+    run_point,
     set_result_store,
     simulation_count,
 )
@@ -64,7 +64,10 @@ class TestGridBasics:
     def test_point_label_mentions_overrides(self):
         point = GridPoint("a", "k", "s", app_overrides={"grain": 2})
         assert "grain" in point.label()
-        assert point.as_fields()["app_overrides"] == {"grain": 2}
+        # Points that differ only in the watchdog must not share a label.
+        watched = GridPoint("a", "k", "s", watchdog=20_000)
+        assert watched.label() != GridPoint("a", "k", "s").label()
+        assert "watchdog=20000" in watched.label()
 
 
 class TestDeterminism:
@@ -92,7 +95,7 @@ class TestDeterminism:
         _run_fresh(SUB_GRID[:2], jobs=2)
         sims = simulation_count()
         for point in SUB_GRID[:2]:
-            run_experiment(**point.run_kwargs())
+            run_point(point)
         assert simulation_count() == sims
 
     def test_parallel_results_land_in_the_store(self, tmp_path):
@@ -243,8 +246,7 @@ class TestCrashTolerantSweeps:
 
     def test_watchdog_point_label_and_kwargs(self):
         assert "kernel-deadlock" in DEADLOCK_POINT.label()
-        kwargs = DEADLOCK_POINT.run_kwargs()
-        assert kwargs["watchdog"] == 20_000
+        assert DEADLOCK_POINT.watchdog == 20_000
 
     def test_adopt_result_refuses_failures(self):
         """Regression: adopting a FailedResult would persist the failure
@@ -258,9 +260,9 @@ class TestCrashTolerantSweeps:
             message="no runtime progress",
         )
         with pytest.raises(TypeError, match="refusing to adopt"):
-            adopt_result(failure)
+            adopt_result(failure, DEADLOCK_POINT)
         with pytest.raises(TypeError, match="refusing to adopt"):
-            adopt_result("not a result at all")
+            adopt_result("not a result at all", DEADLOCK_POINT)
 
     def test_recorded_failure_never_lands_in_the_store(self, tmp_path):
         """A failed cell must leave no store entry: a sweep rerun has to
@@ -303,21 +305,21 @@ class TestMemoKeyCanonicalization:
         assert canon == reordered
 
     def test_memo_key_with_dict_overrides_is_hashable(self):
-        key = memo_key(
+        key = GridPoint(
             "cilk5-mt", "bt-mesi", "quick",
             app_overrides={"grain": 2},
             config_overrides={"tiny_l1": {"size_bytes": 8192, "assoc": 2}},
             runtime_kwargs={"steal_policy": "big-first"},
-        )
+        ).key()
         hash(key)
-        again = memo_key(
+        again = GridPoint(
             "cilk5-mt", "bt-mesi", "quick",
             app_overrides={"grain": 2},
             config_overrides={"tiny_l1": {"assoc": 2, "size_bytes": 8192}},
             runtime_kwargs={"steal_policy": "big-first"},
-        )
+        ).key()
         assert key == again
-        assert key != memo_key("cilk5-mt", "bt-mesi", "quick")
+        assert key != GridPoint("cilk5-mt", "bt-mesi", "quick").key()
 
     def test_run_experiment_accepts_dict_valued_config_override(self):
         result = run_experiment(

@@ -63,10 +63,9 @@ class TestMetrics:
             MetricsRegistry()
             .register(stats)
             .register(lambda: {"extra.y": 1.5, "m.x": 99}, prefix="")
-            .register_gauge("g", lambda: 7)
         )
         snap = registry.collect()
-        assert snap == {"m.x": 99, "extra.y": 1.5, "g": 7}
+        assert snap == {"m.x": 99, "extra.y": 1.5}
 
     def test_machine_metrics_engine_flag(self):
         _app, machine = tiny_machine()

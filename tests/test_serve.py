@@ -140,7 +140,26 @@ class TestServerRequests:
             "ok": False,
             "error": "bad job: unknown field(s) ['sanitise']",
         }
+        # Run-mode fields are not job fields: a client must never choose a
+        # server-side snapshot path, and every run checks its result.
+        for name, value in (("checkpoint", {"path": "/tmp/x.ckpt"}), ("check", True)):
+            response = asyncio.run(server._handle_request(
+                {"op": "submit", "job": dict(job().as_dict(), **{name: value})}
+            ))
+            assert response == {
+                "ok": False,
+                "error": f"bad job: unknown field(s) ['{name}']",
+            }
+        response = asyncio.run(server._handle_request(
+            {"op": "submit", "job": dict(job().as_dict(), faults="no_such_knob=1")}
+        ))
+        assert response["ok"] is False and "unknown fault knob" in response["error"]
         assert supervisor.queue.records == {}
+        # Journals written before "check" was removed still replay.
+        journal = Journal(tmp_path / "old-journal.jsonl")
+        journal.append("submit", id="j-1", job=dict(job().as_dict(), check=True))
+        records, _, stats = replay(journal.path)
+        assert records["j-1"].job == job() and stats["malformed"] == 0
         ok = asyncio.run(
             server._handle_request({"op": "submit", "job": job().as_dict()})
         )
