@@ -326,7 +326,6 @@ def _cmd_serve(args) -> int:
         max_attempts=args.max_attempts,
         timeout_s=args.timeout,
         wedged_after_s=args.wedged_after,
-        park_grace_s=args.park_grace,
         checkpoint_interval=args.checkpoint_interval,
         backoff=BackoffPolicy(
             base_s=args.backoff_base, cap_s=args.backoff_cap
@@ -350,7 +349,6 @@ def _cmd_submit(args) -> int:
         "tenant": args.tenant,
         "priority": args.priority,
         "deadline_s": args.deadline,
-        "preemptible": not args.no_preempt,
     }
     try:
         with connect(path, retry_for_s=args.retry_for) as client:
@@ -658,8 +656,8 @@ def main(argv=None) -> int:
     serve_parser = sub.add_parser(
         "serve",
         help="run the crash-tolerant simulation job service: supervised "
-             "worker pool with retry/backoff, preemption for deadline "
-             "jobs, and journal-based recovery (kill it anytime; restart "
+             "worker pool with retry/backoff, checkpoint resume and "
+             "journal-based recovery (kill it anytime; restart "
              "recovers every job exactly once)",
         parents=[harness_flags])
     serve_parser.add_argument(
@@ -688,10 +686,6 @@ def main(argv=None) -> int:
         "--wedged-after", type=float, default=60.0, metavar="SECONDS",
         help="kill a worker whose heartbeat snapshot is older than this "
              "(default: 60; needs --heartbeat-dir)")
-    serve_parser.add_argument(
-        "--park-grace", type=float, default=10.0, metavar="SECONDS",
-        help="time a preempted worker gets to park before being killed "
-             "(default: 10)")
     serve_parser.add_argument(
         "--checkpoint-interval", type=positive_int, default=50_000,
         metavar="N", help="periodic snapshot cadence in simulated cycles "
@@ -730,10 +724,9 @@ def main(argv=None) -> int:
         help="scheduling priority, lower is more urgent (default: 5)")
     submit_parser.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="soft deadline; deadline jobs may preempt running batch jobs")
-    submit_parser.add_argument(
-        "--no-preempt", action="store_true",
-        help="never park this job to make room for a deadline job")
+        help="soft deadline in seconds from submission; among equal "
+             "priorities the earlier deadline dispatches first (it never "
+             "stops a running job)")
     submit_parser.add_argument(
         "--wait", action="store_true",
         help="block until the job is terminal and report its outcome")

@@ -4,8 +4,6 @@ from repro.engine.checkpoint import (
     CheckpointConfig,
     CheckpointDaemon,
     CheckpointError,
-    ParkDaemon,
-    ParkedRun,
     load_snapshot,
     save_snapshot,
 )
@@ -19,8 +17,6 @@ __all__ = [
     "CheckpointDaemon",
     "CheckpointError",
     "Counter",
-    "ParkDaemon",
-    "ParkedRun",
     "DeadlockError",
     "SimulationError",
     "Simulator",

@@ -70,23 +70,6 @@ class CheckpointError(RuntimeError):
     """A snapshot could not be taken, loaded, or restored."""
 
 
-class ParkedRun(RuntimeError):
-    """A run was parked (preempted): its state was snapshotted and the
-    event loop abandoned.
-
-    Raised by :class:`ParkDaemon` *after* the snapshot has been written,
-    so the snapshot is always a complete, safe-point capture; resuming it
-    (``CheckpointConfig.resume``) finishes the run byte-identically to an
-    uninterrupted one.  Carries the park cycle and the snapshot path so
-    supervisors can journal where the run stopped.
-    """
-
-    def __init__(self, cycle: int, path: Optional[str]):
-        super().__init__(f"run parked at cycle {cycle}")
-        self.cycle = cycle
-        self.path = path
-
-
 # ----------------------------------------------------------------------
 # Harness-facing configuration
 # ----------------------------------------------------------------------
@@ -95,14 +78,12 @@ class CheckpointConfig:
     """How a harness run uses checkpointing.
 
     ``path``/``interval`` drive periodic run snapshots; ``resume`` makes
-    ``run_experiment`` restore from ``path`` when it exists; ``init_dir``
-    enables warm-start init snapshots shared across configurations.
-    ``park_path`` makes the run *preemptible*: a :class:`ParkDaemon` polls
-    for that file every ``park_poll`` cycles and, when it appears,
-    snapshots the run to ``path`` and raises :class:`ParkedRun` — a
-    supervisor parks a worker by touching the file and resumes it later
-    with ``resume=True``.  None of these fields participate in memo or
-    store keys: checkpointing never perturbs a simulation's outcome.
+    ``run_experiment`` restore from ``path`` when it exists, so a run
+    killed mid-flight (a crashed worker, a SIGKILLed service) finishes
+    from its last periodic snapshot; ``init_dir`` enables warm-start init
+    snapshots shared across configurations.  None of these fields
+    participate in memo or store keys: checkpointing never perturbs a
+    simulation's outcome.
     """
 
     path: Optional[str] = None
@@ -111,8 +92,6 @@ class CheckpointConfig:
     init_dir: Optional[str] = None
     save_init: bool = True
     keep: bool = False
-    park_path: Optional[str] = None
-    park_poll: int = 2_000
 
     @classmethod
     def coerce(cls, value) -> Optional["CheckpointConfig"]:
@@ -696,63 +675,3 @@ class CheckpointDaemon:
         self.write(machine)
         self.snapshots_taken += 1
         _rearm_at_next_multiple(machine.sim, self.interval, self._tick)
-
-
-# ----------------------------------------------------------------------
-# Preemption (park/resume)
-# ----------------------------------------------------------------------
-class ParkDaemon:
-    """Cooperative preemption point riding the event queue.
-
-    Every ``poll_interval`` simulated cycles (a daemon event, so always a
-    safe point with all cores parked between events) the daemon checks
-    whether ``park_path`` exists.  When it does, it snapshots the run via
-    ``write(machine)`` and raises :class:`ParkedRun`, abandoning the event
-    loop.  The exception propagates out of ``runtime.run`` exactly like
-    the watchdog's ``DeadlockError``; by then the snapshot is already on
-    disk, so the process can simply exit and a later run with
-    ``CheckpointConfig.resume`` finishes byte-identically.
-
-    A wedged run executes no events and therefore never reaches the poll —
-    supervisors must pair the park request with a kill deadline and fall
-    back to the last *periodic* snapshot for such workers.
-    """
-
-    def __init__(
-        self,
-        machine,
-        poll_interval: int,
-        park_path: str,
-        write: Callable,
-        snapshot_path: Optional[str] = None,
-    ):
-        if poll_interval <= 0:
-            raise ValueError(
-                f"park poll interval must be positive, got {poll_interval}"
-            )
-        self.machine = machine
-        self.poll_interval = int(poll_interval)
-        self.park_path = park_path
-        self.write = write
-        #: Where ``write`` persists the snapshot (carried on the raised
-        #: ParkedRun so supervisors learn the resume source); None when
-        #: the callback captures in memory.
-        self.snapshot_path = snapshot_path
-        self._armed = False
-
-    def arm(self) -> None:
-        self._armed = True
-        _rearm_at_next_multiple(self.machine.sim, self.poll_interval, self._tick)
-
-    def cancel(self) -> None:
-        self._armed = False
-
-    def _tick(self) -> None:
-        if not self._armed:
-            return
-        machine = self.machine
-        if os.path.exists(self.park_path):
-            self._armed = False
-            self.write(machine)
-            raise ParkedRun(machine.sim.now, self.snapshot_path)
-        _rearm_at_next_multiple(machine.sim, self.poll_interval, self._tick)

@@ -337,11 +337,11 @@ def run_grid(
 ):
     """Run every grid point; return results in input order.
 
-    ``jobs > 1`` submits the points as one batch of non-preemptible jobs
-    to an in-process :class:`repro.serve.Supervisor` with ``jobs`` worker
-    slots; each run gets at most ``timeout`` wall-clock seconds (None =
-    unlimited) and ``retries`` fresh attempts after a failure, timeout,
-    worker death or heartbeat wedge before :class:`GridError` is raised.
+    ``jobs > 1`` submits the points as one batch of jobs to an in-process
+    :class:`repro.serve.Supervisor` with ``jobs`` worker slots; each run
+    gets at most ``timeout`` wall-clock seconds (None = unlimited) and
+    ``retries`` fresh attempts after a failure, timeout, worker death or
+    heartbeat wedge before :class:`GridError` is raised.
     Identical points coalesce onto one simulation.  Retries wait out an
     exponential backoff with decorrelated jitter (``backoff``, default
     :data:`GRID_BACKOFF`; pass ``repro.harness.retry.NO_BACKOFF`` for
@@ -462,7 +462,7 @@ def _run_supervised(
         supervisor.ledger_source = "grid"
         records = []
         for point, spec in zip(points, specs):
-            record = supervisor.submit(Job(**vars(point), preemptible=False))
+            record = supervisor.submit(Job(**vars(point)))
             spec_of[record.id] = spec
             records.append(record)
         waiting = dict(enumerate(records))

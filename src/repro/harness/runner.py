@@ -32,8 +32,6 @@ from repro.engine.checkpoint import (
     CheckpointConfig,
     CheckpointDaemon,
     CheckpointError,
-    ParkDaemon,
-    ParkedRun,
     capture_init_state,
     capture_run_state,
     load_snapshot,
@@ -440,19 +438,6 @@ def run_point(
                 "result": result_to_dict(result),
                 "lineage": ctx["lineage"],
             })
-    except ParkedRun as exc:
-        # Preemption is not a failure: the run's snapshot is on disk and a
-        # later resume finishes it byte-identically.  The ledger records
-        # the parked attempt so wall-time accounting stays complete.
-        heartbeat = ctx.get("heartbeat")
-        if heartbeat is not None:
-            heartbeat.finalize("parked")
-        _ledger_record(
-            "parked", point,
-            wall_s=time.perf_counter() - started, store_key=store_key,
-            cycles=exc.cycle, seed=ctx.get("seed"), lineage=ctx.get("lineage"),
-        )
-        raise
     except Exception as exc:
         heartbeat = ctx.get("heartbeat")
         if heartbeat is not None:
@@ -580,42 +565,19 @@ def _simulate_experiment(
             ckpt.interval,
             lambda m: save_snapshot(ckpt.path, capture_run_state(m)),
         )
-    park_daemon = None
-    if ckpt is not None and ckpt.park_path:
-        if not run_snapshots:
-            raise CheckpointError(
-                "a preemptible (park_path) run needs a snapshot path"
-            )
-        park_daemon = ParkDaemon(
-            machine,
-            ckpt.park_poll,
-            ckpt.park_path,
-            lambda m: save_snapshot(ckpt.path, capture_run_state(m)),
-            snapshot_path=ckpt.path,
-        )
-
     if resume_snap is not None:
         machine.restore(resume_snap, app.make_root(serial=False))
         lineage["resumed_from_cycle"] = resume_snap["cycle"]
-        if daemon is not None:
-            daemon.arm()
-        if park_daemon is not None:
-            park_daemon.arm()
-        # Heartbeat starts after the restore so its daemon tick rides the
-        # restored event queue (restore rebuilds simulator state).
-        if heartbeat is not None:
-            heartbeat.start()
+    # Daemons arm after any restore so their ticks ride the restored event
+    # queue (restore rebuilds simulator state).
+    if daemon is not None:
+        daemon.arm()
+    if heartbeat is not None:
+        heartbeat.start()
+    if resume_snap is not None:
         cycles = runtime.resume_run()
     else:
-        if daemon is not None:
-            daemon.arm()
-        if park_daemon is not None:
-            park_daemon.arm()
-        if heartbeat is not None:
-            heartbeat.start()
         cycles = runtime.run(app.make_root(serial=False))
-    if park_daemon is not None:
-        park_daemon.cancel()
     if daemon is not None:
         daemon.cancel()
         lineage["snapshots_taken"] = daemon.snapshots_taken

@@ -97,16 +97,24 @@ def table3(
             res = run_experiment(app_name, kind, scale)
             row[f"rel_{kind}"] = mesi.cycles / res.cycles
         rows.append(row)
-    summary = {"app": "geomean", "pm": "", "dinst": 0, "work": 0, "span": 0}
+    # Counts do not average: the geomean row leaves them empty.
+    summary = {
+        "app": "geomean", "pm": "", "dinst": None, "work": None, "span": None,
+        "serial_cycles": None,
+    }
     summary["para"] = geomean(r["para"] for r in rows)
     summary["ipt"] = geomean(r["ipt"] for r in rows)
-    summary["serial_cycles"] = 0
     for kind in ("o3x1", "o3x4", "o3x8", "bt-mesi"):
         summary[f"speedup_{kind}"] = geomean(r[f"speedup_{kind}"] for r in rows)
     for kind in HCC_KINDS + DTS_KINDS:
         summary[f"rel_{kind}"] = geomean(r[f"rel_{kind}"] for r in rows)
     rows.append(summary)
     return rows
+
+
+def _count_cell(value: Optional[int], width: int) -> str:
+    """A right-aligned count, blank when the row has none (geomean)."""
+    return " " * width if value is None else f"{value:>{width}d}"
 
 
 def format_table3(rows: List[dict]) -> str:
@@ -123,8 +131,9 @@ def format_table3(rows: List[dict]) -> str:
     ]
     for r in rows:
         lines.append(
-            f"{r['app']:12s} {r['pm']:3s} {r['dinst']:>9d} {r['work']:>9d} "
-            f"{r['span']:>7d} {r['para']:>7.2f} {r['ipt']:>8.1f} | "
+            f"{r['app']:12s} {r['pm']:3s} {_count_cell(r['dinst'], 9)} "
+            f"{_count_cell(r['work'], 9)} {_count_cell(r['span'], 7)} "
+            f"{r['para']:>7.2f} {r['ipt']:>8.1f} | "
             f"{r['speedup_o3x1']:>6.2f} {r['speedup_o3x4']:>6.2f} "
             f"{r['speedup_o3x8']:>6.2f} {r['speedup_bt-mesi']:>8.2f} | "
             f"{r['rel_bt-hcc-dnv']:>5.2f} {r['rel_bt-hcc-gwt']:>5.2f} "

@@ -12,7 +12,6 @@ Pipe protocol — exactly one ``(status, payload)`` message per worker:
 
 * ``("ok", {"result", "sims"})`` — ``result`` in ``result_to_dict`` form;
   ``sims`` is the child's simulation count (0 = satisfied from the store);
-* ``("parked", {"cycle", "snapshot"})`` — preempted cooperatively;
 * ``(error, {"message", "diagnostic"})`` — ``error`` is the kind
   :func:`repro.harness.runner._classify_failure` assigns (``deadlock``,
   ``violation``, ``error``), the same table the serial path uses.
@@ -27,7 +26,6 @@ import os
 from typing import Optional
 
 import repro.harness.runner as runner
-from repro.engine.checkpoint import ParkedRun
 from repro.harness.grid import _mp_context
 from repro.harness.runner import GridPoint
 
@@ -48,9 +46,6 @@ def _worker_entry(
             "ok",
             {"result": result_to_dict(result), "sims": runner.simulation_count()},
         )
-    except ParkedRun as exc:
-        # The snapshot is already on disk; report where the run stopped.
-        message = ("parked", {"cycle": exc.cycle, "snapshot": exc.path})
     except Exception as exc:  # report, never hang the parent
         error, text, diagnostic = runner._classify_failure(exc)
         message = (error, {"message": text, "diagnostic": diagnostic})

@@ -16,10 +16,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.ledger import read_ledger_with_errors
 
-#: Outcomes in display order; anything else lands in "other".  "parked"
-#: attempts (preempted runs, repro.serve) are accounted but not simulated:
-#: the eventual resumed attempt contributes the "ok".
-OUTCOMES = ("ok", "store-hit", "memo-hit", "failed", "parked")
+#: Outcomes in display order; anything else (such as the parked attempts
+#: older ledgers recorded) lands in "other".
+OUTCOMES = ("ok", "store-hit", "memo-hit", "failed")
 
 
 def _group_key(entry: dict) -> Tuple[str, str, str]:
@@ -106,7 +105,6 @@ def format_summary(summary: dict) -> str:
         f"runs: {summary['runs']}  "
         f"ok:{totals['ok']}  store-hit:{totals['store-hit']}  "
         f"memo-hit:{totals['memo-hit']}  failed:{totals['failed']}"
-        + (f"  parked:{totals['parked']}" if totals.get("parked") else "")
         + (f"  other:{totals['other']}" if totals["other"] else ""),
         f"wall: {summary['wall_total_s']:.2f}s total  "
         f"(simulated {wall['ok'] + wall['failed']:.2f}s, "

@@ -62,8 +62,8 @@ def gc_dead_snapshots(directory: str) -> List[str]:
 
     A snapshot claiming ``running`` whose writer pid no longer exists can
     never be replaced or finalized — without collection it would sit in
-    the table flagged forever.  Finished runs (``done``/``failed``/
-    ``parked``) keep their files: those are informative, not wedged.
+    the table flagged forever.  Finished runs (``done``/``failed``) keep
+    their files: those are informative, not wedged.
     """
     removed: List[str] = []
     snaps, _skipped = read_snapshots(directory)
@@ -233,14 +233,13 @@ def render_serve(workdir: str, now: Optional[float] = None) -> Optional[str]:
         "  jobs: "
         + "  ".join(
             f"{state}:{counts.get(state, 0)}"
-            for state in ("pending", "running", "parked", "done", "failed", "rejected")
+            for state in ("pending", "running", "done", "failed", "rejected")
         ),
     ]
     for worker in payload.get("active", []):
         lines.append(
             f"  worker pid {worker.get('pid'):>7}  {worker.get('id')}  "
             f"{worker.get('app')}  attempt {worker.get('attempt')}"
-            + ("  [parking]" if worker.get("parking") else "")
         )
     return "\n".join(lines)
 

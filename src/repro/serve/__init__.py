@@ -9,7 +9,7 @@ DESIGN.md §11 for the full state machine.
 
 Layering: ``queue`` (job model, pure bookkeeping) ← ``journal``
 (write-ahead log + replay) ← ``supervisor`` (dispatch, retry/backoff,
-preemption, wedged detection) ← ``server`` (asyncio socket front end) /
+wedged detection) ← ``server`` (asyncio socket front end) /
 ``client`` (blocking CLI client); ``policy`` parameterizes everything.
 The server is imported from ``repro.serve.server``, not re-exported
 here: parallel ``run_grid`` sweeps import this package for the

@@ -7,23 +7,26 @@ tail, never interleaved.  A server killed at any instant (including
 mid-append) restarts by replaying the journal: :func:`replay` folds the
 event stream back into the job table, and :meth:`Journal.recover` turns
 that table into a runnable queue — every in-flight job returns to
-``pending`` (parked jobs keep their snapshot, so they resume rather than
-restart), orphaned worker processes recorded in ``start`` events are
-killed, and nothing submitted is ever lost or run twice (a recovered
-rerun of a job whose simulation actually completed is satisfied by the
-sha256 result store, not re-simulated).
+``pending`` (and resumes from its periodic snapshot, if one is on disk),
+orphaned worker processes recorded in ``start`` events are killed, and
+nothing submitted is ever lost or run twice (a recovered rerun of a job
+whose simulation actually completed is satisfied by the sha256 result
+store, not re-simulated).
 
 Event vocabulary (one JSON object per line, ``ev`` discriminates)::
 
     submit  {id, job}             job accepted into the queue
     reject  {id, job, reason}     admission refused (overload / quota)
     start   {id, pid, attempt, resume}   dispatched to a worker process
-    park    {id, snapshot, cycle} preempted; snapshot on disk
     retry   {id, attempt, error}  attempt failed; back to pending
     dedup   {id, of}              coalesced behind an identical job
     done    {id, outcome}         terminal success (ok / dedup)
     failed  {id, error, message}  terminal failure (quarantine etc.)
-    recover {pending, running, parked, killed}   server restart marker
+    recover {pending, running, killed}   server restart marker
+
+Journals written while the service could preempt jobs may also hold
+``park {id, snapshot, cycle}`` lines; they replay as ``retry`` (back to
+pending, resuming from ``snapshots/<id>.ckpt`` when dispatched).
 
 The torn-tail tolerance comes from
 :func:`repro.obs.ledger.read_jsonl_with_errors`: a final line cut short by
@@ -99,7 +102,14 @@ def replay(path) -> Tuple[Dict[str, JobRecord], Dict[str, int], dict]:
             bad += 1
             continue
         if ev in ("submit", "reject"):
-            job = Job.from_dict(entry.get("job") or {})
+            try:
+                job = Job.from_dict(entry.get("job") or {})
+                job.key()
+            except (TypeError, ValueError):
+                # A job the live server would now refuse as "bad job":
+                # skip it rather than let it fail recovery.
+                bad += 1
+                continue
             record = JobRecord(
                 id=jid,
                 job=job,
@@ -121,12 +131,9 @@ def replay(path) -> Tuple[Dict[str, JobRecord], Dict[str, int], dict]:
             pid = entry.get("pid")
             if pid:
                 orphans[jid] = int(pid)
-        elif ev == "park":
-            record.state = "parked"
-            record.snapshot = entry.get("snapshot")
-            record.parks += 1
-            orphans.pop(jid, None)
-        elif ev == "retry":
+        elif ev in ("retry", "park"):
+            # ``park``: a preempted job from an older journal; it resumes
+            # from its snapshot when dispatched, like any retry.
             record.state = "pending"
             record.attempts = int(entry.get("attempt") or record.attempts)
             orphans.pop(jid, None)
@@ -137,7 +144,6 @@ def replay(path) -> Tuple[Dict[str, JobRecord], Dict[str, int], dict]:
         elif ev == "done":
             record.state = "done"
             record.outcome = entry.get("outcome", "ok")
-            record.snapshot = None
             orphans.pop(jid, None)
         elif ev == "failed":
             record.state = "failed"
@@ -171,7 +177,7 @@ def _kill_orphan(pid: int) -> bool:
     return True
 
 
-def recover(journal: Journal, clean_park_files: bool = True) -> Tuple[JobQueue, dict]:
+def recover(journal: Journal) -> Tuple[JobQueue, dict]:
     """Rebuild a runnable :class:`JobQueue` from ``journal``'s history.
 
     Recovery semantics (each case journaled via one ``recover`` marker):
@@ -181,14 +187,8 @@ def recover(journal: Journal, clean_park_files: bool = True) -> Tuple[JobQueue, 
     * ``running`` jobs lose their worker (killed if still alive) and
       re-enter ``pending``; the rerun is exactly-once because a completed
       simulation is satisfied from the result store;
-    * ``parked`` jobs re-enter ``pending`` with their snapshot attached,
-      so the next dispatch resumes from the park point;
     * dedup followers re-enter ``pending`` (their leader may be gone);
       a completed leader satisfies them through the store.
-
-    Park-request files left over from an interrupted preemption are
-    removed (``clean_park_files``) so a resumed run is not immediately
-    re-parked by a stale request.
     """
     records, orphans, stats = replay(journal.path)
     queue = JobQueue()
@@ -196,7 +196,6 @@ def recover(journal: Journal, clean_park_files: bool = True) -> Tuple[JobQueue, 
         "jobs": len(records),
         "pending": 0,
         "running": 0,
-        "parked": 0,
         "terminal": 0,
         "killed": [],
         **stats,
@@ -207,17 +206,11 @@ def recover(journal: Journal, clean_park_files: bool = True) -> Tuple[JobQueue, 
             report["terminal"] += 1
             queue.add(record)
             continue
-        report[record.state] = report.get(record.state, 0) + 1
+        report[record.state] += 1
         if record.state == "running":
             pid = orphans.get(jid)
             if pid and _kill_orphan(pid):
                 report["killed"].append(pid)
-        if clean_park_files and record.snapshot:
-            park_file = f"{record.snapshot}.park"
-            try:
-                os.unlink(park_file)
-            except OSError:
-                pass
         record.state = "pending"
         record.dedup_of = None
         queue.add(record)
@@ -225,7 +218,6 @@ def recover(journal: Journal, clean_park_files: bool = True) -> Tuple[JobQueue, 
         "recover",
         pending=report["pending"],
         running=report["running"],
-        parked=report["parked"],
         killed=report["killed"],
         torn_tail=report["torn_tail"],
     )

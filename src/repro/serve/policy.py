@@ -35,7 +35,7 @@ class ServePolicy:
     #: Admission: non-terminal jobs any one tenant may hold ("quota").
     max_per_tenant: int = 32
     #: Attempts before a repeatedly failing job is quarantined as failed
-    #: ("poison job").  Parks do not count as attempts.
+    #: ("poison job").
     max_attempts: int = 3
     #: Wall-clock budget per attempt (None = unlimited).
     timeout_s: Optional[float] = None
@@ -43,17 +43,11 @@ class ServePolicy:
     #: this long is presumed wedged and killed (None disables; detection
     #: also requires a heartbeat directory to be configured).
     wedged_after_s: Optional[float] = 60.0
-    #: After a park request, how long a worker gets to reach a safe point
-    #: and write its snapshot before the supervisor kills it instead (the
-    #: job then restarts from its last periodic snapshot, if any).
-    park_grace_s: float = 10.0
     #: Retry schedule for failed attempts.
     backoff: BackoffPolicy = field(default_factory=lambda: SERVE_BACKOFF)
     #: Periodic checkpoint cadence for service runs (simulated cycles).
-    #: Gives killed/wedged jobs a resume point and bounds park latency.
+    #: Gives killed/wedged jobs a resume point.
     checkpoint_interval: Optional[int] = 50_000
-    #: Park-poll cadence (simulated cycles) for preemption requests.
-    park_poll: int = 2_000
 
     def __post_init__(self):
         if self.slots < 1:

@@ -1,20 +1,20 @@
 """Job model and priority queue for the simulation job service.
 
 A :class:`Job` is one client-submitted (app × config × scale) experiment
-plus its service metadata: tenant, priority, optional deadline, and
-whether it may be preempted.  The :class:`JobQueue` holds every job the
-server knows about, indexed by id and by *work key* —
-``hash_key(GridPoint.key())``, the sha256 identity of the underlying
-experiment — and orders runnable jobs by (priority, deadline, submission
-order).
+plus its service metadata: tenant, priority and optional deadline.  The
+:class:`JobQueue` holds every job the server knows about, indexed by id
+and by *work key* — ``hash_key(GridPoint.key())``, the sha256 identity of
+the underlying experiment — and orders pending jobs by (priority,
+deadline, submission order): a deadline only orders the queue, it never
+stops a running job.
 
 Lifecycle state machine (every transition is journaled before it becomes
 visible; see ``repro.serve.journal``)::
 
     submit ──► rejected                      (admission: overload / quota)
        │
-       ▼            park                  ┌─────────┐
-    pending ──► running ──► parked ──► pending (resume from snapshot)
+       ▼
+    pending ──► running
        ▲            │
        │ retry      ├──► done             (result in the sha256 store)
        └────────────┤
@@ -39,7 +39,7 @@ from repro.harness.resultstore import hash_key
 from repro.harness.runner import GridPoint
 
 #: States a job can be in; TERMINAL states never change again.
-STATES = ("pending", "running", "parked", "done", "failed", "rejected")
+STATES = ("pending", "running", "done", "failed", "rejected")
 TERMINAL = ("done", "failed", "rejected")
 
 
@@ -57,10 +57,27 @@ class Job(GridPoint):
     #: Lower is more urgent; ties break on deadline, then submit order.
     priority: int = 5
     #: Wall-clock SLO in seconds from submission (None = batch job).
-    #: Deadline jobs may preempt running batch jobs to get a slot.
+    #: Among equal priorities the earlier deadline dispatches first.
     deadline_s: Optional[float] = None
-    #: Preemptible jobs may be parked via checkpoint to free their slot.
-    preemptible: bool = True
+
+    def __post_init__(self):
+        # Checked before anything is journaled: a malformed field would
+        # otherwise fail inside the queue's ordering, after the submit
+        # line is written, and again on every replay of it.
+        if not isinstance(self.tenant, str):
+            raise TypeError(f"tenant must be a string, got {self.tenant!r}")
+        if isinstance(self.priority, bool) or not isinstance(self.priority, int):
+            raise TypeError(f"priority must be an integer, got {self.priority!r}")
+        deadline = self.deadline_s
+        if deadline is not None:
+            if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
+                raise TypeError(
+                    f"deadline_s must be a number of seconds, got {deadline!r}"
+                )
+            if not math.isfinite(deadline) or deadline < 0:
+                raise ValueError(
+                    f"deadline_s must be finite and >= 0, got {deadline!r}"
+                )
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -103,11 +120,8 @@ class JobRecord:
     #: Failure detail once failed (watchdog dump, sanitizer violations).
     #: In-memory only.
     diagnostic: dict = field(default_factory=dict)
-    #: Run-snapshot path once the job has been parked (resume source).
-    snapshot: Optional[str] = None
     #: Leader job id when this job was deduped onto an identical one.
     dedup_of: Optional[str] = None
-    parks: int = 0
 
     @property
     def terminal(self) -> bool:
@@ -132,10 +146,8 @@ class JobRecord:
             "tenant": self.job.tenant,
             "priority": self.job.priority,
             "deadline_s": self.job.deadline_s,
-            "preemptible": self.job.preemptible,
             "submitted_at": self.submitted_at,
             "attempts": self.attempts,
-            "parks": self.parks,
             "outcome": self.outcome,
             "message": self.message,
             "dedup_of": self.dedup_of,
@@ -189,18 +201,14 @@ class JobQueue:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    #: States the heap may hand out: parked jobs re-enter scheduling from
-    #: the heap too (they resume from their snapshot when dispatched).
-    RUNNABLE = ("pending", "parked")
-
     def pop_runnable(self) -> Optional[JobRecord]:
-        """Highest-priority runnable job, or None.  Lazy deletion: heap
+        """Highest-priority pending job, or None.  Lazy deletion: heap
         entries for jobs that moved on (retried, completed via dedupe)
         are skipped on pop."""
         while self._heap:
             *_sort, jid = heapq.heappop(self._heap)
             record = self.records.get(jid)
-            if record is not None and record.state in self.RUNNABLE:
+            if record is not None and record.state == "pending":
                 return record
         return None
 
@@ -208,22 +216,6 @@ class JobQueue:
         """Back to pending (retry, recovery)."""
         record.state = "pending"
         self._push(record)
-
-    def repark(self, record: JobRecord) -> None:
-        """Preempted: keep the parked state but stay schedulable."""
-        record.state = "parked"
-        self._push(record)
-
-    def peek_urgent(self) -> Optional[JobRecord]:
-        """The runnable job the supervisor would dispatch next, without
-        removing it (preemption decisions look before they leap)."""
-        while self._heap:
-            *_sort, jid = self._heap[0]
-            record = self.records.get(jid)
-            if record is not None and record.state in self.RUNNABLE:
-                return record
-            heapq.heappop(self._heap)
-        return None
 
     # ------------------------------------------------------------------
     # Dedupe
@@ -237,12 +229,12 @@ class JobQueue:
         ]
 
     def running_twin(self, record: JobRecord) -> Optional[JobRecord]:
-        """A running/parked job this record duplicates, if any."""
+        """A running job this record duplicates, if any."""
         for jid in self.by_key.get(record.job.work_key(), []):
             if jid == record.id:
                 continue
             twin = self.records[jid]
-            if twin.state in ("running", "parked"):
+            if twin.state == "running":
                 return twin
         return None
 

@@ -11,8 +11,8 @@ requests, so a wedged client can never stall supervision.
 Crash tolerance is the whole point: on startup the server replays the
 work directory's journal (``repro.serve.journal.recover``), kills any
 worker processes the previous incarnation orphaned, and re-queues every
-non-terminal job — parked jobs resume from their snapshots, interrupted
-jobs re-run (and store-hit if their simulation actually finished).  Kill
+non-terminal job — interrupted jobs resume from their last periodic
+snapshot or re-run (and store-hit if their simulation actually finished).  Kill
 the server at any instant and restart it: no submitted job is lost, none
 runs twice.
 
@@ -106,7 +106,7 @@ class JobServer:
                 self.log(
                     f"serve: recovered {report['jobs']} job(s) from journal "
                     f"(pending {report['pending']}, running {report['running']}, "
-                    f"parked {report['parked']}, terminal {report['terminal']}"
+                    f"terminal {report['terminal']}"
                     + (f", killed orphans {report['killed']}" if report["killed"] else "")
                     + (", torn tail skipped" if report.get("torn_tail") else "")
                     + ")"
@@ -230,6 +230,22 @@ class JobServer:
             self.write_status_file()
             await asyncio.sleep(STATUS_INTERVAL_S)
 
+    def _drop_listener(self) -> None:
+        """In a forked worker: release the inherited listening socket.
+
+        A worker that outlives a SIGKILLed server would otherwise keep the
+        dead server's socket listening: clients connect, nobody answers,
+        and the next server's orphan kill resets their connections.  The
+        fd is pointed at /dev/null rather than closed so its number cannot
+        be reused behind the socket object's back.
+        """
+        if self._server is None:
+            return
+        devnull = os.open(os.devnull, os.O_RDONLY)
+        for sock in self._server.sockets:
+            os.dup2(devnull, sock.fileno())
+        os.close(devnull)
+
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -244,6 +260,7 @@ class JobServer:
         self._server = await asyncio.start_unix_server(
             self._serve_client, path=self.socket
         )
+        os.register_at_fork(after_in_child=self._drop_listener)
         self.log(f"serve: listening on {self.socket} (pid {os.getpid()})")
         tasks = [
             asyncio.ensure_future(self._supervise()),

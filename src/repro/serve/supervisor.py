@@ -1,9 +1,9 @@
-"""Job supervisor: dispatch, worker supervision, retry, preemption.
+"""Job supervisor: dispatch, worker supervision, retry.
 
 The :class:`Supervisor` is the service's synchronous core: one
 :meth:`poll` call performs a complete supervision tick — reap worker
 messages, detect dead/wedged/timed-out workers, admit backed-off retries,
-preempt for deadline jobs, and dispatch pending work into free slots.
+and dispatch pending work into free slots in queue order.
 The asyncio server (``repro.serve.server``) just calls ``poll()`` on a
 timer; unit tests call it directly with an injected clock, spawn function,
 and heartbeat probe, so every failure path is exercisable in milliseconds
@@ -13,24 +13,21 @@ Workers come from ``repro.harness.worker.spawn_worker`` — the one
 worker process, pipe protocol and result serialization in the repo —
 so a job inherits the grid's determinism and store adoption for free.
 The spawn function is injectable: the job service's default gives every
-run a periodic checkpoint (resume point for kills) and, when preemptible,
-a park file the supervisor can touch to request a cooperative preemption
-(``repro.engine.checkpoint.ParkDaemon``); ``run_grid`` injects a spawn
-that launches its own grid points with their own checkpoint specs and
-drives this class as a batch client.
+run a periodic checkpoint at ``snapshots/<id>.ckpt``, so a killed or
+wedged worker's retry resumes from its last snapshot instead of cycle 0;
+``run_grid`` injects a spawn that launches its own grid points with their
+own checkpoint specs and drives this class as a batch client.
 
 Supervision verdicts per worker, in check order:
 
-1. message received — ``ok``, ``parked``, a deterministic failure
+1. message received — ``ok``, a deterministic failure
    (``deadlock``/``violation``: quarantined at once) or a retryable
    ``error``;
 2. process died without a message — retryable (``worker-died``);
 3. wall-clock budget exceeded — kill, retryable (``timeout``);
-4. heartbeat snapshot too old — kill, retryable (``wedged``);
-5. park grace expired — kill, requeue *without* burning an attempt
-   (``park-timeout``; the job restarts from its last periodic snapshot).
+4. heartbeat snapshot too old — kill, retryable (``wedged``).
 
-A worker that could not report (verdicts 2-5) never wrote its own run
+A worker that could not report (verdicts 2-4) never wrote its own run
 ledger line, so the supervisor writes a ``failed`` line on its behalf
 (``source`` is :attr:`Supervisor.ledger_source`: ``"serve"``, or
 ``"grid"`` under ``run_grid``).  Retryable failures wait out the
@@ -132,9 +129,6 @@ class _Active:
     handle: WorkerHandle
     started_at: float
     deadline: Optional[float]
-    snapshot_path: str
-    park_path: Optional[str]
-    park_deadline: Optional[float] = None
 
 
 @dataclass
@@ -215,14 +209,12 @@ class Supervisor:
         self._reap_messages()
         self._check_watchdogs()
         self._admit_delayed()
-        self._maybe_preempt()
         self._dispatch()
 
     def idle(self) -> bool:
         """True when no job can make further progress without new input."""
         return not self.active and not self.delayed and not any(
-            record.state in ("pending", "parked")
-            for record in self.queue.records.values()
+            record.state == "pending" for record in self.queue.records.values()
         )
 
     def shutdown(self) -> None:
@@ -254,8 +246,6 @@ class Supervisor:
         self._close(jid)
         if status == "ok":
             self._complete(record, payload)
-        elif status == "parked":
-            self._on_parked(active, payload)
         elif status in DETERMINISTIC_ERRORS:
             self._quarantine(record, status, payload.get("message", status),
                              payload.get("diagnostic"))
@@ -269,13 +259,6 @@ class Supervisor:
         forget = getattr(self.heartbeat_age, "forget", None)
         if forget is not None:
             forget(active.handle.pid)
-        if active.park_path:
-            # Consume any pending park request so a later resume of this
-            # job is not immediately re-parked by a stale file.
-            try:
-                os.unlink(active.park_path)
-            except OSError:
-                pass
 
     def _lost(self, jid: str, error: str, message: str) -> None:
         """Kill (if still alive) and reap a worker that cannot report, write
@@ -311,7 +294,6 @@ class Supervisor:
         record.outcome = "ok"
         record.result = payload["result"]
         record.sims = payload.get("sims")
-        record.snapshot = None
         self._backoffs.pop(record.id, None)
         self.log(f"{record.id} done")
         for follower in self.followers.pop(record.id, []):
@@ -321,17 +303,6 @@ class Supervisor:
             follower.result = record.result
             follower.sims = 0
             self.log(f"{follower.id} done (dedup of {record.id})")
-
-    def _on_parked(self, active: _Active, payload: dict) -> None:
-        record = active.record
-        snapshot = payload.get("snapshot") or active.snapshot_path
-        self.journal.append(
-            "park", id=record.id, snapshot=snapshot, cycle=payload.get("cycle"),
-        )
-        record.snapshot = snapshot
-        record.parks += 1
-        self.queue.repark(record)
-        self.log(f"{record.id} parked at cycle {payload.get('cycle')}")
 
     def _quarantine(
         self, record: JobRecord, error: str, message: str,
@@ -354,7 +325,7 @@ class Supervisor:
         self, record: JobRecord, error: str, message: str,
         diagnostic: Optional[dict] = None,
     ) -> None:
-        if error != "park-timeout" and record.attempts >= self.policy.max_attempts:
+        if record.attempts >= self.policy.max_attempts:
             self._quarantine(
                 record, error,
                 f"quarantined after {record.attempts} attempts: {message}",
@@ -365,12 +336,6 @@ class Supervisor:
             "retry", id=record.id, attempt=record.attempts, error=error
         )
         record.state = "pending"
-        if error == "park-timeout":
-            # Not the job's fault: no backoff, no attempt burned — it
-            # restarts from its last periodic snapshot right away.
-            self.queue.requeue(record)
-            self.log(f"{record.id} park grace expired; requeued")
-            return
         backoff = self._backoffs.setdefault(
             record.id, Backoff(self.policy.backoff, clock=self.clock)
         )
@@ -382,16 +347,13 @@ class Supervisor:
         )
 
     # ------------------------------------------------------------------
-    # Watchdogs: timeout, wedged, park grace
+    # Watchdogs: timeout, wedged
     # ------------------------------------------------------------------
     def _check_watchdogs(self) -> None:
         now = self.clock()
         for jid in list(self.active):
             active = self.active[jid]
-            if active.park_deadline is not None and now > active.park_deadline:
-                self._lost(jid, "park-timeout",
-                           "worker missed the park grace window")
-            elif active.deadline is not None and now > active.deadline:
+            if active.deadline is not None and now > active.deadline:
                 self._lost(jid, "timeout",
                            f"timed out after {self.policy.timeout_s}s")
             elif self.policy.wedged_after_s is not None:
@@ -409,58 +371,15 @@ class Supervisor:
                 self.queue.requeue(delayed.record)
 
     # ------------------------------------------------------------------
-    # Preemption
-    # ------------------------------------------------------------------
-    def _maybe_preempt(self) -> None:
-        """Ask one running batch job to park when a deadline job is stuck
-        behind a full slot table."""
-        if len(self.active) < self.policy.slots:
-            return
-        urgent = self.queue.peek_urgent()
-        if urgent is None or urgent.job.deadline_s is None:
-            return
-        victim = self._pick_victim(urgent)
-        if victim is None:
-            return
-        # Touch the park file; the worker's ParkDaemon sees it at its next
-        # poll boundary, snapshots, and exits with a "parked" message.
-        with open(victim.park_path, "w", encoding="utf-8"):
-            pass
-        victim.park_deadline = self.clock() + self.policy.park_grace_s
-        self.log(
-            f"preempting {victim.record.id} for {urgent.id} "
-            f"(grace {self.policy.park_grace_s}s)"
-        )
-
-    def _pick_victim(self, urgent: JobRecord) -> Optional[_Active]:
-        """The least-urgent parkable worker, or None."""
-        candidates = [
-            active
-            for active in self.active.values()
-            if active.park_path is not None
-            and active.park_deadline is None
-            and active.record.job.deadline_s is None
-            and active.record.job.priority >= urgent.job.priority
-        ]
-        if not candidates:
-            return None
-        # Lowest urgency first; among equals, least sunk simulation time.
-        return max(
-            candidates,
-            key=lambda active: (active.record.job.priority, active.started_at),
-        )
-
-    # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        held = []
         while len(self.active) < self.policy.slots:
             record = self.queue.pop_runnable()
             if record is None:
                 break
             twin = self.queue.running_twin(record)
-            if twin is not None and record.state == "pending":
+            if twin is not None:
                 # Identical work is already in flight: coalesce behind it
                 # instead of simulating twice.
                 self.journal.append("dedup", id=record.id, of=twin.id)
@@ -468,35 +387,20 @@ class Supervisor:
                 self.followers.setdefault(twin.id, []).append(record)
                 self.log(f"{record.id} deduped onto {twin.id}")
                 continue
-            if twin is not None:
-                # A parked record can never follow a twin (its snapshot is
-                # its own); hold it until the twin resolves.
-                held.append(record)
-                continue
             self._start(record)
-        for record in held:
-            self.queue._push(record)
 
     def _start(self, record: JobRecord) -> None:
         snapshot_path = os.path.join(self.snapshots_dir, f"{record.id}.ckpt")
-        park_path = f"{snapshot_path}.park" if record.job.preemptible else None
+        # A snapshot left by a killed attempt is the retry's resume point.
+        resuming = os.path.exists(snapshot_path)
         checkpoint = dict(
             path=snapshot_path,
             interval=self.policy.checkpoint_interval,
             resume=True,
-            park_path=park_path,
-            park_poll=self.policy.park_poll,
         )
-        if park_path is not None:
-            # Never start into a stale park request.
-            try:
-                os.unlink(park_path)
-            except OSError:
-                pass
         handle = self.spawn(record, checkpoint)
         record.state = "running"
         record.attempts += 1
-        resuming = bool(record.snapshot) or os.path.exists(snapshot_path)
         self.journal.append(
             "start", id=record.id, pid=handle.pid,
             attempt=record.attempts, resume=resuming,
@@ -511,8 +415,6 @@ class Supervisor:
                 if self.policy.timeout_s is not None
                 else None
             ),
-            snapshot_path=snapshot_path,
-            park_path=park_path,
         )
         self.log(
             f"{record.id} started (pid {handle.pid}, attempt {record.attempts}"
@@ -533,7 +435,6 @@ class Supervisor:
                     "pid": active.handle.pid,
                     "app": active.record.job.app,
                     "attempt": active.record.attempts,
-                    "parking": active.park_deadline is not None,
                 }
                 for jid, active in sorted(self.active.items())
             ],

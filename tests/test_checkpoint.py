@@ -24,8 +24,6 @@ from repro.engine.checkpoint import (
     CheckpointConfig,
     CheckpointDaemon,
     CheckpointError,
-    ParkDaemon,
-    ParkedRun,
     capture_init_state,
     load_snapshot,
     save_snapshot,
@@ -132,6 +130,29 @@ class TestRoundTrip:
         for snap in in_flight:
             resumed = restore_and_finish("bt-hcc-dts-gwb", snap)
             assert resumed == ref, f"divergence from snapshot@{snap['cycle']}"
+
+    def test_resume_chain(self):
+        """Snapshot, restore, snapshot again later, restore that: the
+        kill → resume → kill → resume path crash recovery relies on."""
+        kind = "bt-hcc-dts-gwb"
+        ref = reference(kind)
+        _, snaps = run_with_daemon(kind, 1000)
+        first = snaps[0]
+        # The restored run re-arms a daemon, as a resumed worker does.
+        later = []
+        app, machine, rt = build(kind)
+        daemon = CheckpointDaemon(
+            machine, 1000, lambda m: later.append(m.snapshot())
+        )
+        machine.restore(first, app.make_root(serial=False))
+        daemon.arm()
+        cycles = rt.resume_run()
+        daemon.cancel()
+        app.check()
+        assert end_state(machine, rt, cycles) == ref
+        assert later and later[0]["cycle"] > first["cycle"]
+        resumed = restore_and_finish(kind, later[0])
+        assert resumed == ref
 
     def test_fresh_process_restore_is_byte_identical(self, tmp_path):
         """ISSUE acceptance: restore in a process that shares nothing with
@@ -355,150 +376,6 @@ class TestHarnessIntegration:
             a, b = dataclasses.asdict(c), dataclasses.asdict(w)
             a.pop("extras"), b.pop("extras")
             assert a == b
-
-
-def park_run(kind, park_path, *, poll=2000, fusion=True):
-    """Run until the ParkDaemon sees ``park_path``; return the snapshot
-    it captured and the ParkedRun it raised."""
-    captured = []
-    app, machine, rt = build(kind, fusion=fusion)
-    daemon = ParkDaemon(
-        machine, poll, str(park_path), lambda m: captured.append(m.snapshot())
-    )
-    daemon.arm()
-    with pytest.raises(ParkedRun) as excinfo:
-        rt.run(app.make_root(serial=False))
-    assert len(captured) == 1
-    return captured[0], excinfo.value
-
-
-class TestPreemption:
-    """Satellite of ISSUE 9: park a run mid-flight, service other work,
-    resume — the resumed run must be byte-identical to an uninterrupted
-    one (same digest, stats, task/spawn counts)."""
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_park_service_resume_is_byte_identical(self, kind, tmp_path):
-        ref = reference(kind)
-        park_path = tmp_path / "park-request"
-        park_path.write_text("")  # supervisor touched the park file
-        snap, parked = park_run(kind, park_path)
-        assert parked.cycle == snap["cycle"]
-        assert parked.cycle < ref["cycles"], "parked after the run ended"
-        # The slot now services a different job (the preempting one).
-        other = reference("bt-mesi" if kind != "bt-mesi" else "bt-hcc-gwb")
-        assert other["cycles"] > 0
-        # Resume the parked run: end state identical to never parking.
-        resumed = restore_and_finish(kind, snap)
-        assert resumed == ref
-
-    def test_park_mid_steal_in_flight(self, tmp_path):
-        """A park can land while a DTS steal is on the wire; the snapshot
-        carries the in-flight ULI descriptors and resumes identically."""
-        ref = reference("bt-hcc-dts-gwb")
-        park_path = tmp_path / "park-request"
-        park_path.write_text("")
-        # A fine poll makes the park land early, while steals are active.
-        snap, _ = park_run("bt-hcc-dts-gwb", park_path, poll=250)
-        resumed = restore_and_finish("bt-hcc-dts-gwb", snap)
-        assert resumed == ref
-
-    def test_double_park_resume_chain(self, tmp_path):
-        """Parked, resumed, parked again, resumed again — state survives
-        arbitrarily many preemption cycles."""
-        kind = "bt-hcc-dts-gwb"
-        ref = reference(kind)
-        park_path = tmp_path / "park-request"
-        park_path.write_text("")
-        snap1, parked1 = park_run(kind, park_path, poll=2000)
-        # Resume with the park request still standing: a finer poll lands
-        # the second park strictly after the first, before the run ends.
-        captured = []
-        app, machine, rt = build(kind)
-        daemon = ParkDaemon(
-            machine, 1000, str(park_path), lambda m: captured.append(m.snapshot())
-        )
-        machine.restore(snap1, app.make_root(serial=False))
-        daemon.arm()
-        with pytest.raises(ParkedRun) as excinfo:
-            rt.resume_run()
-        assert excinfo.value.cycle > parked1.cycle
-        resumed = restore_and_finish(kind, captured[0])
-        assert resumed == ref
-
-    def test_no_park_file_means_no_park(self, tmp_path):
-        """An armed ParkDaemon with no park request perturbs nothing."""
-        ref = reference("bt-mesi")
-        app, machine, rt = build("bt-mesi")
-        daemon = ParkDaemon(
-            machine, 2000, str(tmp_path / "never-created"), lambda m: None
-        )
-        daemon.arm()
-        cycles = rt.run(app.make_root(serial=False))
-        daemon.cancel()
-        app.check()
-        assert end_state(machine, rt, cycles) == ref
-
-    def test_run_experiment_park_and_resume(self, tmp_path):
-        """Harness integration: run_experiment raises ParkedRun, leaves
-        the snapshot behind, and a resume finishes with the cold result."""
-        from repro.harness import run_experiment
-
-        cold = run_experiment(APP, "bt-hcc-dts-gwb", "tiny", use_cache=False)
-        snap_path = str(tmp_path / "job.ckpt")
-        park_path = f"{snap_path}.park"
-        with open(park_path, "w"):
-            pass
-        with pytest.raises(ParkedRun) as excinfo:
-            run_experiment(
-                APP, "bt-hcc-dts-gwb", "tiny", use_cache=False,
-                checkpoint={
-                    "path": snap_path, "park_path": park_path,
-                    "park_poll": 2000,
-                },
-            )
-        assert excinfo.value.path == snap_path
-        assert os.path.exists(snap_path)
-        os.unlink(park_path)  # supervisor consumes the request
-        resumed = run_experiment(
-            APP, "bt-hcc-dts-gwb", "tiny", use_cache=False,
-            checkpoint={"path": snap_path, "resume": True},
-        )
-        assert resumed.extras["ckpt_resumed_from"] == excinfo.value.cycle
-        a, b = dataclasses.asdict(cold), dataclasses.asdict(resumed)
-        a.pop("extras"), b.pop("extras")
-        assert a == b
-
-    def test_parked_run_records_ledger_outcome(self, tmp_path):
-        from repro.harness import run_experiment
-        from repro.obs.ledger import read_ledger, set_ledger
-
-        ledger_path = tmp_path / "ledger.jsonl"
-        set_ledger(str(ledger_path))
-        try:
-            snap_path = str(tmp_path / "job.ckpt")
-            park_path = f"{snap_path}.park"
-            with open(park_path, "w"):
-                pass
-            with pytest.raises(ParkedRun):
-                run_experiment(
-                    APP, "bt-mesi", "tiny", use_cache=False,
-                    checkpoint={"path": snap_path, "park_path": park_path},
-                )
-        finally:
-            set_ledger(None)
-        entries = read_ledger(ledger_path)
-        assert [e["outcome"] for e in entries] == ["parked"]
-        assert entries[0]["cycles"] > 0  # the park cycle
-
-    def test_park_without_snapshot_path_rejected(self):
-        from repro.harness import run_experiment
-
-        with pytest.raises(CheckpointError, match="park"):
-            run_experiment(
-                APP, "bt-mesi", "tiny", use_cache=False,
-                checkpoint={"park_path": "x.park"},
-            )
 
 
 class TestGuards:

@@ -103,6 +103,12 @@ class TestTables:
             assert row["rel_bt-hcc-gwb"] > 0
         text = format_table3(rows)
         assert "cilk5-mt" in text and "geomean" in text
+        # DInst, Work and Span have no geomean: those cells print blank,
+        # not 0, and the row keeps the table's column alignment.
+        lines = text.splitlines()
+        summary = next(line for line in lines if line.startswith("geomean"))
+        assert summary.split()[1] == f"{rows[-1]['para']:.2f}"
+        assert len(summary) == len(lines[-2])
 
     def test_table4_percentages(self):
         rows = table4("tiny", apps=("cilk5-mt",))

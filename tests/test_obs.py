@@ -444,8 +444,7 @@ class TestReport:
         summary = aggregate(entries, malformed=1)
         assert summary["runs"] == 4
         assert summary["totals"] == {
-            "ok": 1, "store-hit": 1, "memo-hit": 0, "failed": 1,
-            "parked": 0, "other": 1,
+            "ok": 1, "store-hit": 1, "memo-hit": 0, "failed": 1, "other": 1,
         }
         assert summary["simulated"] == 2 and summary["hits"] == 1
         assert summary["hosts"] == 3  # h1/h2 plus the host-less entry

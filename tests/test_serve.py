@@ -5,11 +5,12 @@ Three layers, increasingly integrated:
 * pure-logic units (queue ordering, admission policy, journal replay)
   with no processes and no clocks;
 * the supervisor against a *fake* spawn function and an injected clock —
-  every failure verdict (death, timeout, wedged, park, poison job)
-  exercised in milliseconds;
+  every failure verdict (death, timeout, wedged, poison job) exercised in
+  milliseconds;
 * end-to-end runs on real forked grid workers, including the kill-recovery
   invariant: a server "crash" mid-run loses no job, re-runs at most what
-  never completed, and parked jobs resume from their snapshots.
+  never completed, and a killed worker's retry resumes from its periodic
+  snapshot.
 """
 
 import json
@@ -142,7 +143,11 @@ class TestServerRequests:
         }
         # Run-mode fields are not job fields: a client must never choose a
         # server-side snapshot path, and every run checks its result.
-        for name, value in (("checkpoint", {"path": "/tmp/x.ckpt"}), ("check", True)):
+        # Nothing preempts a job any more, so "preemptible" is unknown too.
+        for name, value in (
+            ("checkpoint", {"path": "/tmp/x.ckpt"}), ("check", True),
+            ("preemptible", False),
+        ):
             response = asyncio.run(server._handle_request(
                 {"op": "submit", "job": dict(job().as_dict(), **{name: value})}
             ))
@@ -154,10 +159,28 @@ class TestServerRequests:
             {"op": "submit", "job": dict(job().as_dict(), faults="no_such_knob=1")}
         ))
         assert response["ok"] is False and "unknown fault knob" in response["error"]
+        # Malformed service fields fail before anything is journaled: they
+        # used to poison the journal and fail every later recovery.
+        for name, value in (
+            ("priority", "high"), ("priority", True), ("priority", 1.5),
+            ("tenant", 7), ("deadline_s", "soon"), ("deadline_s", -1.0),
+            ("deadline_s", float("inf")), ("deadline_s", float("nan")),
+        ):
+            response = asyncio.run(server._handle_request(
+                {"op": "submit", "job": dict(job().as_dict(), **{name: value})}
+            ))
+            assert response["ok"] is False, (name, value)
+            assert response["error"].startswith("bad job: ")
+            assert name in response["error"]
         assert supervisor.queue.records == {}
-        # Journals written before "check" was removed still replay.
+        assert not os.path.exists(supervisor.journal.path)
+        # Journals written before "check" and "preemptible" were removed
+        # still replay.
         journal = Journal(tmp_path / "old-journal.jsonl")
-        journal.append("submit", id="j-1", job=dict(job().as_dict(), check=True))
+        journal.append(
+            "submit", id="j-1",
+            job=dict(job().as_dict(), check=True, preemptible=True),
+        )
         records, _, stats = replay(journal.path)
         assert records["j-1"].job == job() and stats["malformed"] == 0
         ok = asyncio.run(
@@ -233,11 +256,12 @@ class TestJournal:
             journal.append("done", id="j-3", outcome="ok")
             queue, report = recover(journal)
             assert report["killed"] == [proc.pid]
+            assert report["malformed"] == 0
             proc.wait(timeout=10)  # SIGKILLed by recovery
             assert queue.records["j-1"].state == "pending"
-            parked = queue.records["j-2"]
-            assert parked.state == "pending"
-            assert parked.snapshot == str(tmp_path / "j-2.ckpt")  # resume source
+            # A park line from a journal written when jobs could be
+            # preempted replays as back-to-pending.
+            assert queue.records["j-2"].state == "pending"
             assert queue.records["j-3"].state == "done"  # terminal stays
             # Recovery is itself journaled, and a second replay sees the
             # marker (no orphan double-kill on the next restart).
@@ -247,15 +271,19 @@ class TestJournal:
             if proc.poll() is None:
                 proc.kill()
 
-    def test_recover_clears_stale_park_files(self, tmp_path):
-        snap = tmp_path / "j-1.ckpt"
-        park = tmp_path / "j-1.ckpt.park"
-        park.write_text("")
+    def test_replay_skips_a_malformed_submit(self, tmp_path):
+        # Servers that did not validate service fields journaled such a
+        # job before failing on it; recovery must skip it, not die on it.
         journal = Journal(tmp_path / "journal.jsonl")
-        journal.append("submit", id="j-1", job=job().as_dict())
-        journal.append("park", id="j-1", snapshot=str(snap), cycle=3)
-        recover(journal)
-        assert not park.exists()
+        journal.append("submit", id="j-1", job=dict(job().as_dict(), priority="high"))
+        journal.append("submit", id="j-2", job=job().as_dict())
+        journal.append("start", id="j-1", pid=999999, attempt=1)
+        queue, report = recover(journal)
+        assert sorted(queue.records) == ["j-2"]
+        assert queue.records["j-2"].state == "pending"
+        # The skipped submit and the start that referred to it.
+        assert report["malformed"] == 2
+        assert queue.pop_runnable().id == "j-2"
 
 
 # ----------------------------------------------------------------------
@@ -564,61 +592,6 @@ class TestSupervisor:
         assert follower.id in supervisor.active  # promoted to run itself
         assert follower.dedup_of is None
 
-    def test_preemption_parks_batch_for_deadline_job(self, tmp_path):
-        supervisor, spawner, clock = make_supervisor(tmp_path, slots=1)
-        batch = supervisor.submit(job(priority=5))
-        supervisor.poll()
-        assert batch.id in supervisor.active
-        deadline = supervisor.submit(
-            job(app_overrides={"n": 2}, deadline_s=30.0)
-        )
-        supervisor.poll()  # requests the park
-        active = supervisor.active[batch.id]
-        assert active.park_deadline is not None
-        assert os.path.exists(active.park_path)
-        # The worker's ParkDaemon sees the file, snapshots, and reports.
-        snapshot = active.snapshot_path
-        spawner.handle_for(batch.id).messages.append(
-            ("parked", {"cycle": 4000, "snapshot": snapshot})
-        )
-        supervisor.poll()
-        assert batch.state in ("parked", "running")  # may already redispatch
-        assert batch.parks == 1 and batch.snapshot == snapshot
-        assert deadline.id in supervisor.active  # the slot changed hands
-        # Park request consumed: a resume won't immediately re-park.
-        assert not os.path.exists(active.park_path)
-        spawner.handle_for(deadline.id).finish_ok()
-        supervisor.poll()
-        assert deadline.state == "done"
-        # The parked batch job is redispatched with resume semantics.
-        assert batch.id in supervisor.active
-
-    def test_park_grace_expiry_kills_without_burning_attempt(self, tmp_path):
-        supervisor, spawner, clock = make_supervisor(
-            tmp_path, slots=1, park_grace_s=2.0
-        )
-        batch = supervisor.submit(job())
-        supervisor.poll()
-        supervisor.submit(job(app_overrides={"n": 2}, deadline_s=5.0))
-        supervisor.poll()  # park requested
-        handle = spawner.handle_for(batch.id)
-        clock.advance(2.5)  # grace expires without a park message
-        supervisor.poll()
-        assert handle.killed
-        assert batch.attempts == 1  # park-timeout burns no attempt
-        records, _, _ = replay(supervisor.journal.path)
-        assert records[batch.id].state in ("pending", "running")
-
-    def test_non_preemptible_job_is_never_parked(self, tmp_path):
-        supervisor, spawner, _ = make_supervisor(tmp_path, slots=1)
-        pinned = supervisor.submit(job(preemptible=False))
-        supervisor.poll()
-        supervisor.submit(job(app_overrides={"n": 2}, deadline_s=5.0))
-        supervisor.poll()
-        active = supervisor.active[pinned.id]
-        assert active.park_path is None
-        assert active.park_deadline is None  # no park was requested
-
     def test_status_snapshot_shape(self, tmp_path):
         supervisor, _, _ = make_supervisor(tmp_path)
         supervisor.submit(job())
@@ -705,34 +678,83 @@ class TestEndToEnd:
         outcomes = sorted(r.outcome for r in records)
         assert outcomes in (["dedup", "ok", "ok"], ["ok", "ok", "ok"])
 
-    def test_preempt_park_resume_end_to_end(self, tmp_path):
-        """A real worker parks on request and the resumed run finishes
-        with the same result a cold run produces."""
-        from repro.harness import run_experiment
+    def test_killed_worker_resumes_from_its_snapshot(self, tmp_path):
+        """A real worker killed mid-run is retried from its periodic
+        snapshot, and the resumed run finishes with the cold result."""
+        from repro.harness.export import result_to_dict
+        from repro.harness.runner import run_point
 
-        reference = run_experiment(
-            "cilk5-cs", "bt-hcc-dts-gwb", "tiny", use_cache=False
-        )
+        # Long enough (~33k cycles, 16 snapshots) that the kill, sent as
+        # soon as the first snapshot exists, always lands mid-run.
+        point = job(app="cilk5-cs", kind="bt-hcc-dts-gwb", scale="quick")
+        reference = run_point(point, use_cache=False)
         clear_cache()
         set_result_store(tmp_path / "results")
         supervisor = Supervisor(
             JobQueue(),
             Journal(tmp_path / "journal.jsonl"),
-            ServePolicy(
-                slots=1, backoff=NO_BACKOFF,
-                checkpoint_interval=2000, park_poll=500, park_grace_s=60.0,
-            ),
+            ServePolicy(slots=1, backoff=NO_BACKOFF, checkpoint_interval=2000),
             str(tmp_path),
         )
-        batch = supervisor.submit(job(app="cilk5-cs", kind="bt-hcc-dts-gwb"))
-        deadline_job = supervisor.submit(
-            job(app="cilk5-mt", deadline_s=120.0, priority=1)
+        record = supervisor.submit(point)
+        snapshot = tmp_path / "snapshots" / f"{record.id}.ckpt"
+        drive(supervisor, snapshot.exists)
+        supervisor.active[record.id].handle.kill()
+        drive(supervisor, lambda: record.terminal)
+        assert record.state == "done", record.message
+        assert record.attempts == 2  # the kill cost one worker-died retry
+        starts = [
+            entry for entry in map(json.loads, open(supervisor.journal.path))
+            if entry["ev"] == "start"
+        ]
+        assert [entry["resume"] for entry in starts] == [False, True]
+        result = dict(record.result)
+        assert result.pop("extras")["ckpt_resumed_from"] >= 2000
+        expected = result_to_dict(reference)
+        expected.pop("extras")
+        assert result == expected
+
+    def test_killed_server_leaves_no_listener_behind(self, tmp_path):
+        """Workers must not inherit the server's listening socket: one that
+        outlived a SIGKILLed server kept the socket listening, so a client
+        connected to nobody and the next server's orphan kill reset it."""
+        import socket
+
+        from repro.serve import connect
+        from repro.serve.server import socket_path
+
+        workdir = str(tmp_path / "work")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, REPRO_RESULTS_DIR=str(tmp_path / "results"))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", workdir, "--slots", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        drive(supervisor, lambda: batch.terminal and deadline_job.terminal)
-        assert deadline_job.state == "done"
-        assert batch.state == "done", batch.message
-        # Byte-identical to the uninterrupted run (whether or not the
-        # park raced the run's completion, the result must match).
-        assert batch.result["cycles"] == reference.cycles
-        assert batch.result["tasks"] == reference.tasks
-        assert batch.result["spawns"] == reference.spawns
+        worker_pid = None
+        try:
+            with connect(socket_path(workdir), retry_for_s=30.0) as client:
+                # A paper-scale run (seconds): the worker outlives the kill.
+                client.submit(job(kind="bt-hcc-dts-gwb", app="cilk5-cs",
+                                  scale="paper").as_dict())
+                deadline = time.monotonic() + 30.0
+                while worker_pid is None:
+                    active = client.status()["active"]
+                    worker_pid = active[0]["pid"] if active else None
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+            server.kill()
+            server.wait(timeout=10)
+            os.kill(worker_pid, 0)  # the orphan is still running
+            with socket.socket(socket.AF_UNIX) as probe:
+                with pytest.raises(ConnectionRefusedError):
+                    probe.connect(socket_path(workdir))
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=10)
+            if worker_pid is not None:
+                try:
+                    os.kill(worker_pid, 9)
+                except OSError:
+                    pass
