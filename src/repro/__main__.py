@@ -87,14 +87,11 @@ def _cmd_run(args) -> int:
         tracer = Tracer()
         sample_interval = args.trace_interval or 10_000
     checkpoint = None
-    if args.checkpoint or args.init_dir:
+    if args.checkpoint:
         checkpoint = {
             "path": args.checkpoint,
-            "interval": (
-                (args.checkpoint_interval or 50_000) if args.checkpoint else None
-            ),
+            "interval": args.checkpoint_interval or 50_000,
             "resume": args.resume,
-            "init_dir": args.init_dir,
             "keep": args.keep_checkpoint,
         }
     try:
@@ -138,8 +135,6 @@ def _cmd_run(args) -> int:
               "(0 violations)")
     if "ckpt_resumed_from" in result.extras:
         print(f"resumed from   : cycle {int(result.extras['ckpt_resumed_from'])}")
-    if "ckpt_warm_start" in result.extras:
-        print("warm start     : init phase restored from snapshot")
     if "ckpt_snapshots" in result.extras:
         print(f"snapshots taken: {int(result.extras['ckpt_snapshots'])}")
     if args.baseline:
@@ -270,19 +265,19 @@ def _cmd_checkpoint(args) -> int:
     from repro.engine.checkpoint import load_snapshot
 
     snap = load_snapshot(args.snapshot)
+    if snap["kind"] != "run":
+        print(f"repro checkpoint: {args.snapshot} is not a run snapshot",
+              file=sys.stderr)
+        return 2
     print(f"snapshot       : {args.snapshot}")
     print(f"kind           : {snap['kind']}")
     print(f"format version : {snap['version']}")
-    if snap["kind"] == "run":
-        print(f"cycle          : {snap['cycle']}")
-        print(f"cores          : {len(snap['cores'])}")
-        print(f"pending events : {len(snap['sim']['queue'])}")
-        print(f"replay log     : {len(snap['log'])} entries")
-        print(f"program done   : {snap['runtime']['done']}")
-        print(f"traced         : {snap['tracer'] is not None}")
-    else:
-        print(f"init signature : {snap['signature']}")
-        print(f"memory lines   : {len(snap['memory'])}")
+    print(f"cycle          : {snap['cycle']}")
+    print(f"cores          : {len(snap['cores'])}")
+    print(f"pending events : {len(snap['sim']['queue'])}")
+    print(f"replay log     : {len(snap['log'])} entries")
+    print(f"program done   : {snap['runtime']['done']}")
+    print(f"traced         : {snap['tracer'] is not None}")
     return 0
 
 
@@ -502,10 +497,6 @@ def main(argv=None) -> int:
     run_parser.add_argument("--keep-checkpoint", action="store_true",
                             help="keep the --checkpoint file after a "
                                  "successful run")
-    run_parser.add_argument("--init-dir", default=None, metavar="DIR",
-                            help="warm-start: reuse (or create) per-app init "
-                                 "snapshots in DIR, skipping the serial setup "
-                                 "phase on later runs")
     trace_parser = sub.add_parser(
         "trace",
         help="run one experiment with full tracing and export it for Perfetto",

@@ -5,10 +5,7 @@ at an event boundary — clock and event heap, per-core coroutine stacks,
 runtime bookkeeping, every cache/directory/DRAM/NoC/traffic structure,
 statistics, RNG streams, tracer events, and backing memory — so the run can
 be killed and later finished in a fresh process with byte-identical
-results.  An *init snapshot* captures only the host-visible post-``setup``
-state (backing memory, address space, the app object) so the N
-configuration variants of a sweep can warm-start from one shared serial
-init phase instead of re-running it N times.
+results.
 
 The hard problem is the coroutine stacks: thread programs are Python
 generators, which cannot be pickled.  Instead of serializing frames the
@@ -49,7 +46,6 @@ from __future__ import annotations
 
 import copy
 import gzip
-import io
 import os
 import pickle
 from dataclasses import dataclass
@@ -75,23 +71,26 @@ class CheckpointError(RuntimeError):
 # ----------------------------------------------------------------------
 @dataclass
 class CheckpointConfig:
-    """How a harness run uses checkpointing.
+    """How a harness run snapshots itself.
 
-    ``path``/``interval`` drive periodic run snapshots; ``resume`` makes
-    ``run_experiment`` restore from ``path`` when it exists, so a run
-    killed mid-flight (a crashed worker, a SIGKILLed service) finishes
-    from its last periodic snapshot; ``init_dir`` enables warm-start init
-    snapshots shared across configurations.  None of these fields
-    participate in memo or store keys: checkpointing never perturbs a
-    simulation's outcome.
+    ``path`` names the run's snapshot file and is required: a spec without
+    one would silently run cold.  ``interval`` drives periodic snapshots
+    to ``path``; ``resume`` makes ``run_experiment`` restore from ``path``
+    when it exists, so a run killed mid-flight (a crashed worker, a
+    SIGKILLed service) finishes from its last periodic snapshot; ``keep``
+    leaves the file in place after a successful run.  None of these
+    fields participate in memo or store keys: checkpointing never perturbs
+    a simulation's outcome.
     """
 
-    path: Optional[str] = None
+    path: str
     interval: Optional[int] = None
     resume: bool = False
-    init_dir: Optional[str] = None
-    save_init: bool = True
     keep: bool = False
+
+    def __post_init__(self):
+        if not self.path:
+            raise ValueError("a checkpoint spec needs a snapshot path")
 
     @classmethod
     def coerce(cls, value) -> Optional["CheckpointConfig"]:
@@ -552,87 +551,6 @@ def restore_run_state(machine, snap: dict, root, main_tid: int = 0) -> None:
     # Continue the send log from the snapshot so later snapshots of the
     # resumed run are themselves restorable (in place: cores share the list).
     machine._ckpt_log[:] = snap["log"]
-
-
-# ----------------------------------------------------------------------
-# Init (warm-start) snapshots
-# ----------------------------------------------------------------------
-class _AppPickler(pickle.Pickler):
-    """Pickles an app object, persisting its machine out by reference."""
-
-    def __init__(self, buffer, machine):
-        super().__init__(buffer, protocol=4)
-        self._machine = machine
-
-    def persistent_id(self, obj):
-        if obj is self._machine:
-            return "machine"
-        return None
-
-
-class _AppUnpickler(pickle.Unpickler):
-    def __init__(self, buffer, machine):
-        super().__init__(buffer)
-        self._machine = machine
-
-    def persistent_load(self, pid):
-        if pid == "machine":
-            return self._machine
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-
-
-def capture_init_state(machine, app, signature: Optional[str] = None) -> dict:
-    """Snapshot the post-``setup`` host state for warm-start fan-out.
-
-    Valid only between ``app.setup(machine)`` and runtime construction:
-    the snapshot carries backing memory, the address space, and the app
-    object (machine references persisted by id).  Setup is a host-only
-    phase — it must not consume ``machine.rng`` or touch timed state —
-    which is what makes one init snapshot valid for every configuration
-    of the same (app, scale, app_params); this is checked here.
-    """
-    from repro.engine.rng import XorShift64
-
-    sim = machine.sim
-    if sim.now != 0 or sim.events_executed or sim.events_fused:
-        raise CheckpointError("init snapshots must be taken before the run starts")
-    if machine.rng._state != XorShift64(machine.config.seed)._state:
-        raise CheckpointError(
-            "app setup consumed machine.rng; its init phase is not "
-            "configuration-invariant, so warm-starting it is unsound"
-        )
-    buffer = io.BytesIO()
-    _AppPickler(buffer, machine).dump(app)
-    return {
-        "magic": MAGIC,
-        "version": FORMAT_VERSION,
-        "kind": "init",
-        "signature": signature,
-        "app_pickle": buffer.getvalue(),
-        "memory": machine.memory.export_state(),
-        "address_space": machine.address_space.export_state(),
-    }
-
-
-def restore_init_state(machine, snap: dict, signature: Optional[str] = None):
-    """Apply an init snapshot to a fresh machine; returns the app object.
-
-    The caller then constructs the runtime and runs normally — further
-    allocations continue from the restored address-space cursor exactly
-    as they would have after a real ``setup``.
-    """
-    if snap.get("kind") != "init":
-        raise CheckpointError(f"expected an init snapshot, got {snap.get('kind')!r}")
-    if signature is not None and snap.get("signature") != signature:
-        raise CheckpointError(
-            f"init snapshot signature {snap.get('signature')!r} does not "
-            f"match this experiment's {signature!r}"
-        )
-    if machine.sim.now != 0 or machine.sim.events_executed:
-        raise CheckpointError("init snapshots restore only into fresh machines")
-    machine.memory.load_state(snap["memory"])
-    machine.address_space.load_state(snap["address_space"])
-    return _AppUnpickler(io.BytesIO(snap["app_pickle"]), machine).load()
 
 
 # ----------------------------------------------------------------------

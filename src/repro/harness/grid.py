@@ -181,10 +181,6 @@ class _Progress:
         if self.done == self.total:
             termlog.end_status()
 
-    def note(self, message: str) -> None:
-        if self.enabled:
-            termlog.log(message)
-
 
 # ----------------------------------------------------------------------
 # Worker start method (repro.harness.worker starts the processes)
@@ -265,7 +261,6 @@ def _point_checkpoint_spec(
     checkpoint_dir: str,
     checkpoint_interval: Optional[int],
     resume: bool,
-    warm_init: bool,
 ) -> dict:
     """The CheckpointConfig kwargs one grid point runs with.
 
@@ -277,50 +272,7 @@ def _point_checkpoint_spec(
         path=os.path.join(checkpoint_dir, f"{hash_key(point.key())[:20]}.ckpt"),
         interval=checkpoint_interval,
         resume=resume,
-        init_dir=os.path.join(checkpoint_dir, "init") if warm_init else None,
     )
-
-
-def _precompute_init_snapshots(
-    points: Sequence[GridPoint], init_dir: str, meter
-) -> None:
-    """Run each distinct app init phase once, serially, in the parent.
-
-    Every point gets its post-setup image written to ``init_dir`` (keyed
-    by init signature), so the fanned-out configuration variants all
-    warm-start from one shared init instead of each re-running it.  Apps
-    whose setup consumes the machine RNG are skipped with a note — they
-    cold-start safely.
-    """
-    from repro.apps import make_app
-    from repro.config import make_config
-    from repro.engine.checkpoint import (
-        CheckpointError,
-        capture_init_state,
-        save_snapshot,
-    )
-    from repro.harness.params import app_params, init_signature
-    from repro.machine import Machine
-
-    seen = set()
-    for point in points:
-        overrides = point.app_overrides or {}
-        sig = init_signature(point.app, point.scale, **overrides)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        path = os.path.join(init_dir, f"{sig}.init")
-        if os.path.exists(path):
-            continue
-        app = make_app(point.app, **app_params(point.app, point.scale, **overrides))
-        machine = Machine(
-            make_config(point.kind, point.scale, **(point.config_overrides or {}))
-        )
-        app.setup(machine)
-        try:
-            save_snapshot(path, capture_init_state(machine, app, sig))
-        except CheckpointError as exc:
-            meter.note(f"no init snapshot for {point.app}/{point.scale}: {exc}")
 
 
 def run_grid(
@@ -332,7 +284,6 @@ def run_grid(
     on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
     checkpoint_interval: Optional[int] = 50_000,
-    warm_init: bool = False,
     backoff: Optional[BackoffPolicy] = None,
 ):
     """Run every grid point; return results in input order.
@@ -362,9 +313,6 @@ def run_grid(
     restore-on-restart — a retried, re-run, or previously killed point
     picks up from its latest snapshot instead of starting over (results
     are byte-identical either way; it requires ``checkpoint_dir``).
-    ``warm_init`` additionally runs each distinct app init phase once,
-    serially, and warm-starts every configuration variant from that shared
-    post-setup image.
     """
     if on_error not in ("raise", "record", "resume"):
         raise ValueError(
@@ -372,8 +320,6 @@ def run_grid(
         )
     if on_error == "resume" and checkpoint_dir is None:
         raise ValueError("on_error='resume' requires checkpoint_dir")
-    if warm_init and checkpoint_dir is None:
-        raise ValueError("warm_init requires checkpoint_dir")
     points = list(points)
     specs: List[Optional[dict]] = [None] * len(points)
     if checkpoint_dir is not None:
@@ -383,7 +329,6 @@ def run_grid(
                 checkpoint_dir,
                 checkpoint_interval,
                 resume=(on_error == "resume"),
-                warm_init=warm_init,
             )
             for point in points
         ]
@@ -392,10 +337,6 @@ def run_grid(
     meter = _Progress(len(points), termlog.progress_enabled(progress))
     if not points:
         return []
-    if warm_init:
-        _precompute_init_snapshots(
-            points, os.path.join(checkpoint_dir, "init"), meter
-        )
     if on_error == "resume":
         on_error = "record"
     if jobs <= 1 or len(points) == 1:

@@ -124,38 +124,10 @@ APP_PARAMS: Dict[str, Dict[str, dict]] = {
 TABLE5_APPS = ("cilk5-cs", "ligra-bc", "ligra-bfs", "ligra-cc", "ligra-tc")
 
 
-# ``app_name`` and ``scale`` are positional-only here, in init_signature and
-# in runner.workspan: the Ligra apps take their own ``scale`` (graph size)
-# as an override.
+# ``app_name`` and ``scale`` are positional-only here and in the runner's
+# ``workspan`` and ``_init_signature``: the Ligra apps take their own
+# ``scale`` (graph size) as an override.
 def app_params(app_name: str, scale: str, /, **overrides) -> dict:
     params = dict(APP_PARAMS[app_name][scale])
     params.update(overrides)
     return params
-
-
-def init_signature(app_name: str, scale: str, /, **overrides) -> str:
-    """Digest identifying an app's init (setup) phase for warm starts.
-
-    Two experiments share an init snapshot exactly when this matches: the
-    app, its fully resolved input parameters, and the code version — but
-    *not* the system kind or runtime flags, because ``app.setup`` runs on
-    the host before any machine state exists (checked at capture time by
-    ``repro.engine.checkpoint.capture_init_state``).  The same value is
-    recorded in result-store keys (schema 3) whether a run was warm- or
-    cold-started, so warm results satisfy cold probes and vice versa.
-    """
-    import hashlib
-    import json
-
-    from repro import __version__
-
-    payload = json.dumps(
-        {
-            "app": app_name,
-            "scale": scale,
-            "app_params": app_params(app_name, scale, **overrides),
-            "code_version": __version__,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]

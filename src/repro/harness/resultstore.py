@@ -40,12 +40,11 @@ from typing import Optional
 
 #: Schema/version tag mixed into every key; bump to invalidate old stores.
 #: 2: keys gained the "robustness" block (fault plan / sanitizer / watchdog).
-#: 3: experiment keys gained "init_signature" (checkpoint warm-start
-#:    identity; see repro.harness.params.init_signature) and payloads an
-#:    optional "lineage" block recording warm-start/resume provenance.
-#:    Lineage is payload-only by design: a warm-started or resumed run is
-#:    byte-identical to a cold one, so either must satisfy the other's
-#:    probes.
+#: 3: experiment keys gained "init_signature" and payloads an optional
+#:    "lineage" block recording resume provenance.  The signature is kept
+#:    only for key identity (see repro.harness.runner._init_signature).
+#:    Lineage is payload-only by design: a resumed run is byte-identical
+#:    to a cold one, so either must satisfy the other's probes.
 #: 4: experiment keys gained "mode" (exact vs sampled plus the sampling
 #:    spec), firewalling sampled estimates from exact results.
 #: 5: "mode" dropped again with sampled simulation; every run is exact.

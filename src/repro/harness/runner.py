@@ -17,6 +17,8 @@ The store is configured explicitly with :func:`set_result_store` (the CLI's
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -31,15 +33,12 @@ from repro.core import WorkStealingRuntime
 from repro.engine.checkpoint import (
     CheckpointConfig,
     CheckpointDaemon,
-    CheckpointError,
-    capture_init_state,
     capture_run_state,
     load_snapshot,
-    restore_init_state,
     save_snapshot,
 )
 from repro.faults import FaultPlan
-from repro.harness.params import app_params, init_signature
+from repro.harness.params import app_params
 from repro.harness.resultstore import STORE_SCHEMA, ResultStore, hash_key
 from repro.machine import Machine
 from repro.obs.heartbeat import heartbeat_dir
@@ -227,12 +226,7 @@ class GridPoint:
                 "runtime_kwargs": self.runtime_kwargs or {},
                 "config": dataclasses.asdict(config),
                 "robustness": self.robustness(),
-                # Schema 3: identifies the shared init phase.  Computed the
-                # same way for cold and warm-started runs (checkpointing never
-                # perturbs outcomes), so either satisfies probes for the other;
-                # whether a stored result actually warm-started or resumed is
-                # recorded in the payload's "lineage", not the key.
-                "init_signature": init_signature(
+                "init_signature": _init_signature(
                     self.app, self.scale, **app_overrides
                 ),
             },
@@ -256,6 +250,25 @@ class GridPoint:
         if self.watchdog is not None:
             parts.append(f"watchdog={self.watchdog}")
         return " ".join(parts)
+
+
+def _init_signature(app_name: str, scale: str, /, **overrides) -> str:
+    """Digest of an app's resolved inputs and the code version.
+
+    Kept only for store-key identity: it adds nothing the key's
+    ``app_params`` and ``code_version`` do not, but schema-3 keys carry it
+    and dropping it would orphan every stored result.
+    """
+    payload = json.dumps(
+        {
+            "app": app_name,
+            "scale": scale,
+            "app_params": app_params(app_name, scale, **overrides),
+            "code_version": __version__,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
 def _workspan_store_key(app_name: str, scale: str, overrides: dict) -> dict:
@@ -384,10 +397,10 @@ def run_point(
     path, or a kwargs dict) enables deterministic checkpoint/restore:
     with ``path`` + ``interval`` the run snapshots itself periodically;
     with ``resume`` an existing snapshot at ``path`` is restored and the
-    run finishes from there, byte-identical to an uninterrupted run; with
-    ``init_dir`` the post-``setup`` state is shared across configurations
-    (warm-start fan-out).  Checkpointing never perturbs a simulation's
-    outcome, so it participates in neither the memo key nor the store key;
+    run finishes from there, byte-identical to an uninterrupted run.  A
+    spec without a ``path`` raises before anything is simulated.
+    Checkpointing never perturbs a simulation's outcome, so it
+    participates in neither the memo key nor the store key;
     provenance lands in ``result.extras`` (``ckpt_*`` keys) and the store
     payload's ``lineage``.
     """
@@ -473,8 +486,6 @@ def _simulate_experiment(
     """
     global _SIM_COUNT
     _SIM_COUNT += 1
-    app_overrides = point.app_overrides or {}
-    params = app_params(point.app, point.scale, **app_overrides)
     machine = Machine(
         make_config(point.kind, point.scale, **(point.config_overrides or {})),
         tracer=tracer,
@@ -482,37 +493,22 @@ def _simulate_experiment(
         sanitize=point.sanitize,
     )
     ctx["seed"] = machine.config.seed
-    run_snapshots = ckpt is not None and ckpt.path is not None
-    if run_snapshots:
+    if ckpt is not None:
         machine.enable_checkpointing()
 
-    lineage = {"warm_start": False, "resumed_from_cycle": None, "snapshots_taken": 0}
+    lineage = {"resumed_from_cycle": None, "snapshots_taken": 0}
     ctx["lineage"] = lineage
     resume_snap = None
-    if run_snapshots and ckpt.resume and os.path.exists(ckpt.path):
+    if ckpt is not None and ckpt.resume and os.path.exists(ckpt.path):
         resume_snap = load_snapshot(ckpt.path)
 
-    # Warm start: restore the shared post-setup image instead of running
-    # the app's (possibly expensive) serial init phase again.  Resumed
-    # runs re-execute setup: its effects are overwritten by the restore,
-    # but the app object it produces must exist either way.
-    app = None
-    if resume_snap is None and ckpt is not None and ckpt.init_dir:
-        sig = init_signature(point.app, point.scale, **app_overrides)
-        init_path = os.path.join(ckpt.init_dir, f"{sig}.init")
-        if os.path.exists(init_path):
-            app = restore_init_state(machine, load_snapshot(init_path), signature=sig)
-            lineage["warm_start"] = True
-    if app is None:
-        app = make_app(point.app, **params)
-        app.setup(machine)
-        if resume_snap is None and ckpt is not None and ckpt.init_dir and ckpt.save_init:
-            try:
-                save_snapshot(init_path, capture_init_state(machine, app, sig))
-            except CheckpointError:
-                # Setup consumed machine.rng: this app's init phase is not
-                # configuration-invariant, so every run must cold-start.
-                pass
+    # Resumed runs set up too: the restore overwrites setup's effects, but
+    # the app object it produces must exist either way.
+    app = make_app(
+        point.app,
+        **app_params(point.app, point.scale, **(point.app_overrides or {})),
+    )
+    app.setup(machine)
 
     rt_kwargs = dict(point.runtime_kwargs or {})
     if point.serial:
@@ -552,14 +548,14 @@ def _simulate_experiment(
             sample_interval,
             tracer=tracer if tracer is not None else NULL_TRACER,
         )
-        if run_snapshots:
+        if ckpt is not None:
             # Let snapshots carry (and restores re-arm) the sampler.
             machine.ckpt_sampler = sampler
         if resume_snap is None:
             sampler.start()
 
     daemon = None
-    if run_snapshots and ckpt.interval:
+    if ckpt is not None and ckpt.interval:
         daemon = CheckpointDaemon(
             machine,
             ckpt.interval,
@@ -581,7 +577,7 @@ def _simulate_experiment(
     if daemon is not None:
         daemon.cancel()
         lineage["snapshots_taken"] = daemon.snapshots_taken
-    if run_snapshots and not ckpt.keep and os.path.exists(ckpt.path):
+    if ckpt is not None and not ckpt.keep and os.path.exists(ckpt.path):
         # The run completed; a leftover snapshot would only be clutter
         # (and a stale resume source).  ``keep=True`` preserves it.
         os.remove(ckpt.path)
@@ -609,10 +605,8 @@ def _simulate_experiment(
     if machine.sanitizer is not None:
         result.extras["sanitizer_walks"] = machine.sanitizer.stats.get("walks")
     # Checkpoint provenance: diagnostics only, never part of result
-    # identity (a warm-started or resumed run is byte-identical to a cold
-    # one; comparisons should ignore ``extras``).
-    if lineage["warm_start"]:
-        result.extras["ckpt_warm_start"] = 1.0
+    # identity (a resumed run is byte-identical to a cold one; comparisons
+    # should ignore ``extras``).
     if lineage["resumed_from_cycle"] is not None:
         result.extras["ckpt_resumed_from"] = float(lineage["resumed_from_cycle"])
     if lineage["snapshots_taken"]:

@@ -8,7 +8,8 @@ mid-append) restarts by replaying the journal: :func:`replay` folds the
 event stream back into the job table, and :meth:`Journal.recover` turns
 that table into a runnable queue — every in-flight job returns to
 ``pending`` (and resumes from its periodic snapshot, if one is on disk),
-orphaned worker processes recorded in ``start`` events are killed, and
+orphaned worker processes recorded in ``start`` events are killed (when
+their pid and start time still match), and
 nothing submitted is ever lost or run twice (a recovered rerun of a job
 whose simulation actually completed is satisfied by the sha256 result
 store, not re-simulated).
@@ -17,7 +18,8 @@ Event vocabulary (one JSON object per line, ``ev`` discriminates)::
 
     submit  {id, job}             job accepted into the queue
     reject  {id, job, reason}     admission refused (overload / quota)
-    start   {id, pid, attempt, resume}   dispatched to a worker process
+    start   {id, pid, start_time, attempt, resume}
+                                  dispatched to a worker process
     retry   {id, attempt, error}  attempt failed; back to pending
     dedup   {id, of}              coalesced behind an identical job
     done    {id, outcome}         terminal success (ok / dedup)
@@ -36,19 +38,22 @@ construction it described a transition that never completed.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import signal
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs.ledger import read_jsonl_with_errors
 from repro.serve.queue import Job, JobQueue, JobRecord
 
-#: Journal line schema; bump when the event shape changes.
+#: Journal line schema; bump when the event shape changes (added fields
+#: that readers may find missing, like ``start_time``, need no bump).
 JOURNAL_SCHEMA = 1
+
+#: A journaled worker: (pid, start time from :func:`proc_start_time`).
+_Orphan = Tuple[int, Optional[int]]
 
 
 class Journal:
@@ -76,18 +81,19 @@ class Journal:
 # ----------------------------------------------------------------------
 # Replay
 # ----------------------------------------------------------------------
-def replay(path) -> Tuple[Dict[str, JobRecord], Dict[str, int], dict]:
-    """Fold a journal into (job table, orphan worker pids, read stats).
+def replay(path) -> Tuple[Dict[str, JobRecord], Dict[str, _Orphan], dict]:
+    """Fold a journal into (job table, orphan workers, read stats).
 
     The table holds one :class:`JobRecord` per job id in its *journaled*
-    final state.  ``orphans`` maps job id -> the pid recorded by the most
-    recent un-superseded ``start`` event — processes that may still be
-    running if the server died without reaping them.  ``stats`` carries
+    final state.  ``orphans`` maps job id -> the (pid, start time) recorded
+    by the most recent un-superseded ``start`` event — processes that may
+    still be running if the server died without reaping them; the start
+    time is None on lines written without one.  ``stats`` carries
     the tolerant-reader counters (``events``, ``malformed``, ``torn_tail``)
     for the recovery report.
     """
     records: Dict[str, JobRecord] = {}
-    orphans: Dict[str, int] = {}
+    orphans: Dict[str, _Orphan] = {}
     if not os.path.exists(path):
         return records, orphans, {"events": 0, "malformed": 0, "torn_tail": False}
     entries, bad, torn = read_jsonl_with_errors(path)
@@ -130,7 +136,7 @@ def replay(path) -> Tuple[Dict[str, JobRecord], Dict[str, int], dict]:
             record.attempts = int(entry.get("attempt") or record.attempts + 1)
             pid = entry.get("pid")
             if pid:
-                orphans[jid] = int(pid)
+                orphans[jid] = (int(pid), entry.get("start_time"))
         elif ev in ("retry", "park"):
             # ``park``: a preempted job from an older journal; it resumes
             # from its snapshot when dispatched, like any retry.
@@ -155,24 +161,39 @@ def replay(path) -> Tuple[Dict[str, JobRecord], Dict[str, int], dict]:
     return records, orphans, {"events": len(entries), "malformed": bad, "torn_tail": torn}
 
 
-def _kill_orphan(pid: int) -> bool:
-    """Best-effort SIGKILL of a worker the dead server left behind.
+def proc_start_time(pid: int) -> Optional[int]:
+    """Start time of process ``pid`` in clock ticks since boot, or None.
 
-    Only processes that still look like ours are touched: a pid that no
-    longer exists (or was recycled into a process we may not signal) is
-    left alone.  Returns True when a signal was delivered.
+    Read from field 22 of ``/proc/<pid>/stat``; None when the process is
+    gone or the platform has no ``/proc``.  A pid and its start time name
+    one process: a later process that reuses the pid starts later.
     """
-    if pid == os.getpid():
-        return False
     try:
-        os.kill(pid, 0)
-    except OSError:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            stat = fh.read()
+        # Field 2 (comm) may hold spaces and parentheses; the fields after
+        # its closing parenthesis start at field 3.
+        return int(stat[stat.rindex(b")") + 2:].split()[19])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _kill_orphan(pid: int, start_time: Optional[int]) -> bool:
+    """SIGKILL a worker the dead server left behind, if it is still alive.
+
+    The pid alone does not name the worker: after a reboot or a long
+    downtime it may belong to an unrelated process.  Only a live process
+    whose start time matches the journaled one is signalled; a line
+    without a start time, or one that cannot be read, leaves the process
+    alone.  Returns True when a signal was delivered.
+    """
+    if pid == os.getpid() or start_time is None:
+        return False
+    if proc_start_time(pid) != start_time:
         return False
     try:
         os.kill(pid, signal.SIGKILL)
-    except OSError as exc:
-        if exc.errno != errno.ESRCH:
-            return False
+    except OSError:
         return False
     return True
 
@@ -208,9 +229,9 @@ def recover(journal: Journal) -> Tuple[JobQueue, dict]:
             continue
         report[record.state] += 1
         if record.state == "running":
-            pid = orphans.get(jid)
-            if pid and _kill_orphan(pid):
-                report["killed"].append(pid)
+            orphan = orphans.get(jid)
+            if orphan and _kill_orphan(*orphan):
+                report["killed"].append(orphan[0])
         record.state = "pending"
         record.dedup_of = None
         queue.add(record)

@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.harness.retry import Backoff
 from repro.harness.worker import WorkerHandle, spawn_worker
-from repro.serve.journal import Journal
+from repro.serve.journal import Journal, proc_start_time
 from repro.serve.policy import ServePolicy, admission_reason
 from repro.serve.queue import Job, JobQueue, JobRecord
 
@@ -403,6 +403,7 @@ class Supervisor:
         record.attempts += 1
         self.journal.append(
             "start", id=record.id, pid=handle.pid,
+            start_time=proc_start_time(handle.pid),
             attempt=record.attempts, resume=resuming,
         )
         now = self.clock()

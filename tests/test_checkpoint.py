@@ -24,7 +24,6 @@ from repro.engine.checkpoint import (
     CheckpointConfig,
     CheckpointDaemon,
     CheckpointError,
-    capture_init_state,
     load_snapshot,
     save_snapshot,
 )
@@ -254,25 +253,6 @@ class TestHarnessIntegration:
             a.pop("extras"), b.pop("extras")
             assert a == b
 
-    def test_warm_start_shares_init_across_configs(self, tmp_path):
-        """The init signature deliberately excludes the config kind: one
-        post-setup image fans out to every coherence protocol variant."""
-        from repro.harness import run_experiment
-
-        cold = run_experiment(APP, "bt-hcc-gwt", "tiny", use_cache=False)
-        spec = {"init_dir": str(tmp_path / "init")}
-        first = run_experiment(
-            APP, "bt-mesi", "tiny", use_cache=False, checkpoint=spec
-        )
-        assert "ckpt_warm_start" not in first.extras  # it wrote the image
-        warm = run_experiment(
-            APP, "bt-hcc-gwt", "tiny", use_cache=False, checkpoint=spec
-        )
-        assert warm.extras.get("ckpt_warm_start") == 1.0
-        a, b = dataclasses.asdict(cold), dataclasses.asdict(warm)
-        a.pop("extras"), b.pop("extras")
-        assert a == b
-
     def test_checkpointing_absent_from_cache_and_store_keys(self, tmp_path):
         """Checkpointing never perturbs outcomes, so a checkpointed run
         must share its memo/store slot with a plain one."""
@@ -303,7 +283,7 @@ class TestHarnessIntegration:
         cold = run_experiment(APP, "bt-hcc-dts-gwb", "tiny", use_cache=False)
         ckpt_dir = str(tmp_path / "ckpts")
         spec = _point_checkpoint_spec(
-            point, ckpt_dir, 2000, resume=False, warm_init=False
+            point, ckpt_dir, 2000, resume=False
         )
         # Simulate the "killed mid-sweep" state: a run that left its
         # snapshot behind (keep=True stands in for the kill).
@@ -336,7 +316,7 @@ class TestHarnessIntegration:
         cold = [run_point(point, use_cache=False) for point in (p, q)]
         ckpt_dir = str(tmp_path / "ckpts")
         spec = _point_checkpoint_spec(
-            p, ckpt_dir, 2000, resume=False, warm_init=False
+            p, ckpt_dir, 2000, resume=False
         )
         clear_cache()
         run_point(p, use_cache=False, checkpoint=dict(spec, keep=True))
@@ -353,30 +333,6 @@ class TestHarnessIntegration:
             a.pop("extras"), b.pop("extras")
             assert a == b
 
-    def test_grid_warm_init_fan_out(self, tmp_path):
-        """ISSUE acceptance (scaled down): warm_init precomputes each app's
-        init once and every configuration variant warm-starts from it,
-        with results identical to the cold sweep."""
-        from repro.harness.grid import expand_grid, run_grid
-
-        points = expand_grid(
-            (APP, "cilk5-mt"), ("bt-mesi", "bt-hcc-gwt"), ("tiny",)
-        )
-        cold = run_grid(points, jobs=1)
-        clear_cache()
-        warm = run_grid(
-            points, jobs=1,
-            checkpoint_dir=str(tmp_path / "ckpts"), warm_init=True,
-        )
-        init_dir = tmp_path / "ckpts" / "init"
-        assert len(list(init_dir.glob("*.init"))) == 2  # one per app
-        warm_started = [r for r in warm if "ckpt_warm_start" in r.extras]
-        assert len(warm_started) == len(points)  # parent precomputed all
-        for c, w in zip(cold, warm):
-            a, b = dataclasses.asdict(c), dataclasses.asdict(w)
-            a.pop("extras"), b.pop("extras")
-            assert a == b
-
 
 class TestGuards:
     def test_coerce_forms(self):
@@ -384,7 +340,7 @@ class TestGuards:
         cfg = CheckpointConfig(path="x.ckpt")
         assert CheckpointConfig.coerce(cfg) is cfg
         assert CheckpointConfig.coerce("x.ckpt").path == "x.ckpt"
-        assert CheckpointConfig.coerce({"interval": 5}).interval == 5
+        assert CheckpointConfig.coerce({"path": "x.ckpt", "interval": 5}).interval == 5
         with pytest.raises(TypeError):
             CheckpointConfig.coerce(42)
 
@@ -432,20 +388,23 @@ class TestGuards:
         with pytest.raises(ValueError):
             CheckpointDaemon(machine, 0, lambda m: None)
 
-    def test_init_capture_rejects_consumed_rng(self):
-        """An init phase that consumed the machine RNG is not
-        configuration-invariant; warm-starting from it would be unsound."""
-        app = make_app(APP, **PARAMS)
-        machine = Machine(make_config("bt-mesi", "tiny", seed=SEED))
-        app.setup(machine)
-        machine.rng.next_u64()
-        with pytest.raises(CheckpointError, match="consumed machine.rng"):
-            capture_init_state(machine, app, "sig")
-
     def test_grid_checkpoint_argument_validation(self):
         from repro.harness.grid import run_grid
 
         with pytest.raises(ValueError, match="requires checkpoint_dir"):
             run_grid([], on_error="resume")
-        with pytest.raises(ValueError, match="requires checkpoint_dir"):
-            run_grid([], warm_init=True)
+
+    @pytest.mark.parametrize("spec", [
+        {"interval": 2000},
+        {"resume": True, "keep": True},
+        {"path": None, "interval": 2000},
+    ])
+    def test_pathless_spec_fails_before_simulating(self, spec):
+        """A spec without a snapshot path would snapshot nothing and resume
+        from nothing; it must raise instead of silently running cold."""
+        from repro.harness import run_experiment
+
+        sims = simulation_count()
+        with pytest.raises((TypeError, ValueError), match="path"):
+            run_experiment(APP, "bt-mesi", "tiny", checkpoint=spec)
+        assert simulation_count() == sims

@@ -14,6 +14,7 @@ from repro.harness import (
     workspan,
 )
 from repro.harness.resultstore import hash_key
+from repro.harness.runner import GridPoint
 
 
 @pytest.fixture
@@ -192,3 +193,30 @@ class TestRunnerIntegration:
         assert store.misses == 0
         assert store.hits > 0
         assert rows_warm == rows_cold
+
+
+class TestStoreKeyPins:
+    """Store keys are the identity of every stored result: a change that
+    moves one orphans the whole store.  These digests were computed before
+    warm-start images were deleted; a deliberate key change (a schema or
+    code-version bump) edits them and says so."""
+
+    @pytest.mark.parametrize("point, digest", [
+        (
+            GridPoint("cilk5-cs", "bt-mesi", "quick"),
+            "e998dfcb24a73008e9014a75de4d1dbb0ba1ff60dd17ad52ade500abd1e6fc1e",
+        ),
+        (
+            GridPoint(
+                "ligra-bfs", "bt-hcc-dts-gwb", "quick",
+                app_overrides={"scale": 8},
+            ),
+            "6eed0bbcbb873d10852405a1503f606f2514cd11ff5105447f7db092a34028a5",
+        ),
+        (
+            GridPoint("cilk5-mm", "serial-io", "quick", serial=True),
+            "743050677845d7a94c62363a09b555669463ff3fe522ea3c7a354a6b5afaaf69",
+        ),
+    ], ids=["cilk5-cs", "ligra-bfs-scale8", "serial-io"])
+    def test_store_key_digest_is_pinned(self, point, digest):
+        assert hash_key(point.store_key()) == digest

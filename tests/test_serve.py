@@ -34,6 +34,7 @@ from repro.serve import (
     recover,
     replay,
 )
+from repro.serve.journal import proc_start_time
 
 
 @pytest.fixture(autouse=True)
@@ -214,10 +215,10 @@ class TestJournal:
     def test_replay_tracks_orphan_of_interrupted_start(self, tmp_path):
         journal = Journal(tmp_path / "journal.jsonl")
         journal.append("submit", id="j-1", job=job().as_dict())
-        journal.append("start", id="j-1", pid=424242, attempt=1)
+        journal.append("start", id="j-1", pid=424242, start_time=77, attempt=1)
         records, orphans, _ = replay(journal.path)
         assert records["j-1"].state == "running"
-        assert orphans == {"j-1": 424242}
+        assert orphans == {"j-1": (424242, 77)}
 
     def test_replay_tolerates_torn_tail(self, tmp_path):
         journal = Journal(tmp_path / "journal.jsonl")
@@ -247,7 +248,10 @@ class TestJournal:
         try:
             journal = Journal(tmp_path / "journal.jsonl")
             journal.append("submit", id="j-1", job=job().as_dict())
-            journal.append("start", id="j-1", pid=proc.pid, attempt=1)
+            journal.append(
+                "start", id="j-1", pid=proc.pid,
+                start_time=proc_start_time(proc.pid), attempt=1,
+            )
             journal.append("submit", id="j-2", job=job(scale="quick").as_dict())
             journal.append(
                 "park", id="j-2", snapshot=str(tmp_path / "j-2.ckpt"), cycle=7
@@ -270,6 +274,32 @@ class TestJournal:
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+    @pytest.mark.parametrize("shift", [1, None])
+    def test_recover_spares_a_process_that_reused_the_pid(self, tmp_path, shift):
+        """After a reboot or a long downtime a journaled worker pid can
+        belong to an unrelated process.  A start time that differs from
+        the journaled one, or a line without one, must leave it alone."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(120)"]
+        )
+        try:
+            start_time = proc_start_time(proc.pid)
+            assert start_time is not None
+            journal = Journal(tmp_path / "journal.jsonl")
+            journal.append("submit", id="j-1", job=job().as_dict())
+            journal.append(
+                "start", id="j-1", pid=proc.pid,
+                start_time=None if shift is None else start_time + shift,
+                attempt=1,
+            )
+            queue, report = recover(journal)
+            assert report["killed"] == []
+            assert queue.records["j-1"].state == "pending"
+            assert proc.poll() is None  # still running
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
 
     def test_replay_skips_a_malformed_submit(self, tmp_path):
         # Servers that did not validate service fields journaled such a
