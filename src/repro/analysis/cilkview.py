@@ -11,8 +11,11 @@ fork-join structure:
 * **IPT**   — average instructions per task (the granularity metric the
   paper tunes in Figure 4).
 
-The analyzer duck-types the Machine/Runtime/ThreadContext interfaces, so
-the exact same application code runs under it unchanged.
+The analyzer duck-types the Machine and Runtime interfaces and hands task
+code a plain :class:`~repro.cores.context.ThreadContext`, so the exact
+same application code runs under it unchanged: it drives each task's call
+stack by the core's rule (:func:`repro.cores.core.advance`) and applies
+every yielded op to a flat functional memory instead of timing it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.task import Task
+from repro.cores.context import ThreadContext
+from repro.cores.core import advance
+from repro.engine.rng import XorShift64
 from repro.mem.address import WORD_BYTES, AddressSpace
 from repro.mem.amo import apply_amo
 
@@ -61,80 +67,6 @@ class _FunctionalMemory:
         return [self.host_read_word(base + i * WORD_BYTES) for i in range(n_words)]
 
 
-class _AnalysisContext:
-    """ThreadContext duck-type that counts instructions instead of cycles."""
-
-    def __init__(self, analyzer: "CilkviewAnalyzer"):
-        self._an = analyzer
-        self.tid = 0
-        self.n_threads = 1
-
-    # Memory ops: one instruction each, values from functional memory.
-    def load(self, addr):
-        self._an._count(1)
-        return self._an.machine.host_read_word(addr)
-        yield  # pragma: no cover
-
-    def bypass_load(self, addr):
-        return (yield from self.load(addr))
-
-    def store(self, addr, value):
-        self._an._count(1)
-        self._an.machine.host_write_word(addr, value)
-        return None
-        yield  # pragma: no cover
-
-    def amo(self, op, addr, operand):
-        self._an._count(1)
-        old = self._an.machine.host_read_word(addr)
-        new, returned = apply_amo(op, old, operand)
-        self._an.machine.host_write_word(addr, new)
-        return returned
-        yield  # pragma: no cover
-
-    def cas(self, addr, expected, desired):
-        return (yield from self.amo("cas", addr, (expected, desired)))
-
-    def amo_add(self, addr, delta):
-        return (yield from self.amo("add", addr, delta))
-
-    def amo_sub(self, addr, delta):
-        return (yield from self.amo("sub", addr, delta))
-
-    def amo_or(self, addr, bits):
-        return (yield from self.amo("or", addr, bits))
-
-    def amo_min(self, addr, value):
-        return (yield from self.amo("min", addr, value))
-
-    def work(self, n):
-        if n > 0:
-            self._an._count(n)
-        return None
-        yield  # pragma: no cover
-
-    def idle(self, n):
-        return None
-        yield  # pragma: no cover
-
-    # Coherence/ULI ops are runtime artifacts: free under analysis.
-    def cache_invalidate(self):
-        return None
-        yield  # pragma: no cover
-
-    def cache_flush(self):
-        return None
-        yield  # pragma: no cover
-
-    def uli_enable(self):
-        return None
-        yield  # pragma: no cover
-
-    def uli_disable(self):
-        return None
-        yield  # pragma: no cover
-
-
 class CilkviewAnalyzer:
     """Functional executor computing work/span over the fork-join DAG.
 
@@ -151,7 +83,7 @@ class CilkviewAnalyzer:
 
     # ------------------------------------------------------------------
     def analyze(self, root: Task) -> WorkSpanReport:
-        ctx = _AnalysisContext(self)
+        ctx = ThreadContext(None, 0, 1, XorShift64(1))
         self._run_generator(self.run_inline(ctx, root))
         return WorkSpanReport(work=self._work, span=self._span, n_tasks=self.n_tasks)
 
@@ -169,7 +101,7 @@ class CilkviewAnalyzer:
             self._register(child)
             self._work = 0
             self._span = 0
-            yield from self._run_task(ctx, child)
+            yield self._run_task(ctx, child)
             child_metrics.append((self._work, self._span))
         total_child_work = sum(w for w, _ in child_metrics)
         longest_child_span = max(s for _, s in child_metrics)
@@ -178,7 +110,7 @@ class CilkviewAnalyzer:
 
     def run_inline(self, ctx, task: Task):
         self._register(task)
-        yield from self._run_task(ctx, task)
+        yield self._run_task(ctx, task)
 
     def spawn(self, ctx, task: Task):  # pragma: no cover - apps use fork_join
         raise NotImplementedError("CilkviewAnalyzer only supports fork_join")
@@ -187,7 +119,7 @@ class CilkviewAnalyzer:
     def _run_task(self, ctx, task: Task):
         self.n_tasks += 1
         self._count(4)  # task start overhead, mirroring the real runtime
-        yield from task.execute(self, ctx)
+        yield task.execute(self, ctx)
 
     def _register(self, task: Task) -> None:
         task.task_id = self.n_tasks + 1
@@ -201,22 +133,18 @@ class CilkviewAnalyzer:
         self._span += n
 
     def _run_generator(self, gen) -> None:
-        """Drive a task generator functionally.
-
-        Context methods (``ctx.load`` etc.) resolve without yielding, but
-        hot-path app code (``SimArray`` accessors, the throughput kernels)
-        yields ``repro.cores.ops`` objects directly; those are applied to
-        the functional memory here.
-        """
-        try:
-            op = next(gen)
-            while True:
-                op = gen.send(self._apply_op(op))
-        except StopIteration:
-            return
+        """Drive a task generator functionally: follow its calls and
+        returns as the core would, applying each op it yields."""
+        stack = [gen]
+        value = None
+        while True:
+            op = advance(stack, value)
+            if op is None:
+                return
+            value = self._apply_op(op)
 
     def _apply_op(self, op):
-        """Execute one raw architectural op against functional memory."""
+        """Execute one architectural op against functional memory."""
         kind = op.KIND
         mem = self.machine
         if kind == "load":

@@ -27,20 +27,20 @@ class _LuRootTask(Task):
         app, b = self.app, self.block_size
         nb = app.n // b
         for k in range(nb):
-            yield from app.factor_block(ctx, k * b, b)
+            yield app.factor_block(ctx, k * b, b)
             panels = []
             for j in range(k + 1, nb):
                 panels.append(self._panel_task(app, k, j, b, row=True))
                 panels.append(self._panel_task(app, k, j, b, row=False))
             if panels:
-                yield from rt.fork_join(ctx, self, panels)
+                yield rt.fork_join(ctx, self, panels)
             updates = [
                 FuncTask(self._schur(app, i * b, j * b, k * b, b))
                 for i in range(k + 1, nb)
                 for j in range(k + 1, nb)
             ]
             if updates:
-                yield from rt.fork_join(ctx, self, updates)
+                yield rt.fork_join(ctx, self, updates)
 
     @staticmethod
     def _panel_task(app, k, j, b, row):
@@ -141,54 +141,54 @@ class CilkLU(AppInstance):
         end = min(base + b, self.n)
         a = self.a
         for k in range(base, end):
-            akk = yield from a.load(ctx, self._idx(k, k))
+            akk = yield a.load(ctx, self._idx(k, k))
             for i in range(k + 1, end):
-                aik = yield from a.load(ctx, self._idx(i, k))
+                aik = yield a.load(ctx, self._idx(i, k))
                 lik = aik / akk
-                yield from ctx.work(2)
-                yield from a.store(ctx, self._idx(i, k), lik)
+                yield ctx.work(2)
+                yield a.store(ctx, self._idx(i, k), lik)
                 for j in range(k + 1, end):
-                    akj = yield from a.load(ctx, self._idx(k, j))
-                    aij = yield from a.load(ctx, self._idx(i, j))
-                    yield from ctx.work(2)
-                    yield from a.store(ctx, self._idx(i, j), aij - lik * akj)
+                    akj = yield a.load(ctx, self._idx(k, j))
+                    aij = yield a.load(ctx, self._idx(i, j))
+                    yield ctx.work(2)
+                    yield a.store(ctx, self._idx(i, j), aij - lik * akj)
 
     def solve_row_panel(self, ctx, base: int, col: int, b: int):
         """U panel: apply L(base block) to columns [col, col+b)."""
         a = self.a
         for k in range(base, base + b):
             for i in range(k + 1, base + b):
-                lik = yield from a.load(ctx, self._idx(i, k))
+                lik = yield a.load(ctx, self._idx(i, k))
                 for j in range(col, col + b):
-                    akj = yield from a.load(ctx, self._idx(k, j))
-                    aij = yield from a.load(ctx, self._idx(i, j))
-                    yield from ctx.work(2)
-                    yield from a.store(ctx, self._idx(i, j), aij - lik * akj)
+                    akj = yield a.load(ctx, self._idx(k, j))
+                    aij = yield a.load(ctx, self._idx(i, j))
+                    yield ctx.work(2)
+                    yield a.store(ctx, self._idx(i, j), aij - lik * akj)
 
     def solve_col_panel(self, ctx, row: int, base: int, b: int):
         """L panel: apply U(base block) to rows [row, row+b)."""
         a = self.a
         for k in range(base, base + b):
-            akk = yield from a.load(ctx, self._idx(k, k))
+            akk = yield a.load(ctx, self._idx(k, k))
             for i in range(row, row + b):
-                aik = yield from a.load(ctx, self._idx(i, k))
+                aik = yield a.load(ctx, self._idx(i, k))
                 lik = aik / akk
-                yield from ctx.work(2)
-                yield from a.store(ctx, self._idx(i, k), lik)
+                yield ctx.work(2)
+                yield a.store(ctx, self._idx(i, k), lik)
                 for j in range(k + 1, base + b):
-                    akj = yield from a.load(ctx, self._idx(k, j))
-                    aij = yield from a.load(ctx, self._idx(i, j))
-                    yield from ctx.work(2)
-                    yield from a.store(ctx, self._idx(i, j), aij - lik * akj)
+                    akj = yield a.load(ctx, self._idx(k, j))
+                    aij = yield a.load(ctx, self._idx(i, j))
+                    yield ctx.work(2)
+                    yield a.store(ctx, self._idx(i, j), aij - lik * akj)
 
     def schur_update(self, ctx, bi: int, bj: int, bk: int, b: int):
         """Trailing update: A[bi][bj] -= A[bi][bk] * A[bk][bj]."""
         a = self.a
         for i in range(bi, bi + b):
             for k in range(bk, bk + b):
-                lik = yield from a.load(ctx, self._idx(i, k))
+                lik = yield a.load(ctx, self._idx(i, k))
                 for j in range(bj, bj + b):
-                    akj = yield from a.load(ctx, self._idx(k, j))
-                    aij = yield from a.load(ctx, self._idx(i, j))
-                    yield from ctx.work(2)
-                    yield from a.store(ctx, self._idx(i, j), aij - lik * akj)
+                    akj = yield a.load(ctx, self._idx(k, j))
+                    aij = yield a.load(ctx, self._idx(i, j))
+                    yield ctx.work(2)
+                    yield a.store(ctx, self._idx(i, j), aij - lik * akj)

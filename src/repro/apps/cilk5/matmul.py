@@ -32,7 +32,7 @@ class _MmTask(Task):
     def execute(self, rt, ctx):
         app, s = self.app, self.size
         if s <= self.grain:
-            yield from app.serial_mm(ctx, self.ar, self.ak, self.cr, self.cc, s)
+            yield app.serial_mm(ctx, self.ar, self.ak, self.cr, self.cc, s)
             return
         h = s // 2
         ar, ak, cr, cc, g = self.ar, self.ak, self.cr, self.cc, self.grain
@@ -42,14 +42,14 @@ class _MmTask(Task):
             _MmTask(app, cr + h, ak, cr + h, cc, h, g),
             _MmTask(app, cr + h, ak, cr + h, cc + h, h, g),
         ]
-        yield from rt.fork_join(ctx, self, wave1)
+        yield rt.fork_join(ctx, self, wave1)
         wave2 = [
             _MmTask(app, cr, ak + h, cr, cc, h, g),
             _MmTask(app, cr, ak + h, cr, cc + h, h, g),
             _MmTask(app, cr + h, ak + h, cr + h, cc, h, g),
             _MmTask(app, cr + h, ak + h, cr + h, cc + h, h, g),
         ]
-        yield from rt.fork_join(ctx, self, wave2)
+        yield rt.fork_join(ctx, self, wave2)
 
 
 @register_app("cilk5-mm")
@@ -103,10 +103,10 @@ class CilkMatmul(AppInstance):
         n, a, b, c = self.n, self.a, self.b, self.c
         for i in range(s):
             for j in range(s):
-                acc = yield from c.load(ctx, (cr + i) * n + (cc + j))
+                acc = yield c.load(ctx, (cr + i) * n + (cc + j))
                 for k in range(s):
-                    av = yield from a.load(ctx, (ar + i) * n + (ak + k))
-                    bv = yield from b.load(ctx, (ak + k) * n + (cc + j))
-                    yield from ctx.work(2)
+                    av = yield a.load(ctx, (ar + i) * n + (ak + k))
+                    bv = yield b.load(ctx, (ak + k) * n + (cc + j))
+                    yield ctx.work(2)
                     acc += av * bv
-                yield from c.store(ctx, (cr + i) * n + (cc + j), acc)
+                yield c.store(ctx, (cr + i) * n + (cc + j), acc)

@@ -28,7 +28,7 @@ class _MtTask(Task):
     def execute(self, rt, ctx):
         app, s = self.app, self.size
         if s <= self.grain:
-            yield from app.serial_transpose(ctx, self.row, self.col, s)
+            yield app.serial_transpose(ctx, self.row, self.col, s)
             return
         h = s // 2
         r, c, g = self.row, self.col, self.grain
@@ -38,7 +38,7 @@ class _MtTask(Task):
             _MtTask(app, r + h, c, h, g),
             _MtTask(app, r + h, c + h, h, g),
         ]
-        yield from rt.fork_join(ctx, self, children)
+        yield rt.fork_join(ctx, self, children)
 
 
 @register_app("cilk5-mt")
@@ -86,5 +86,5 @@ class CilkTranspose(AppInstance):
         n, a, b = self.n, self.a, self.b
         for i in range(row, row + s):
             for j in range(col, col + s):
-                value = yield from a.load(ctx, i * n + j)
-                yield from b.store(ctx, j * n + i, value)
+                value = yield a.load(ctx, i * n + j)
+                yield b.store(ctx, j * n + i, value)

@@ -1,8 +1,8 @@
 """Shared application infrastructure.
 
-* :class:`SimArray` — a typed array in simulated memory with generator
-  accessors, used by every kernel so that all application data goes through
-  the cache hierarchy.
+* :class:`SimArray` — a typed array in simulated memory whose accessors
+  return ops for thread code to ``yield``, used by every kernel so that all
+  application data goes through the cache hierarchy.
 * :class:`AppInstance` — the contract between applications and the
   experiment harness: allocate inputs, produce a root task (parallel or
   serial-elision), and check outputs against a pure-Python reference.
@@ -34,25 +34,20 @@ class SimArray:
     def addr(self, i: int) -> int:
         return self.base + i * WORD_BYTES
 
-    # Generator accessors (simulated traffic) -------------------------------
-    # These yield the op objects directly rather than delegating to the
-    # equivalent ThreadContext generators: every element access otherwise
-    # allocates an extra generator and adds a delegation link that each
-    # subsequent ``send`` re-traverses.
-    def load(self, ctx, i: int):
-        value = yield ops.Load(self.base + i * WORD_BYTES)
-        return value
+    # Op accessors (simulated traffic) --------------------------------------
+    # Each returns the op for the thread to ``yield``; the op's result
+    # (the loaded word, the AMO's old value) is the yield's value.
+    def load(self, ctx, i: int) -> ops.Load:
+        return ops.Load(self.base + i * WORD_BYTES)
 
-    def store(self, ctx, i: int, value):
-        yield ops.Store(self.base + i * WORD_BYTES, value)
+    def store(self, ctx, i: int, value) -> ops.Store:
+        return ops.Store(self.base + i * WORD_BYTES, value)
 
-    def amo(self, ctx, op: str, i: int, operand):
-        old = yield ops.Amo(op, self.base + i * WORD_BYTES, operand)
-        return old
+    def amo(self, ctx, op: str, i: int, operand) -> ops.Amo:
+        return ops.Amo(op, self.base + i * WORD_BYTES, operand)
 
-    def cas(self, ctx, i: int, expected, desired):
-        old = yield ops.Amo("cas", self.base + i * WORD_BYTES, (expected, desired))
-        return old
+    def cas(self, ctx, i: int, expected, desired) -> ops.Amo:
+        return ops.Amo("cas", self.base + i * WORD_BYTES, (expected, desired))
 
     # Host accessors (setup / checking only) --------------------------------
     def host_init(self, values) -> None:

@@ -11,9 +11,10 @@ dispatch-bound test inputs:
   the L1 hit path (tag lookup, counters) at full rate.
 
 Both use one flat fork/join wave of leaf tasks rather than recursive
-splitting: a recursive tree adds two generator frames per level, and each
-``send`` re-traverses the whole delegation chain, which would make the
-kernels measure chain depth instead of engine throughput.
+splitting: the kernels measure the engine, so they carry no per-level
+spawn and join work.  (Depth itself would cost nothing per op: the core
+keeps each thread's call stack, so a ``send`` enters one frame however
+deep the task tree is.)
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class _SpinRoot(Task):
             count = min(self.grain, remaining)
             leaves.append(_SpinLeaf(self.app, count))
             remaining -= count
-        yield from rt.fork_join(ctx, self, leaves)
+        yield rt.fork_join(ctx, self, leaves)
 
 
 class _SpinLeaf(Task):
@@ -54,7 +55,7 @@ class _SpinLeaf(Task):
         unit = ops.Work(1)
         for _ in range(self.count):
             yield unit
-        yield from self.app.done.amo(ctx, "add", 0, self.count)
+        yield self.app.done.amo(ctx, "add", 0, self.count)
 
 
 @register_app("kernel-spin")
@@ -96,7 +97,7 @@ class _StreamRoot(Task):
             _StreamLeaf(self.app, start, min(self.grain, self.app.n - start))
             for start in range(0, self.app.n, self.grain)
         ]
-        yield from rt.fork_join(ctx, self, leaves)
+        yield rt.fork_join(ctx, self, leaves)
 
 
 class _StreamLeaf(Task):
@@ -133,7 +134,7 @@ class _DeadlockRoot(Task):
 
     def execute(self, rt, ctx):
         while True:
-            value = yield from self.app.flag.amo(ctx, "add", 0, 0)
+            value = yield self.app.flag.amo(ctx, "add", 0, 0)
             if value:  # never: nothing writes the flag
                 return
 

@@ -32,7 +32,7 @@ class _LigraRootTask(Task):
         self.grain = grain
 
     def execute(self, rt, ctx):
-        yield from self.app.run(rt, ctx, self.grain)
+        yield self.app.run(rt, ctx, self.grain)
 
 
 class LigraApp(AppInstance):
@@ -90,7 +90,7 @@ class LigraApp(AppInstance):
     def pfor(self, rt, ctx, body, grain: int, n: int = -1):
         """parallel_for over [0, n) vertices (default: the whole vertex set)."""
         hi = self.graph.n if n < 0 else n
-        yield from parallel_for(rt, ctx, 0, hi, body, grain)
+        yield parallel_for(rt, ctx, 0, hi, body, grain)
 
     def source_vertex(self) -> int:
         """Highest-degree vertex: the conventional BFS/SSSP source."""

@@ -46,23 +46,23 @@ class DenseFrontier:
     # Generator helpers -------------------------------------------------
     def add(self, ctx, v: int):
         """Insert v (idempotent store; caller counts separately)."""
-        yield from self.flags.store(ctx, v, 1)
+        yield self.flags.store(ctx, v, 1)
 
     def test_and_clear(self, ctx, v: int):
-        active = yield from self.flags.load(ctx, v)
+        active = yield self.flags.load(ctx, v)
         if active:
-            yield from self.flags.store(ctx, v, 0)
+            yield self.flags.store(ctx, v, 0)
         return bool(active)
 
     def reset_size(self, ctx):
-        yield from ctx.amo("xchg", self.size_addr, 0)
+        yield ctx.amo("xchg", self.size_addr, 0)
 
     def add_size(self, ctx, count: int):
         if count:
-            yield from ctx.amo_add(self.size_addr, count)
+            yield ctx.amo_add(self.size_addr, count)
 
     def read_size(self, ctx):
-        size = yield from ctx.load(self.size_addr)
+        size = yield ctx.load(self.size_addr)
         return size
 
 
@@ -92,29 +92,29 @@ def edge_map(rt, ctx, graph: SimGraph, frontier_cur: DenseFrontier,
     Returns nothing; the output frontier's size counter holds the number
     of newly added vertices (read it with ``frontier_next.read_size``).
     """
-    yield from frontier_next.reset_size(ctx)
+    yield frontier_next.reset_size(ctx)
 
     def body(rt, ctx, lo, hi):
         added = 0
         for u in range(lo, hi):
-            active = yield from frontier_cur.test_and_clear(ctx, u)
-            yield from ctx.work(1)
+            active = yield frontier_cur.test_and_clear(ctx, u)
+            yield ctx.work(1)
             if not active:
                 continue
-            start, end = yield from graph.edge_range(ctx, u)
+            start, end = yield graph.edge_range(ctx, u)
             for e in range(start, end):
-                v = yield from graph.edge_target(ctx, e)
-                ok = yield from functor.cond(ctx, v)
-                yield from ctx.work(1)
+                v = yield graph.edge_target(ctx, e)
+                ok = yield functor.cond(ctx, v)
+                yield ctx.work(1)
                 if not ok:
                     continue
-                joined = yield from functor.update(ctx, u, v)
+                joined = yield functor.update(ctx, u, v)
                 if joined:
-                    yield from frontier_next.add(ctx, v)
+                    yield frontier_next.add(ctx, v)
                     added += 1
-        yield from frontier_next.add_size(ctx, added)
+        yield frontier_next.add_size(ctx, added)
 
-    yield from parallel_for(rt, ctx, 0, graph.n, body, grain)
+    yield parallel_for(rt, ctx, 0, graph.n, body, grain)
 
 
 def vertex_map(rt, ctx, n: int, functor, grain: int):
@@ -122,6 +122,6 @@ def vertex_map(rt, ctx, n: int, functor, grain: int):
 
     def body(rt, ctx, lo, hi):
         for v in range(lo, hi):
-            yield from functor(ctx, v)
+            yield functor(ctx, v)
 
-    yield from parallel_for(rt, ctx, 0, n, body, grain)
+    yield parallel_for(rt, ctx, 0, n, body, grain)

@@ -125,20 +125,20 @@ class SimGraph:
             self.weights.host_init(graph.weights)
 
     # ------------------------------------------------------------------
-    # Generator accessors
+    # Simulated accessors: ``yield`` the result of each
     # ------------------------------------------------------------------
     def edge_range(self, ctx, v: int):
         """Load [start, end) of v's adjacency (two offset loads)."""
-        start = yield from self.offsets.load(ctx, v)
-        end = yield from self.offsets.load(ctx, v + 1)
+        start = yield self.offsets.load(ctx, v)
+        end = yield self.offsets.load(ctx, v + 1)
         return start, end
 
     def edge_target(self, ctx, edge_index: int):
-        target = yield from self.edges.load(ctx, edge_index)
-        return target
+        """The load op of one edge's target vertex."""
+        return self.edges.load(ctx, edge_index)
 
     def edge_weight(self, ctx, edge_index: int):
         if self.weights is None:
             return 1
-        weight = yield from self.weights.load(ctx, edge_index)
+        weight = yield self.weights.load(ctx, edge_index)
         return weight

@@ -28,12 +28,12 @@ class LigraBetweennessCentrality(LigraApp):
 
     def run(self, rt, ctx, grain: int):
         src = self.src
-        yield from self.level.store(ctx, src, 0)
-        yield from self.sigma.store(ctx, src, 1)
-        yield from self.front[0].store(ctx, src, 1)
+        yield self.level.store(ctx, src, 0)
+        yield self.sigma.store(ctx, src, 1)
+        yield self.front[0].store(ctx, src, 1)
         depth = 0
         while True:
-            yield from ctx.amo("xchg", self.count_addr, 0)
+            yield ctx.amo("xchg", self.count_addr, 0)
             cur = self.front[depth % 2]
             nxt = self.front[(depth + 1) % 2]
             next_level = depth + 1
@@ -41,32 +41,32 @@ class LigraBetweennessCentrality(LigraApp):
             def forward(rt, ctx, lo, hi, cur=cur, nxt=nxt, next_level=next_level):
                 discovered = 0
                 for v in range(lo, hi):
-                    active = yield from cur.load(ctx, v)
-                    yield from ctx.work(1)
+                    active = yield cur.load(ctx, v)
+                    yield ctx.work(1)
                     if not active:
                         continue
-                    yield from cur.store(ctx, v, 0)
-                    sigma_v = yield from self.sigma.load(ctx, v)
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    yield cur.store(ctx, v, 0)
+                    sigma_v = yield self.sigma.load(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     for e in range(start, end):
-                        u = yield from self.g.edge_target(ctx, e)
-                        lu = yield from self.level.load(ctx, u)
-                        yield from ctx.work(1)
+                        u = yield self.g.edge_target(ctx, e)
+                        lu = yield self.level.load(ctx, u)
+                        yield ctx.work(1)
                         if lu == -1:
-                            old = yield from self.level.cas(ctx, u, -1, next_level)
+                            old = yield self.level.cas(ctx, u, -1, next_level)
                             if old == -1:
-                                yield from nxt.store(ctx, u, 1)
+                                yield nxt.store(ctx, u, 1)
                                 discovered += 1
                                 lu = next_level
                             else:
                                 lu = old
                         if lu == next_level:
-                            yield from self.sigma.amo(ctx, "add", u, sigma_v)
+                            yield self.sigma.amo(ctx, "add", u, sigma_v)
                 if discovered:
-                    yield from ctx.amo_add(self.count_addr, discovered)
+                    yield ctx.amo_add(self.count_addr, discovered)
 
-            yield from self.pfor(rt, ctx, forward, grain)
-            size = yield from ctx.load(self.count_addr)
+            yield self.pfor(rt, ctx, forward, grain)
+            size = yield ctx.load(self.count_addr)
             if size == 0:
                 break
             depth += 1
@@ -75,26 +75,26 @@ class LigraBetweennessCentrality(LigraApp):
         for r in range(depth - 1, -1, -1):
             def backward(rt, ctx, lo, hi, r=r):
                 for v in range(lo, hi):
-                    lv = yield from self.level.load(ctx, v)
-                    yield from ctx.work(1)
+                    lv = yield self.level.load(ctx, v)
+                    yield ctx.work(1)
                     if lv != r:
                         continue
-                    sigma_v = yield from self.sigma.load(ctx, v)
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    sigma_v = yield self.sigma.load(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     acc = 0.0
                     for e in range(start, end):
-                        u = yield from self.g.edge_target(ctx, e)
-                        lu = yield from self.level.load(ctx, u)
-                        yield from ctx.work(1)
+                        u = yield self.g.edge_target(ctx, e)
+                        lu = yield self.level.load(ctx, u)
+                        yield ctx.work(1)
                         if lu != r + 1:
                             continue
-                        sigma_u = yield from self.sigma.load(ctx, u)
-                        delta_u = yield from self.delta.load(ctx, u)
-                        yield from ctx.work(3)
+                        sigma_u = yield self.sigma.load(ctx, u)
+                        delta_u = yield self.delta.load(ctx, u)
+                        yield ctx.work(3)
                         acc += sigma_v / sigma_u * (1.0 + delta_u)
-                    yield from self.delta.store(ctx, v, acc)
+                    yield self.delta.store(ctx, v, acc)
 
-            yield from self.pfor(rt, ctx, backward, grain)
+            yield self.pfor(rt, ctx, backward, grain)
 
     def check(self) -> None:
         exp_level, exp_sigma, exp_delta = self._reference()

@@ -26,38 +26,38 @@ class LigraBfs(LigraApp):
 
     def run(self, rt, ctx, grain: int):
         src = self.src
-        yield from self.parent.store(ctx, src, src)
-        yield from self.front[0].store(ctx, src, 1)
+        yield self.parent.store(ctx, src, src)
+        yield self.front[0].store(ctx, src, 1)
         round_index = 0
         while True:
-            yield from ctx.amo("xchg", self.count_addr, 0)
+            yield ctx.amo("xchg", self.count_addr, 0)
             cur = self.front[round_index % 2]
             nxt = self.front[(round_index + 1) % 2]
 
             def body(rt, ctx, lo, hi, cur=cur, nxt=nxt):
                 claimed = 0
                 for v in range(lo, hi):
-                    active = yield from cur.load(ctx, v)
-                    yield from ctx.work(1)
+                    active = yield cur.load(ctx, v)
+                    yield ctx.work(1)
                     if not active:
                         continue
-                    yield from cur.store(ctx, v, 0)
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    yield cur.store(ctx, v, 0)
+                    start, end = yield self.g.edge_range(ctx, v)
                     for e in range(start, end):
-                        u = yield from self.g.edge_target(ctx, e)
-                        p = yield from self.parent.load(ctx, u)
-                        yield from ctx.work(1)
+                        u = yield self.g.edge_target(ctx, e)
+                        p = yield self.parent.load(ctx, u)
+                        yield ctx.work(1)
                         if p != -1:
                             continue
-                        old = yield from self.parent.cas(ctx, u, -1, v)
+                        old = yield self.parent.cas(ctx, u, -1, v)
                         if old == -1:
-                            yield from nxt.store(ctx, u, 1)
+                            yield nxt.store(ctx, u, 1)
                             claimed += 1
                 if claimed:
-                    yield from ctx.amo_add(self.count_addr, claimed)
+                    yield ctx.amo_add(self.count_addr, claimed)
 
-            yield from self.pfor(rt, ctx, body, grain)
-            size = yield from ctx.load(self.count_addr)
+            yield self.pfor(rt, ctx, body, grain)
+            size = yield ctx.load(self.count_addr)
             if size == 0:
                 break
             round_index += 1

@@ -32,12 +32,12 @@ class LigraBfsBitvector(LigraApp):
 
     def run(self, rt, ctx, grain: int):
         src = self.src
-        yield from self.visited.amo(ctx, "or", src // BITS, 1 << (src % BITS))
-        yield from self.front[0].store(ctx, src // BITS, 1 << (src % BITS))
-        yield from self.level.store(ctx, src, 0)
+        yield self.visited.amo(ctx, "or", src // BITS, 1 << (src % BITS))
+        yield self.front[0].store(ctx, src // BITS, 1 << (src % BITS))
+        yield self.level.store(ctx, src, 0)
         round_index = 0
         while True:
-            yield from ctx.amo("xchg", self.count_addr, 0)
+            yield ctx.amo("xchg", self.count_addr, 0)
             cur = self.front[round_index % 2]
             nxt = self.front[(round_index + 1) % 2]
             depth = round_index + 1
@@ -50,40 +50,40 @@ class LigraBfsBitvector(LigraApp):
                 word_lo = (lo + BITS - 1) // BITS
                 word_hi = (hi + BITS - 1) // BITS
                 for w in range(word_lo, min(word_hi, self.n_words)):
-                    bits = yield from cur.load(ctx, w)
-                    yield from ctx.work(1)
+                    bits = yield cur.load(ctx, w)
+                    yield ctx.work(1)
                     if not bits:
                         continue  # the bit-vector win: one load skips 64 vertices
-                    yield from cur.store(ctx, w, 0)
+                    yield cur.store(ctx, w, 0)
                     while bits:
                         low = bits & (-bits)
                         bits ^= low
                         v = w * BITS + low.bit_length() - 1
-                        yield from ctx.work(2)
-                        start, end = yield from self.g.edge_range(ctx, v)
+                        yield ctx.work(2)
+                        start, end = yield self.g.edge_range(ctx, v)
                         for e in range(start, end):
-                            u = yield from self.g.edge_target(ctx, e)
+                            u = yield self.g.edge_target(ctx, e)
                             mask = 1 << (u % BITS)
-                            seen = yield from self.visited.load(ctx, u // BITS)
-                            yield from ctx.work(1)
+                            seen = yield self.visited.load(ctx, u // BITS)
+                            yield ctx.work(1)
                             if seen & mask:
                                 continue
-                            old = yield from self.visited.amo(ctx, "or", u // BITS, mask)
+                            old = yield self.visited.amo(ctx, "or", u // BITS, mask)
                             if not old & mask:
-                                yield from self.nxt_set(ctx, nxt, u)
-                                yield from self.level.store(ctx, u, depth)
+                                yield self.nxt_set(ctx, nxt, u)
+                                yield self.level.store(ctx, u, depth)
                                 discovered += 1
                 if discovered:
-                    yield from ctx.amo_add(self.count_addr, discovered)
+                    yield ctx.amo_add(self.count_addr, discovered)
 
-            yield from self.pfor(rt, ctx, body, grain)
-            size = yield from ctx.load(self.count_addr)
+            yield self.pfor(rt, ctx, body, grain)
+            size = yield ctx.load(self.count_addr)
             if size == 0:
                 break
             round_index += 1
 
     def nxt_set(self, ctx, nxt, v: int):
-        yield from nxt.amo(ctx, "or", v // BITS, 1 << (v % BITS))
+        yield nxt.amo(ctx, "or", v // BITS, 1 << (v % BITS))
 
     def check(self) -> None:
         from collections import deque

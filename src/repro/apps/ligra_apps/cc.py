@@ -25,34 +25,34 @@ class LigraConnectedComponents(LigraApp):
     def run(self, rt, ctx, grain: int):
         round_index = 0
         while round_index < self.graph.n:
-            yield from ctx.amo("xchg", self.count_addr, 0)
+            yield ctx.amo("xchg", self.count_addr, 0)
             cur = self.front[round_index % 2]
             nxt = self.front[(round_index + 1) % 2]
 
             def body(rt, ctx, lo, hi, cur=cur, nxt=nxt):
                 changed = 0
                 for v in range(lo, hi):
-                    active = yield from cur.load(ctx, v)
-                    yield from ctx.work(1)
+                    active = yield cur.load(ctx, v)
+                    yield ctx.work(1)
                     if not active:
                         continue
-                    yield from cur.store(ctx, v, 0)
-                    label_v = yield from self.labels.load(ctx, v)
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    yield cur.store(ctx, v, 0)
+                    label_v = yield self.labels.load(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     for e in range(start, end):
-                        u = yield from self.g.edge_target(ctx, e)
-                        label_u = yield from self.labels.load(ctx, u)
-                        yield from ctx.work(1)
+                        u = yield self.g.edge_target(ctx, e)
+                        label_u = yield self.labels.load(ctx, u)
+                        yield ctx.work(1)
                         if label_v < label_u:
-                            old = yield from self.labels.amo(ctx, "min", u, label_v)
+                            old = yield self.labels.amo(ctx, "min", u, label_v)
                             if label_v < old:
-                                yield from nxt.store(ctx, u, 1)
+                                yield nxt.store(ctx, u, 1)
                                 changed += 1
                 if changed:
-                    yield from ctx.amo_add(self.count_addr, changed)
+                    yield ctx.amo_add(self.count_addr, changed)
 
-            yield from self.pfor(rt, ctx, body, grain)
-            changed = yield from ctx.load(self.count_addr)
+            yield self.pfor(rt, ctx, body, grain)
+            changed = yield ctx.load(self.count_addr)
             if changed == 0:
                 break
             round_index += 1

@@ -40,17 +40,17 @@ class LigraPageRank(LigraApp):
             def body(rt, ctx, lo, hi, cur=cur, nxt=nxt):
                 for v in range(lo, hi):
                     acc = 0.0
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     for e in range(start, end):
-                        u = yield from self.g.edge_target(ctx, e)
-                        rank_u = yield from cur.load(ctx, u)
-                        deg_u = yield from self.degree.load(ctx, u)
-                        yield from ctx.work(2)
+                        u = yield self.g.edge_target(ctx, e)
+                        rank_u = yield cur.load(ctx, u)
+                        deg_u = yield self.degree.load(ctx, u)
+                        yield ctx.work(2)
                         acc += rank_u / deg_u
-                    yield from ctx.work(2)
-                    yield from nxt.store(ctx, v, base + DAMPING * acc)
+                    yield ctx.work(2)
+                    yield nxt.store(ctx, v, base + DAMPING * acc)
 
-            yield from self.pfor(rt, ctx, body, grain)
+            yield self.pfor(rt, ctx, body, grain)
 
     def check(self) -> None:
         expected = self._reference()

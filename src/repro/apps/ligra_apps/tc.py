@@ -43,31 +43,31 @@ class LigraTriangleCounting(LigraApp):
         def body(rt, ctx, lo, hi):
             local = 0
             for e in range(lo, hi):
-                u = yield from self.edge_src.load(ctx, e)
-                v = yield from self.g.edge_target(ctx, e)
-                yield from ctx.work(1)
+                u = yield self.edge_src.load(ctx, e)
+                v = yield self.g.edge_target(ctx, e)
+                yield ctx.work(1)
                 if v <= u:
                     continue
-                local += yield from self._intersect_gt(ctx, u, v)
+                local += yield self._intersect_gt(ctx, u, v)
             if local:
-                yield from ctx.amo_add(self.count_addr, local)
+                yield ctx.amo_add(self.count_addr, local)
 
-        yield from parallel_for(rt, ctx, 0, self.graph.m, body, grain)
+        yield parallel_for(rt, ctx, 0, self.graph.m, body, grain)
 
     def _intersect_gt(self, ctx, u: int, v: int):
         """|adj(u) ∩ adj(v) ∩ {w : w > v}| via two-pointer merge."""
         g = self.g
-        u_start, u_end = yield from g.edge_range(ctx, u)
-        v_start, v_end = yield from g.edge_range(ctx, v)
+        u_start, u_end = yield g.edge_range(ctx, u)
+        v_start, v_end = yield g.edge_range(ctx, v)
         i, j = u_start, v_start
         count = 0
         a = b = None
         while i < u_end and j < v_end:
             if a is None:
-                a = yield from g.edge_target(ctx, i)
+                a = yield g.edge_target(ctx, i)
             if b is None:
-                b = yield from g.edge_target(ctx, j)
-            yield from ctx.work(1)
+                b = yield g.edge_target(ctx, j)
+            yield ctx.work(1)
             if a == b:
                 if a > v:
                     count += 1

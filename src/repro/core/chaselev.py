@@ -54,33 +54,33 @@ class ChaseLevDeque:
     # ------------------------------------------------------------------
     def push(self, ctx, task_id: int):
         """Owner-side enqueue at the tail."""
-        tail = yield from ctx.amo_or(self.tail_addr, 0)
-        head = yield from ctx.amo_or(self.head_addr, 0)
+        tail = yield ctx.amo_or(self.tail_addr, 0)
+        head = yield ctx.amo_or(self.head_addr, 0)
         if tail - head >= self.capacity:
             raise SimulationError(
                 f"chase-lev deque {self.owner_tid} overflow (capacity {self.capacity})"
             )
-        yield from ctx.store(self._slot_addr(tail), task_id)
+        yield ctx.store(self._slot_addr(tail), task_id)
         if ctx.core.l1.NEEDS_FLUSH:
             # The slot write must be visible before the tail publication.
-            yield from ctx.cache_flush()
-        yield from ctx.amo("xchg", self.tail_addr, tail + 1)
+            yield ctx.cache_flush()
+        yield ctx.amo("xchg", self.tail_addr, tail + 1)
 
     def take(self, ctx):
         """Owner-side LIFO dequeue from the tail; 0 when empty."""
-        tail = yield from ctx.amo_sub(self.tail_addr, 1)
+        tail = yield ctx.amo_sub(self.tail_addr, 1)
         tail -= 1  # amo_sub returned the pre-decrement value
-        head = yield from ctx.amo_or(self.head_addr, 0)
+        head = yield ctx.amo_or(self.head_addr, 0)
         if head > tail:
             # Empty: undo the decrement.
-            yield from ctx.amo("xchg", self.tail_addr, head)
+            yield ctx.amo("xchg", self.tail_addr, head)
             return 0
-        task_id = yield from ctx.load(self._slot_addr(tail))
+        task_id = yield ctx.load(self._slot_addr(tail))
         if head != tail:
             return task_id
         # Last element: race with thieves via CAS on head.
-        old = yield from ctx.cas(self.head_addr, head, head + 1)
-        yield from ctx.amo("xchg", self.tail_addr, head + 1)
+        old = yield ctx.cas(self.head_addr, head, head + 1)
+        yield ctx.amo("xchg", self.tail_addr, head + 1)
         if old == head:
             return task_id
         return 0
@@ -90,8 +90,8 @@ class ChaseLevDeque:
     # ------------------------------------------------------------------
     def steal(self, ctx):
         """Thief-side FIFO steal from the head; 0 when empty or lost race."""
-        head = yield from ctx.amo_or(self.head_addr, 0)
-        tail = yield from ctx.amo_or(self.tail_addr, 0)
+        head = yield ctx.amo_or(self.head_addr, 0)
+        tail = yield ctx.amo_or(self.tail_addr, 0)
         if head >= tail:
             return 0
         if self.fault_injector is not None and self.fault_injector.steal_aborts(
@@ -102,9 +102,9 @@ class ChaseLevDeque:
             return 0
         if ctx.core.l1.NEEDS_INVALIDATE:
             # The slot may be stale in our private cache.
-            yield from ctx.cache_invalidate()
-        task_id = yield from ctx.load(self._slot_addr(head))
-        old = yield from ctx.cas(self.head_addr, head, head + 1)
+            yield ctx.cache_invalidate()
+        task_id = yield ctx.load(self._slot_addr(head))
+        old = yield ctx.cas(self.head_addr, head, head + 1)
         if old == head:
             return task_id
         return 0

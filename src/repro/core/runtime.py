@@ -153,11 +153,11 @@ class WorkStealingRuntime:
 
     def _init_descriptor(self, ctx, task: Task):
         """Simulated stores initializing rc/hsc/args (task construction)."""
-        yield from ctx.work(SPAWN_OVERHEAD)
-        yield from ctx.store(task.rc_addr, 0)
-        yield from ctx.store(task.hsc_addr, 0)
+        yield ctx.work(SPAWN_OVERHEAD)
+        yield ctx.store(task.rc_addr, 0)
+        yield ctx.store(task.hsc_addr, 0)
         for i in range(task.ARG_WORDS):
-            yield from ctx.store(task.arg_addr(i), 0)
+            yield ctx.store(task.arg_addr(i), 0)
 
     # ------------------------------------------------------------------
     # Public API: spawn / wait / fork_join
@@ -170,33 +170,33 @@ class WorkStealingRuntime:
         if self.deque_kind == "chase-lev":
             # Lock-free publication; the push itself flushes user data on
             # protocols that need it before the tail becomes visible.
-            yield from dq.push(ctx, task.task_id)
+            yield dq.push(ctx, task.task_id)
         elif self.variant == "hw":
-            yield from dq.lock_acquire(ctx)
-            yield from dq.enqueue(ctx, task.task_id)
-            yield from dq.lock_release(ctx)
+            yield dq.lock_acquire(ctx)
+            yield dq.enqueue(ctx, task.task_id)
+            yield dq.lock_release(ctx)
         elif self.variant == "hcc":
-            yield from dq.lock_acquire(ctx)
-            yield from ctx.cache_invalidate()
-            yield from dq.enqueue(ctx, task.task_id)
-            yield from ctx.cache_flush()
-            yield from dq.lock_release(ctx)
+            yield dq.lock_acquire(ctx)
+            yield ctx.cache_invalidate()
+            yield dq.enqueue(ctx, task.task_id)
+            yield ctx.cache_flush()
+            yield dq.lock_release(ctx)
         else:  # dts
-            yield from ctx.uli_disable()
-            yield from dq.enqueue(ctx, task.task_id)
-            yield from ctx.uli_enable()
+            yield ctx.uli_disable()
+            yield dq.enqueue(ctx, task.task_id)
+            yield ctx.uli_enable()
             if not self.dts_elide_queue_sync:
                 # Ablation: keep the conservative per-spawn flush.
-                yield from ctx.cache_flush()
+                yield ctx.cache_flush()
 
     def wait(self, ctx, parent: Task):
         """Figure 3 ``task::wait``: scheduling loop until children join."""
         if self.variant == "hw":
-            yield from self._wait_hw(ctx, parent)
+            yield self._wait_hw(ctx, parent)
         elif self.variant == "hcc":
-            yield from self._wait_hcc(ctx, parent)
+            yield self._wait_hcc(ctx, parent)
         else:
-            yield from self._wait_dts(ctx, parent)
+            yield self._wait_dts(ctx, parent)
 
     def fork_join(self, ctx, parent: Task, children: List[Task]):
         """Spawn ``children`` of ``parent`` and wait for all of them.
@@ -210,24 +210,24 @@ class WorkStealingRuntime:
             # Serial elision: children are plain nested calls.
             for child in children:
                 self.register_task(child, parent)
-                yield from child.execute(self, ctx)
+                yield child.execute(self, ctx)
             return
-        yield from ctx.store(parent.rc_addr, len(children))
+        yield ctx.store(parent.rc_addr, len(children))
         for child in children:
             self.register_task(child, parent)
-            yield from self._init_descriptor(ctx, child)
+            yield self._init_descriptor(ctx, child)
         for child in children:
-            yield from self.spawn(ctx, child)
-        yield from self.wait(ctx, parent)
+            yield self.spawn(ctx, child)
+        yield self.wait(ctx, parent)
 
     def run_inline(self, ctx, task: Task):
         """Execute a fresh parentless task on the current thread."""
         self.register_task(task, parent=None)
         if self.serial_elision:
-            yield from task.execute(self, ctx)
+            yield task.execute(self, ctx)
             return
-        yield from self._init_descriptor(ctx, task)
-        yield from self._run_task(ctx, task)
+        yield self._init_descriptor(ctx, task)
+        yield self._run_task(ctx, task)
 
     # ------------------------------------------------------------------
     # Task execution
@@ -249,16 +249,16 @@ class WorkStealingRuntime:
                 ctx.tid, now, task.task_id, type(task).__name__
             )
         for i in range(task.ARG_WORDS):
-            yield from ctx.load(task.arg_addr(i))
-        yield from ctx.work(TASK_START_OVERHEAD)
-        yield from task.execute(self, ctx)
+            yield ctx.load(task.arg_addr(i))
+        yield ctx.work(TASK_START_OVERHEAD)
+        yield task.execute(self, ctx)
         core.spinning = spin_prev
         if self._tracing:
             self.tracer.task_end(ctx.tid, self.machine.sim.now)
 
     def _decrement_parent_amo(self, ctx, task: Task):
         if task.parent is not None:
-            yield from ctx.amo_sub(task.parent.rc_addr, 1)
+            yield ctx.amo_sub(task.parent.rc_addr, 1)
 
     def _choose_victim(self, ctx) -> int:
         if self.steal_policy == "big-first":
@@ -278,7 +278,7 @@ class WorkStealingRuntime:
         window = min(STEAL_BACKOFF << min(failures, 6), STEAL_BACKOFF_CAP)
         if self._tracing:
             self.tracer.core_state(ctx.tid, self.machine.sim.now, "idle")
-        yield from ctx.idle(window + ctx.rng.randint(0, window))
+        yield ctx.idle(window + ctx.rng.randint(0, window))
 
     @staticmethod
     def _steal_succeeded(ctx):
@@ -290,22 +290,22 @@ class WorkStealingRuntime:
     def _poll_local_hw(self, ctx):
         dq = self.deques[ctx.tid]
         if self.deque_kind == "chase-lev":
-            task_id = yield from dq.take(ctx)
+            task_id = yield dq.take(ctx)
         else:
-            yield from dq.lock_acquire(ctx)
-            task_id = yield from dq.dequeue_tail(ctx)
-            yield from dq.lock_release(ctx)
+            yield dq.lock_acquire(ctx)
+            task_id = yield dq.dequeue_tail(ctx)
+            yield dq.lock_release(ctx)
         if not task_id:
             return False
         task = self.tasks[task_id]
         self.stats.add("local_dequeues")
-        yield from self._run_task(ctx, task)
-        yield from self._decrement_parent_amo(ctx, task)
+        yield self._run_task(ctx, task)
+        yield self._decrement_parent_amo(ctx, task)
         return True
 
     def _steal_hw(self, ctx):
         if self.n_threads < 2:
-            yield from ctx.idle(STEAL_BACKOFF)
+            yield ctx.idle(STEAL_BACKOFF)
             return False
         self.stats.add("steal_attempts")
         # The attempt's start cycle lives on ctx, not in a frame local:
@@ -319,13 +319,13 @@ class WorkStealingRuntime:
         vid = self._choose_victim(ctx)
         vdq = self.deques[vid]
         if self.deque_kind == "chase-lev":
-            task_id = yield from vdq.steal(ctx)
+            task_id = yield vdq.steal(ctx)
         else:
-            yield from vdq.lock_acquire(ctx)
-            task_id = yield from vdq.steal_head(ctx)
-            yield from vdq.lock_release(ctx)
+            yield vdq.lock_acquire(ctx)
+            task_id = yield vdq.steal_head(ctx)
+            yield vdq.lock_release(ctx)
         if not task_id:
-            yield from self._steal_backoff(ctx)
+            yield self._steal_backoff(ctx)
             return False
         self._steal_succeeded(ctx)
         task = self.tasks[task_id]
@@ -335,8 +335,8 @@ class WorkStealingRuntime:
                 ctx.tid, vid, task_id, ctx._steal_start,
                 self.machine.sim.now, self.variant,
             )
-        yield from self._run_task(ctx, task)
-        yield from self._decrement_parent_amo(ctx, task)
+        yield self._run_task(ctx, task)
+        yield self._decrement_parent_amo(ctx, task)
         return True
 
     def _wait_hw(self, ctx, parent: Task):
@@ -345,13 +345,13 @@ class WorkStealingRuntime:
         while True:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            rc = yield from ctx.load(parent.rc_addr)
+            rc = yield ctx.load(parent.rc_addr)
             if rc <= 0:
                 core.spinning = False
                 return
-            executed = yield from self._poll_local_hw(ctx)
+            executed = yield self._poll_local_hw(ctx)
             if not executed:
-                yield from self._steal_hw(ctx)
+                yield self._steal_hw(ctx)
 
     # ------------------------------------------------------------------
     # Variant: heterogeneous cache coherence (Figure 3b)
@@ -361,24 +361,24 @@ class WorkStealingRuntime:
         if self.deque_kind == "chase-lev":
             # Control accesses are AMOs (coherence-point reads), so the
             # whole-cache invalidate/flush pair is unnecessary locally.
-            task_id = yield from dq.take(ctx)
+            task_id = yield dq.take(ctx)
         else:
-            yield from dq.lock_acquire(ctx)
-            yield from ctx.cache_invalidate()
-            task_id = yield from dq.dequeue_tail(ctx)
-            yield from ctx.cache_flush()
-            yield from dq.lock_release(ctx)
+            yield dq.lock_acquire(ctx)
+            yield ctx.cache_invalidate()
+            task_id = yield dq.dequeue_tail(ctx)
+            yield ctx.cache_flush()
+            yield dq.lock_release(ctx)
         if not task_id:
             return False
         task = self.tasks[task_id]
         self.stats.add("local_dequeues")
-        yield from self._run_task(ctx, task)
-        yield from self._decrement_parent_amo(ctx, task)
+        yield self._run_task(ctx, task)
+        yield self._decrement_parent_amo(ctx, task)
         return True
 
     def _steal_hcc(self, ctx):
         if self.n_threads < 2:
-            yield from ctx.idle(STEAL_BACKOFF)
+            yield ctx.idle(STEAL_BACKOFF)
             return False
         self.stats.add("steal_attempts")
         # On ctx for checkpoint restore; see _steal_hw.
@@ -388,15 +388,15 @@ class WorkStealingRuntime:
         vid = self._choose_victim(ctx)
         vdq = self.deques[vid]
         if self.deque_kind == "chase-lev":
-            task_id = yield from vdq.steal(ctx)
+            task_id = yield vdq.steal(ctx)
         else:
-            yield from vdq.lock_acquire(ctx)
-            yield from ctx.cache_invalidate()
-            task_id = yield from vdq.steal_head(ctx)
-            yield from ctx.cache_flush()
-            yield from vdq.lock_release(ctx)
+            yield vdq.lock_acquire(ctx)
+            yield ctx.cache_invalidate()
+            task_id = yield vdq.steal_head(ctx)
+            yield ctx.cache_flush()
+            yield vdq.lock_release(ctx)
         if not task_id:
-            yield from self._steal_backoff(ctx)
+            yield self._steal_backoff(ctx)
             return False
         self._steal_succeeded(ctx)
         task = self.tasks[task_id]
@@ -408,11 +408,11 @@ class WorkStealingRuntime:
             )
         # The stolen task's parent ran on another thread: invalidate to see
         # its writes, flush afterwards so the parent can see ours.
-        yield from ctx.cache_invalidate()
-        yield from self._run_task(ctx, task)
+        yield ctx.cache_invalidate()
+        yield self._run_task(ctx, task)
         if self.break_coherence != "no-thief-flush":
-            yield from ctx.cache_flush()
-        yield from self._decrement_parent_amo(ctx, task)
+            yield ctx.cache_flush()
+        yield self._decrement_parent_amo(ctx, task)
         return True
 
     def _wait_hcc(self, ctx, parent: Task):
@@ -421,32 +421,32 @@ class WorkStealingRuntime:
         while True:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            rc = yield from ctx.amo_or(parent.rc_addr, 0)
+            rc = yield ctx.amo_or(parent.rc_addr, 0)
             if rc <= 0:
                 break
-            executed = yield from self._poll_local_hcc(ctx)
+            executed = yield self._poll_local_hcc(ctx)
             if not executed:
-                yield from self._steal_hcc(ctx)
+                yield self._steal_hcc(ctx)
         core.spinning = False
         # A child may have been stolen and executed remotely: invalidate so
         # the parent sees its children's writes (DAG consistency, req. 2).
         if self.break_coherence != "no-parent-invalidate":
-            yield from ctx.cache_invalidate()
+            yield ctx.cache_invalidate()
 
     # ------------------------------------------------------------------
     # Variant: direct task stealing (Figure 3c)
     # ------------------------------------------------------------------
     def _poll_local_dts(self, ctx):
         dq = self.deques[ctx.tid]
-        yield from ctx.uli_disable()
-        task_id = yield from dq.dequeue_tail(ctx)
-        yield from ctx.uli_enable()
+        yield ctx.uli_disable()
+        task_id = yield dq.dequeue_tail(ctx)
+        yield ctx.uli_enable()
         if not task_id:
             return False
         task = self.tasks[task_id]
         self.stats.add("local_dequeues")
-        yield from self._run_task(ctx, task)
-        yield from self._finish_child_dts(ctx, task)
+        yield self._run_task(ctx, task)
+        yield self._finish_child_dts(ctx, task)
         return True
 
     def _finish_child_dts(self, ctx, task: Task):
@@ -454,18 +454,18 @@ class WorkStealingRuntime:
         if task.parent is None:
             return
         if not self.dts_elide_parent_sync:
-            yield from self._decrement_parent_amo(ctx, task)
+            yield self._decrement_parent_amo(ctx, task)
             return
-        hsc = yield from ctx.load(task.parent.hsc_addr)
+        hsc = yield ctx.load(task.parent.hsc_addr)
         if hsc:
-            yield from self._decrement_parent_amo(ctx, task)
+            yield self._decrement_parent_amo(ctx, task)
         else:
-            rc = yield from ctx.load(task.parent.rc_addr)
-            yield from ctx.store(task.parent.rc_addr, rc - 1)
+            rc = yield ctx.load(task.parent.rc_addr)
+            yield ctx.store(task.parent.rc_addr, rc - 1)
 
     def _steal_dts(self, ctx):
         if self.n_threads < 2:
-            yield from ctx.idle(STEAL_BACKOFF)
+            yield ctx.idle(STEAL_BACKOFF)
             return False
         self.stats.add("steal_attempts")
         # On ctx for checkpoint restore; see _steal_hw.
@@ -473,14 +473,14 @@ class WorkStealingRuntime:
         if self._tracing:
             self.tracer.core_state(ctx.tid, steal_start, "steal-attempt")
         vid = self._choose_victim(ctx)
-        ack = yield from ctx.uli_send_req(vid)
+        ack = yield ctx.uli_send_req(vid)
         if not ack:
             self.stats.add("steal_nacks")
-            yield from self._steal_backoff(ctx)
+            yield self._steal_backoff(ctx)
             return False
-        task_id = yield from ctx.amo("xchg", self._mailboxes[ctx.tid], 0)
+        task_id = yield ctx.amo("xchg", self._mailboxes[ctx.tid], 0)
         if not task_id:
-            yield from self._steal_backoff(ctx)
+            yield self._steal_backoff(ctx)
             return False
         self._steal_succeeded(ctx)
         task = self.tasks[task_id]
@@ -490,11 +490,11 @@ class WorkStealingRuntime:
                 ctx.tid, vid, task_id, ctx._steal_start,
                 self.machine.sim.now, self.variant,
             )
-        yield from ctx.cache_invalidate()
-        yield from self._run_task(ctx, task)
+        yield ctx.cache_invalidate()
+        yield self._run_task(ctx, task)
         if self.break_coherence != "no-thief-flush":
-            yield from ctx.cache_flush()
-        yield from self._decrement_parent_amo(ctx, task)
+            yield ctx.cache_flush()
+        yield self._decrement_parent_amo(ctx, task)
         return True
 
     def _wait_dts(self, ctx, parent: Task):
@@ -502,29 +502,29 @@ class WorkStealingRuntime:
         core.spinning = True
         if self._tracing:
             self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-        rc = yield from ctx.load(parent.rc_addr)
+        rc = yield ctx.load(parent.rc_addr)
         while rc > 0:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            executed = yield from self._poll_local_dts(ctx)
+            executed = yield self._poll_local_dts(ctx)
             if not executed:
-                yield from self._steal_dts(ctx)
+                yield self._steal_dts(ctx)
             if self.dts_elide_parent_sync:
-                hsc = yield from ctx.load(parent.hsc_addr)
+                hsc = yield ctx.load(parent.hsc_addr)
             else:
                 hsc = 1
             if hsc:
-                rc = yield from ctx.amo_or(parent.rc_addr, 0)
+                rc = yield ctx.amo_or(parent.rc_addr, 0)
             else:
-                rc = yield from ctx.load(parent.rc_addr)
+                rc = yield ctx.load(parent.rc_addr)
         core.spinning = False
         if self.dts_elide_parent_sync:
-            hsc = yield from ctx.load(parent.hsc_addr)
+            hsc = yield ctx.load(parent.hsc_addr)
         else:
             hsc = 1
         if hsc and self.break_coherence != "no-parent-invalidate":
             # Some child ran remotely: invalidate to see its writes.
-            yield from ctx.cache_invalidate()
+            yield ctx.cache_invalidate()
 
     # ------------------------------------------------------------------
     # DTS victim-side ULI handler (Figure 3c lines 47-53)
@@ -545,18 +545,18 @@ class WorkStealingRuntime:
             core.spinning = True
             self.stats.add("uli_handler_runs")
             if self.handler_steals_tail:
-                task_id = yield from dq.dequeue_tail(ctx)
+                task_id = yield dq.dequeue_tail(ctx)
             else:
-                task_id = yield from dq.steal_head(ctx)
+                task_id = yield dq.steal_head(ctx)
             if task_id:
                 # Only a successful export is watchdog progress: a wedged
                 # victim still answers steal requests with NACKs forever.
                 self.progress += 1
                 task = self.tasks[task_id]
                 if task.parent is not None:
-                    yield from ctx.store(task.parent.hsc_addr, 1)
-                yield from ctx.amo("xchg", self._mailboxes[thief_core_id], task_id)
-                yield from ctx.cache_flush()
+                    yield ctx.store(task.parent.hsc_addr, 1)
+                yield ctx.amo("xchg", self._mailboxes[thief_core_id], task_id)
+                yield ctx.cache_flush()
                 self.stats.add("uli_tasks_exported")
             core.spinning = spin_prev
 
@@ -567,8 +567,8 @@ class WorkStealingRuntime:
     # ------------------------------------------------------------------
     def _main_thread(self, ctx, root: Task):
         if self.variant == "dts":
-            yield from ctx.uli_enable()
-        yield from self.run_inline(ctx, root)
+            yield ctx.uli_enable()
+        yield self.run_inline(ctx, root)
         self.done = True
 
     def _worker_thread(self, ctx):
@@ -583,14 +583,14 @@ class WorkStealingRuntime:
             "dts": self._steal_dts,
         }[self.variant]
         if self.variant == "dts":
-            yield from ctx.uli_enable()
+            yield ctx.uli_enable()
         ctx.core.spinning = True
         while not self.done:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            executed = yield from poll(ctx)
+            executed = yield poll(ctx)
             if not executed and not self.done:
-                yield from steal(ctx)
+                yield steal(ctx)
         ctx.core.spinning = False
 
     def run(self, root: Task, main_tid: int = 0) -> int:

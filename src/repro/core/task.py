@@ -1,9 +1,11 @@
 """Tasks: the unit of dynamic parallelism (Section II-C of the paper).
 
 A task is a Python object whose ``execute`` method is a simulated-thread
-generator (it ``yield from``-s :class:`repro.cores.context.ThreadContext`
-operations).  Each task owns a small *descriptor block* in simulated shared
-memory holding the fields the runtime synchronizes on:
+generator: it ``yield``s :class:`repro.cores.context.ThreadContext`
+operations, and ``yield``s sub-generators (``rt.fork_join``, helpers) to
+call them — the core runs a yielded generator and resumes the caller with
+its return value. Each task owns a small *descriptor block* in simulated
+shared memory holding the fields the runtime synchronizes on:
 
 * ``rc``  (+0)  — the reference count of unfinished children, updated with
   AMOs (or plain stores under the DTS optimization);
@@ -71,4 +73,4 @@ class FuncTask(Task):
         self.fn = fn
 
     def execute(self, rt, ctx):
-        yield from self.fn(rt, ctx)
+        return self.fn(rt, ctx)

@@ -1,12 +1,16 @@
 """Thread context: the programming interface of a simulated hardware thread.
 
-Runtime and application code calls these generator methods with
-``yield from``; each wraps one architectural operation.  Example::
+Each method returns one architectural op (:mod:`repro.cores.ops`) for the
+thread to ``yield``; the core sends the op's result back in.  Thread code
+calls its own sub-generators the same way — ``yield`` them, never
+delegate to them (PEP 380): the core keeps the call stack, so an op
+costs one generator resume however deep the task tree is.  Example::
 
     def execute(self, ctx):
-        n = yield from ctx.load(self.addr)
-        yield from ctx.work(5)
-        yield from ctx.store(self.addr, n + 1)
+        n = yield ctx.load(self.addr)
+        yield ctx.work(5)
+        yield ctx.store(self.addr, n + 1)
+        total = yield self.helper(ctx)   # a call: resumes with its return
 
 The context also carries the thread id and a per-thread RNG used by victim
 selection, keeping all randomness deterministic per run.
@@ -14,7 +18,7 @@ selection, keeping all randomness deterministic per run.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any
 
 from repro.engine.rng import XorShift64
 from repro.cores import ops
@@ -32,76 +36,65 @@ class ThreadContext:
     # ------------------------------------------------------------------
     # Memory operations
     # ------------------------------------------------------------------
-    def load(self, addr: int):
-        value = yield ops.Load(addr)
-        return value
+    def load(self, addr: int) -> ops.Load:
+        return ops.Load(addr)
 
-    def bypass_load(self, addr: int):
+    def bypass_load(self, addr: int) -> ops.Load:
         """Uncached load resolved at the shared L2 (mailbox reads)."""
-        value = yield ops.Load(addr, bypass=True)
-        return value
+        return ops.Load(addr, bypass=True)
 
-    def store(self, addr: int, value: Any):
-        yield ops.Store(addr, value)
+    def store(self, addr: int, value: Any) -> ops.Store:
+        return ops.Store(addr, value)
 
-    def amo(self, op: str, addr: int, operand: Any):
-        old = yield ops.Amo(op, addr, operand)
-        return old
+    def amo(self, op: str, addr: int, operand: Any) -> ops.Amo:
+        return ops.Amo(op, addr, operand)
 
-    def cas(self, addr: int, expected: int, desired: int):
+    def cas(self, addr: int, expected: int, desired: int) -> ops.Amo:
         """Compare-and-swap; returns the old value (== expected on success)."""
-        old = yield ops.Amo("cas", addr, (expected, desired))
-        return old
+        return ops.Amo("cas", addr, (expected, desired))
 
-    def amo_add(self, addr: int, delta: int):
-        old = yield ops.Amo("add", addr, delta)
-        return old
+    def amo_add(self, addr: int, delta: int) -> ops.Amo:
+        return ops.Amo("add", addr, delta)
 
-    def amo_sub(self, addr: int, delta: int):
-        old = yield ops.Amo("sub", addr, delta)
-        return old
+    def amo_sub(self, addr: int, delta: int) -> ops.Amo:
+        return ops.Amo("sub", addr, delta)
 
-    def amo_or(self, addr: int, bits: int):
-        old = yield ops.Amo("or", addr, bits)
-        return old
+    def amo_or(self, addr: int, bits: int) -> ops.Amo:
+        return ops.Amo("or", addr, bits)
 
-    def amo_min(self, addr: int, value: int):
-        old = yield ops.Amo("min", addr, value)
-        return old
+    def amo_min(self, addr: int, value: int) -> ops.Amo:
+        return ops.Amo("min", addr, value)
 
     # ------------------------------------------------------------------
     # Compute / waiting
     # ------------------------------------------------------------------
-    def work(self, n: int):
-        if n > 0:
-            yield ops.Work(n)
+    def work(self, n: int) -> ops.Op:
+        return ops.Work(n) if n > 0 else ops.NOP
 
-    def idle(self, n: int):
-        if n > 0:
-            yield ops.Idle(n)
+    def idle(self, n: int) -> ops.Op:
+        return ops.Idle(n) if n > 0 else ops.NOP
 
     # ------------------------------------------------------------------
     # Software coherence instructions
     # ------------------------------------------------------------------
-    def cache_invalidate(self):
-        yield ops.INV_ALL
+    def cache_invalidate(self) -> ops.InvAll:
+        return ops.INV_ALL
 
-    def cache_flush(self):
-        yield ops.FLUSH_ALL
+    def cache_flush(self) -> ops.FlushAll:
+        return ops.FLUSH_ALL
 
     # ------------------------------------------------------------------
     # User-level interrupts (Direct Task Stealing)
     # ------------------------------------------------------------------
-    def uli_send_req(self, victim_tid: int):
+    def uli_send_req(self, victim_tid: int) -> ops.UliSend:
         """Send a steal request; blocks until ACK/NACK. Returns ack bool."""
-        ack = yield ops.UliSend(victim_tid)
-        return ack
+        return ops.UliSend(victim_tid)
 
-    def uli_enable(self):
-        yield ops.ULI_ENABLE
+    def uli_enable(self) -> ops.UliEnable:
+        return ops.ULI_ENABLE
 
-    def uli_disable(self):
-        yield ops.ULI_DISABLE
+    def uli_disable(self) -> ops.UliDisable:
+        return ops.ULI_DISABLE
 
     # ------------------------------------------------------------------
     # Helpers
@@ -110,7 +103,3 @@ class ThreadContext:
         """Uniform random victim other than self (paper: random selection)."""
         return self.rng.choice_excluding(self.n_threads, self.tid)
 
-    def load_pair(self, addr_a: int, addr_b: int) -> Tuple[int, int]:
-        a = yield from self.load(addr_a)
-        b = yield from self.load(addr_b)
-        return a, b

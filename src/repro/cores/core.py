@@ -20,29 +20,40 @@ Hot-path structure
 
 Executing one architectural operation is the simulator's innermost loop,
 so the coroutine machinery is built around a *trampoline*
-(:meth:`Core._resume`): each iteration sends the previous result into the
-thread generator, dispatches the yielded op through a per-kind
-bound-method table (``_op_*``, each returning ``(result, latency)``), and
-then asks the simulator for the event-fusion fast path
-(:meth:`repro.engine.simulator.Simulator.try_fuse`).  If the completion
-is strictly earlier than every pending event the clock advances inline
-and the loop continues — no closure allocation, no heap traffic, no event
-dispatch.  Otherwise the op parks its result on the core and schedules a
-*preallocated* continuation (``_complete_cont``), which re-enters the
-trampoline when the event fires.  ULI handler entry is checked at exactly
-the op boundaries where the unfused path would check it, so fused and
-unfused runs are cycle- and statistic-identical.
+(:meth:`Core._resume`) that owns each thread's call stack.  Thread code
+``yield``s either an op or a sub-generator (a call); it never delegates
+(PEP 380).  The trampoline pushes a yielded generator onto the
+thread's stack and starts it, and when a frame returns it pops it and
+sends the return value to its caller, so every op costs one ``send``
+into the innermost frame however deep the task tree is.  (With delegation
+CPython re-enters every frame of the chain on each ``send``, ~60 ns per
+level on CPython 3.11.)  Each op is dispatched through a
+per-kind bound-method table (``_op_*``, each returning
+``(result, latency)``), and then the simulator's event-fusion fast path
+(:meth:`repro.engine.simulator.Simulator.try_fuse`) is asked: if the
+completion is strictly earlier than every pending event the clock
+advances inline and the loop continues — no closure allocation, no heap
+traffic, no event dispatch.  Otherwise the op parks its result on the
+core and schedules a *preallocated* continuation (``_complete_cont``),
+which re-enters the trampoline when the event fires.  ULI handler entry
+is checked at exactly the op boundaries where the unfused path would
+check it (calls, returns and :data:`~repro.cores.ops.NOP` are not op
+boundaries), so fused and unfused runs are cycle- and
+statistic-identical.
 
-``_resume`` is the only op loop.  The engine profiler
-(repro.obs.profile) observes it from outside — probed frames around
-``frame.send`` and wrapped ``_dispatch_table`` entries — so profiling adds
-no code path to it.
+``_resume`` is the only op loop; :func:`advance` states the same
+call/return rule for the two drivers off the hot path (checkpoint replay
+and the Cilkview analyzer).  The engine profiler (repro.obs.profile)
+observes the loop from outside — probed frames around ``frame.send`` and
+wrapped ``_dispatch_table`` entries — so profiling adds no code path to
+it beyond choosing the frame a call pushes.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
+from types import GeneratorType
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.cores import ops
@@ -53,6 +64,37 @@ from repro.trace.tracer import NULL_TRACER
 #: Sentinel pushed on the resume stack when a handler interrupts a core
 #: that is blocked waiting for its own ULI response (no value to deliver).
 _NO_RESULT = object()
+
+
+def advance(stack: List, value: Any) -> Optional[ops.Op]:
+    """Resume the call stack ``stack`` with ``value`` up to its next op.
+
+    The trampoline's rule, for drivers that need no timing: a yielded
+    generator is pushed and started, :data:`ops.NOP` resumes its frame
+    with ``None``, and a frame that returns is popped and its return value
+    sent to its caller.  Returns the first op yielded, or None once the
+    bottom frame has returned (``stack`` is then empty).  Values resumed
+    into pushed or returned-to frames come from the stack itself, which
+    is why checkpoint replay needs only the values sent from outside.
+    """
+    frame = stack[-1]
+    while True:
+        try:
+            op = frame.send(value)
+        except StopIteration as stop:
+            stack.pop()
+            if not stack:
+                return None
+            frame = stack[-1]
+            value = stop.value
+            continue
+        value = None
+        if type(op) is GeneratorType:
+            stack.append(op)
+            frame = op
+        elif op is not ops.NOP:
+            return op
+
 
 #: Stat categories for the Figure 7 execution-time breakdown.
 TIME_CATEGORIES = (
@@ -81,7 +123,7 @@ class Core:
         "uli_network",
         "uli_entry_latency",
         "stats",
-        "_frames",
+        "_stacks",
         "_resume_stack",
         "halted",
         "spinning",
@@ -144,7 +186,9 @@ class Core:
         self.uli_entry_latency = uli_entry_latency
         self.stats = stats.child(f"core_{core_id}")
 
-        self._frames: List[Generator] = []
+        #: One call stack per thread or ULI handler frame, innermost call
+        #: last; a handler's stack sits above the thread it interrupted.
+        self._stacks: List[List[Generator]] = []
         self._resume_stack: List[Any] = []
         self.halted = True
 
@@ -190,16 +234,17 @@ class Core:
 
         #: Checkpoint send-log (repro.engine.checkpoint): when a Machine
         #: enables checkpointing this is the machine-wide list that records
-        #: every value sent into a thread generator, so a snapshot can be
-        #: restored by replaying the sends into freshly created coroutines.
+        #: every value that enters a thread from outside its call stack, so
+        #: a snapshot can be restored by replaying the sends into freshly
+        #: created coroutines.
         #: None (the default) costs the hot loop one branch per operation.
         self._ckpt_log: Optional[List] = None
 
         #: Wall-clock profiler (repro.obs.profile.WallProfiler) armed by
         #: EngineProfiler.install, which also wraps ``_dispatch_table``.
-        #: Read only off the hot loop: :meth:`_push_frame` wraps each new
-        #: frame in a probed frame.  Simulated results are identical either
-        #: way — only host time is observed.
+        #: Read once per resume and at frame pushes: each new frame,
+        #: thread, handler or call, is wrapped in a probed frame.  Simulated
+        #: results are identical either way — only host time is observed.
         self._prof = None
 
     # ------------------------------------------------------------------
@@ -207,7 +252,7 @@ class Core:
     # ------------------------------------------------------------------
     def start(self, thread: Generator, delay: int = 0) -> None:
         """Begin executing ``thread`` on this core."""
-        if self._frames:
+        if self._stacks:
             raise SimulationError(f"core {self.core_id} already running a thread")
         self._push_frame(thread)
         self.halted = False
@@ -217,30 +262,41 @@ class Core:
     # Coroutine machinery
     # ------------------------------------------------------------------
     def _push_frame(self, frame: Generator) -> None:
-        """Push a thread or ULI handler coroutine onto the frame stack.
+        """Start a new call stack for a thread or ULI handler coroutine.
 
-        Every frame the trampoline drives enters here, so a profiled core
-        (``_prof`` set) gets each one wrapped by the profiler's probed
-        frame, whose ``send`` is charged to generator code.
+        A profiled core (``_prof`` set) wraps the frame in the profiler's
+        probed frame, whose ``send`` is charged to generator code; the
+        trampoline does the same for each call it pushes.
         """
         prof = self._prof
-        self._frames.append(frame if prof is None else prof.probe_frame(frame))
+        self._stacks.append([frame if prof is None else prof.probe_frame(frame)])
 
     def _pop_frame(self) -> Any:
-        """The top frame returned: pop it and say how the trampoline goes on.
+        """The top thread or handler frame returned: drop its call stack
+        and say how the trampoline goes on.
 
         Returns the value to resume the uncovered frame with when a
         finished ULI handler hands control back to a runnable thread, else
         ``_NO_RESULT`` — the thread finished (the core halts when no frame
         is left), or it is still blocked on its own ULI response.
         """
-        frames = self._frames
-        frames.pop()
-        if self._in_handler and frames:
+        stacks = self._stacks
+        stacks.pop()
+        if self._in_handler and stacks:
             return self._finish_handler()
-        if not frames:
+        if not stacks:
             self.halted = True
         return _NO_RESULT
+
+    def _bad_yield(self, op: Any) -> SimulationError:
+        if isinstance(op, ops.Op):
+            return SimulationError(
+                f"core {self.core_id}: unknown op kind {op.KIND!r}"
+            )
+        return SimulationError(
+            f"core {self.core_id}: thread yielded {op!r}; expected an op, "
+            "a generator (a call) or ops.NOP"
+        )
 
     def _resume_none(self) -> None:
         self._resume(None)
@@ -259,10 +315,12 @@ class Core:
     def _resume(self, value: Any) -> None:
         """Drive the thread coroutine, fusing op completions inline.
 
-        Each iteration is one architectural operation: send the previous
-        result in, dispatch the yielded op, and either continue inline
-        (fusion granted: the completion is provably the next event) or
-        park the result and schedule the preallocated continuation.
+        Each outer step is one architectural operation: send the previous
+        result into the innermost frame, follow calls and returns on the
+        thread's call stack to the next yielded op, dispatch it, and
+        either continue inline (fusion granted: the completion is provably
+        the next event) or park the result and schedule the preallocated
+        continuation.
 
         The fusion test is :meth:`Simulator.try_fuse` inlined with its
         operands hoisted to locals (the queue lists are mutated in place
@@ -270,7 +328,7 @@ class Core:
         running, so hoisting is safe); with fusion disabled the loop pays
         exactly one extra branch per op.
         """
-        frames = self._frames
+        stacks = self._stacks
         sim = self.sim
         table = self._dispatch_table
         queue = sim._queue
@@ -278,28 +336,51 @@ class Core:
         max_cycles = sim.max_cycles
         fusible = sim._fusible
         log = self._ckpt_log
+        prof = self._prof
         cid = self.core_id
+        generator = GeneratorType
+        nop = ops.NOP
         fused = 0
-        frame = frames[-1]
+        stack = stacks[-1]
+        frame = stack[-1]
+        # The checkpoint log records each value that enters the thread
+        # from outside its call stack (op results, ULI acks, the value a
+        # thread resumes with after its handler): a complete replay
+        # script, since pushes and returns follow from the stack itself.
+        if log is not None:
+            log.append((cid, value))
         try:
             while True:
                 try:
-                    # Every value that enters a thread generator funnels
-                    # through this single send, so the checkpoint log is a
-                    # complete replay script for the coroutine stacks.
-                    if log is not None:
-                        log.append((cid, value))
                     op = frame.send(value)
-                except StopIteration:
+                except StopIteration as stop:
+                    stack.pop()
+                    if stack:
+                        # A call returned: resume its caller with the value.
+                        frame = stack[-1]
+                        value = stop.value
+                        continue
                     value = self._pop_frame()
                     if value is _NO_RESULT:
                         return
-                    frame = frames[-1]
+                    stack = stacks[-1]
+                    frame = stack[-1]
+                    if log is not None:
+                        log.append((cid, value))
+                    continue
+                if type(op) is generator:
+                    # A call: push the callee and start it.
+                    frame = op if prof is None else prof.probe_call(op)
+                    stack.append(frame)
+                    value = None
                     continue
                 try:
                     fn = table[op.KIND]
-                except KeyError:
-                    raise SimulationError(f"unknown op kind {op.KIND!r}") from None
+                except (AttributeError, KeyError):
+                    if op is nop:
+                        value = None
+                        continue
+                    raise self._bad_yield(op) from None
                 out = fn(op)
                 if out is None:
                     # Asynchronous op (uli_send): resumes via deliver_uli_response.
@@ -328,6 +409,8 @@ class Core:
                         self._resume_stack.append(value)
                         self._enter_handler()
                         return
+                    if log is not None:
+                        log.append((cid, value))
                     continue
                 self._pending_result = value
                 sim.schedule_at(completion, self._complete_cont)

@@ -3,7 +3,10 @@
 Runtime and application code runs as Python generators that ``yield`` these
 operation objects; the owning :class:`repro.cores.core.Core` resolves each
 against the memory system / ULI network and resumes the generator with the
-result after the operation's latency has elapsed.
+result after the operation's latency has elapsed.  A thread may also
+``yield`` a sub-generator (a call: the core runs it and resumes the caller
+with its return value) or :data:`NOP` (nothing to execute; the core
+resumes the thread with ``None`` at once).
 
 This is the simulator's "ISA": plain loads/stores/AMOs, compute work,
 the software coherence instructions (``cache_invalidate``/``cache_flush``),
@@ -18,6 +21,13 @@ from typing import Any
 class Op:
     KIND = "op"
     __slots__ = ()
+
+    def __iter__(self):
+        # Delegating to an op (PEP 380) is the old calling convention.
+        raise TypeError(
+            f"{type(self).__name__} is an op and cannot be delegated to: "
+            "`yield` it instead"
+        )
 
 
 class Work(Op):
@@ -106,6 +116,14 @@ class UliDisable(Op):
     __slots__ = ()
 
 
+class Nop(Op):
+    """Zero-length no-op: ``work(0)``/``idle(0)``.  Never dispatched, no
+    cycles, no instructions, not an op boundary."""
+
+    KIND = "nop"
+    __slots__ = ()
+
+
 #: Shared instances of the stateless ops.  These classes carry no fields,
 #: so yielding the same object from every call site is safe and saves one
 #: allocation per architectural operation on the hot path.
@@ -113,3 +131,4 @@ INV_ALL = InvAll()
 FLUSH_ALL = FlushAll()
 ULI_ENABLE = UliEnable()
 ULI_DISABLE = UliDisable()
+NOP = Nop()

@@ -8,32 +8,38 @@ be killed and later finished in a fresh process with byte-identical
 results.
 
 The hard problem is the coroutine stacks: thread programs are Python
-generators, which cannot be pickled.  Instead of serializing frames the
+generators, which cannot be pickled. Instead of serializing frames the
 machine keeps a *send log* (``Machine.enable_checkpointing``): every value
-sent into a thread generator funnels through a single call site in
-``Core._resume``, which appends ``(core_id, value)`` to a machine-wide
-list; pushing a ULI handler frame appends a ``("h", core_id, thief)``
-marker.  A snapshot stores this log, and restore *replays* it — it rebuilds
-the app, machine, and runtime from the original arguments, starts fresh
-thread generators, then walks the log sending each value into the top
-frame of its core (popping on ``StopIteration``, pushing handler frames on
-markers).  Host-side state mutated between yields (task registration,
-address-space allocation, per-thread RNG draws, progress counters)
-re-executes identically because it is a pure function of the sent values.
-Everything else — simulated time, caches, stats, memory, heap events — is
-then overwritten concretely from the snapshot, which also clobbers any
-double-counting the replay performed.  Replay never dispatches op handlers
+that enters a thread from outside its call stack — an op result, a ULI ack,
+the value a thread resumes with after its handler — is appended by
+``Core._resume`` as ``(core_id, value)`` to a machine-wide list; pushing a
+ULI handler frame appends a ``("h", core_id, thief)`` marker. Calls and
+returns inside a thread are not logged: which generator is pushed and what
+a returning frame hands its caller follow from the code itself. A snapshot
+stores this log, and restore *replays* it — it rebuilds the app, machine,
+and runtime from the original arguments, starts fresh thread generators,
+then walks the log sending each value into the innermost frame of its core
+and following calls and returns by the trampoline's rule
+(``repro.cores.core.advance``) up to the next op, dropping a thread or
+handler frame when it returns and pushing handler frames on markers.
+Host-side state mutated between yields (task registration, address-space
+allocation, per-thread RNG draws, progress counters) re-executes
+identically because it is a pure function of the sent values. Everything
+else — simulated time, caches, stats, memory, heap events — is then
+overwritten concretely from the snapshot, which also clobbers any
+double-counting the replay performed. Replay never dispatches op handlers
 and never advances the clock; tracing is suppressed for its duration.
 
-Determinism argument, in brief: (1) all generator sends go through the
-logged call site, so the log is a complete replay script for the coroutine
-stacks; (2) op handlers (``Core._op_*``) only touch state that is restored
-concretely; (3) the event heap contains only four callback shapes (core
-wake, op completion, ULI request, ULI response — the latter two are
+Determinism argument, in brief: (1) every value entering a thread from
+outside is logged and everything else a frame receives is derived by the
+same call/return rule, so the log is a complete replay script for the
+coroutine stacks; (2) op handlers (``Core._op_*``) only touch state that is
+restored concretely; (3) the event heap contains only four callback shapes
+(core wake, op completion, ULI request, ULI response — the latter two are
 ``functools.partial`` objects precisely so they are recognizable), each
 reducible to a plain descriptor; (4) daemon events are observers that
 cannot perturb the simulation, so they are re-armed at their next absolute
-multiple rather than captured.  ``tests/test_checkpoint.py`` verifies
+multiple rather than captured. ``tests/test_checkpoint.py`` verifies
 byte-identical memory digests, statistics, and Perfetto traces across
 protocols, with fusion on and off, with steals in flight.
 
@@ -226,7 +232,7 @@ def _capture_core(core) -> dict:
             _NO_RESULT_MARK if value is _NO_RESULT else value
             for value in core._resume_stack
         ],
-        "frame_depth": len(core._frames),
+        "frame_depth": len(core._stacks),
     }
 
 
@@ -417,6 +423,8 @@ def _replay_log(machine, log: List) -> None:
     of the recorded run; yielded ops are discarded (their architectural
     effects are restored concretely afterwards).
     """
+    from repro.cores.core import advance
+
     cores = machine.cores
     for entry in log:
         first = entry[0]
@@ -424,11 +432,9 @@ def _replay_log(machine, log: List) -> None:
             core = cores[entry[1]]
             core._push_frame(core.uli_handler_factory(entry[2]))
             continue
-        frames = cores[first]._frames
-        try:
-            frames[-1].send(entry[1])
-        except StopIteration:
-            frames.pop()
+        stacks = cores[first]._stacks
+        if advance(stacks[-1], entry[1]) is None:
+            stacks.pop()
 
 
 def _validate_replay(machine, runtime, snap: dict) -> None:
@@ -440,9 +446,9 @@ def _validate_replay(machine, runtime, snap: dict) -> None:
     """
     problems = []
     for core, core_snap in zip(machine.cores, snap["cores"]):
-        if len(core._frames) != core_snap["frame_depth"]:
+        if len(core._stacks) != core_snap["frame_depth"]:
             problems.append(
-                f"core {core.core_id}: frame depth {len(core._frames)} "
+                f"core {core.core_id}: frame depth {len(core._stacks)} "
                 f"!= snapshot {core_snap['frame_depth']}"
             )
     rt_snap = snap["runtime"]

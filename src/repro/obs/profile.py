@@ -10,7 +10,8 @@ op kind and per component:
 label                  what it covers
 =====================  ====================================================
 ``runtime.coroutine``  ``frame.send`` — app/runtime generator code between
-                       yields (the paper's "software" side)
+                       yields (the paper's "software" side); one call per
+                       resumption of a thread from outside its call stack
 ``op.<kind>``          the ``_op_*`` dispatch body for each op kind,
                        exclusive of the memory system underneath
 ``mem.l1``             L1 load/store/AMO/flush/invalidate, exclusive of L2
@@ -33,15 +34,18 @@ time across the layers that actually spent it.
 Probes sit outside the code they measure.  :meth:`EngineProfiler.install`
 wraps each core's op dispatch table entries and the memory/NoC/tracer/
 sanitizer entry points as instance attributes, and arms ``Core._prof`` so
-the core wraps every frame it pushes in a :class:`ProbedFrame`.
-``Core._resume`` itself has no profiling branch.
+the core wraps every frame it pushes — thread, ULI handler or call — in a
+:class:`ProbedFrame`.  ``Core._resume`` itself has no profiling branch
+beyond choosing the frame it pushes.
 
 Cost model: profiling is **off by default**.  A bare run pays one
 ``is not None`` test per frame push, nothing per op.  When on, every op
 pays a few ``perf_counter`` calls and two wrapper calls; simulated
 results are bit-identical either way, only host time changes
 (``tests/test_determinism.py`` asserts this, and that the
-``runtime.coroutine`` and ``op.<kind>`` call counts are exact).
+``runtime.coroutine`` and ``op.<kind>`` call counts are exact: one
+``runtime.coroutine`` per checkpoint-logged send, one ``op.<kind>`` per
+executed op).
 
 ``repro profile`` drives :func:`run_profile` over :data:`PROFILE_MIX` (or
 :data:`SMOKE_MIX` with ``--quick``) and renders :func:`format_profile`;
@@ -54,7 +58,10 @@ from __future__ import annotations
 import json
 import time
 from collections import defaultdict
+from types import GeneratorType
 from typing import Dict, List, Optional
+
+from repro.cores.ops import NOP
 
 #: The ``repro profile`` mix as ``(app, kind, scale, serial)`` rows, weighted
 #: toward dispatch-bound runs (the ``kernel-*`` microkernels and
@@ -98,14 +105,15 @@ class WallProfiler:
         #: [label, timestamp-of-last-charge] pairs (lists: slot 1 mutates).
         self._stack: List[list] = []
 
-    def enter(self, label: str) -> None:
+    def enter(self, label: str, count: bool = True) -> None:
         now = time.perf_counter()
         stack = self._stack
         if stack:
             top = stack[-1]
             self.seconds[top[0]] += now - top[1]
         stack.append([label, now])
-        self.calls[label] += 1
+        if count:
+            self.calls[label] += 1
 
     def exit(self) -> None:
         now = time.perf_counter()
@@ -115,8 +123,12 @@ class WallProfiler:
             self._stack[-1][1] = now
 
     def probe_frame(self, frame) -> "ProbedFrame":
-        """Wrap a core's coroutine frame (called by ``Core._push_frame``)."""
-        return ProbedFrame(self, frame)
+        """Wrap a thread or ULI handler frame (``Core._push_frame``)."""
+        return ProbedFrame(self, frame, True)
+
+    def probe_call(self, frame) -> "ProbedFrame":
+        """Wrap a frame a thread called (pushed by ``Core._resume``)."""
+        return ProbedFrame(self, frame, False)
 
     def wrap(self, obj, method_names, label: str) -> None:
         """Instance-level wrap of bound methods, charging ``label``."""
@@ -137,24 +149,36 @@ def _probe(prof: WallProfiler, label: str, fn):
 
 
 class ProbedFrame:
-    """A thread or handler coroutine whose ``send`` charges
-    ``runtime.coroutine`` — the app/runtime generator code between yields.
-    ``StopIteration`` passes through, so the core's trampolines drive it
-    exactly like the bare generator."""
+    """A coroutine frame whose ``send`` charges ``runtime.coroutine`` — the
+    app/runtime generator code between yields.  ``StopIteration`` passes
+    through, so the core's trampoline drives it exactly like the bare
+    generator.
 
-    __slots__ = ("prof", "gen")
+    Every send is timed, but only the sends the checkpoint log records
+    count as calls: the first send into a thread or handler frame, and a
+    send after the frame yielded a real op (its result).  Starting a
+    called frame, handing a frame its callee's return value and resuming
+    past ``NOP`` are the call stack's own bookkeeping, so the call count
+    stays one per resumption from outside, however deep the stack.
+    """
 
-    def __init__(self, prof: WallProfiler, gen):
+    __slots__ = ("prof", "gen", "logged")
+
+    def __init__(self, prof: WallProfiler, gen, logged: bool):
         self.prof = prof
         self.gen = gen
+        #: Whether the next send is one the checkpoint log records.
+        self.logged = logged
 
     def send(self, value):
         prof = self.prof
-        prof.enter("runtime.coroutine")
+        prof.enter("runtime.coroutine", self.logged)
         try:
-            return self.gen.send(value)
+            out = self.gen.send(value)
         finally:
             prof.exit()
+        self.logged = type(out) is not GeneratorType and out is not NOP
+        return out
 
 
 #: Methods wrapped per component.  These are the complete call surface the

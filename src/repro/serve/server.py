@@ -198,6 +198,12 @@ class JobServer:
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # Server shutdown (asyncio.run cancels the handlers still
+            # reading) ends the connection.  The handler returns rather
+            # than re-raising: asyncio's stream done-callback calls
+            # task.exception(), which on a cancelled task logs a traceback.
+            pass
         finally:
             writer.close()
 

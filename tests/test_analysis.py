@@ -27,9 +27,9 @@ class _BalancedTask(Task):
         self.strand = strand
 
     def execute(self, rt, ctx):
-        yield from ctx.work(self.strand)
+        yield ctx.work(self.strand)
         if self.depth > 0:
-            yield from rt.fork_join(
+            yield rt.fork_join(
                 ctx,
                 self,
                 [
@@ -54,7 +54,7 @@ class TestCilkview:
     def test_serial_chain_has_parallelism_one(self):
         class Chain(Task):
             def execute(self, rt, ctx):
-                yield from ctx.work(100)
+                yield ctx.work(100)
 
         report = CilkviewAnalyzer().analyze(Chain())
         assert abs(report.parallelism - 1.0) < 1e-12
@@ -63,10 +63,10 @@ class TestCilkview:
         class MemTask(Task):
             def execute(self, rt, ctx):
                 addr = rt.machine.address_space.alloc_words(1, "x")
-                yield from ctx.store(addr, 5)
-                value = yield from ctx.load(addr)
+                yield ctx.store(addr, 5)
+                value = yield ctx.load(addr)
                 assert value == 5
-                old = yield from ctx.amo_add(addr, 1)
+                old = yield ctx.amo_add(addr, 1)
                 assert old == 5
 
         report = CilkviewAnalyzer().analyze(MemTask())
@@ -117,15 +117,15 @@ class TestEnergyModel:
 
             def execute(self, rt, ctx):
                 if self.n < 2:
-                    yield from ctx.store(self.out, self.n)
+                    yield ctx.store(self.out, self.n)
                     return
                 scratch = rt.machine.address_space.alloc_words(2, "s")
-                yield from rt.fork_join(
+                yield rt.fork_join(
                     ctx, self, [Fib(self.n - 1, scratch), Fib(self.n - 2, scratch + WORD_BYTES)]
                 )
-                x = yield from ctx.load(scratch)
-                y = yield from ctx.load(scratch + WORD_BYTES)
-                yield from ctx.store(self.out, x + y)
+                x = yield ctx.load(scratch)
+                y = yield ctx.load(scratch + WORD_BYTES)
+                yield ctx.store(self.out, x + y)
 
         machine = tiny_machine("bt-hcc-dts-gwb")
         rt = WorkStealingRuntime(machine)

@@ -16,7 +16,7 @@ def drive(machine, core_id, gen):
     result = {}
 
     def wrapper():
-        result["value"] = yield from gen
+        result["value"] = yield gen
         if False:
             yield
 
@@ -45,8 +45,8 @@ class TestSimArray:
         ctxs = machine.make_contexts()
 
         def body(ctx):
-            value = yield from arr.load(ctx, 2)
-            yield from arr.store(ctx, 3, value + 1)
+            value = yield arr.load(ctx, 2)
+            yield arr.store(ctx, 3, value + 1)
             return value
 
         assert drive(machine, 1, body(ctxs[1])) == 7
@@ -58,8 +58,8 @@ class TestSimArray:
         ctxs = machine.make_contexts()
 
         def body(ctx):
-            old = yield from arr.amo(ctx, "add", 0, 5)
-            cas_old = yield from arr.cas(ctx, 1, 0, 99)
+            old = yield arr.amo(ctx, "add", 0, 5)
+            cas_old = yield arr.cas(ctx, 1, 0, 99)
             return old, cas_old
 
         assert drive(machine, 1, body(ctxs[1])) == (10, 0)
@@ -123,11 +123,11 @@ class TestSimGraph:
         def body(ctx):
             out = []
             for v in range(graph.n):
-                start, end = yield from sim_graph.edge_range(ctx, v)
+                start, end = yield sim_graph.edge_range(ctx, v)
                 nbrs = []
                 for e in range(start, end):
-                    target = yield from sim_graph.edge_target(ctx, e)
-                    weight = yield from sim_graph.edge_weight(ctx, e)
+                    target = yield sim_graph.edge_target(ctx, e)
+                    weight = yield sim_graph.edge_weight(ctx, e)
                     assert weight >= 1
                     nbrs.append(target)
                 out.append(nbrs)
@@ -142,7 +142,7 @@ class TestSimGraph:
         ctxs = machine.make_contexts()
 
         def body(ctx):
-            weight = yield from sim_graph.edge_weight(ctx, 0)
+            weight = yield sim_graph.edge_weight(ctx, 0)
             return weight
 
         assert drive(machine, 1, body(ctxs[1])) == 1
@@ -162,7 +162,7 @@ class TestCilksortHelpers:
         ctxs = machine.make_contexts()
 
         def body(ctx):
-            index = yield from app.lower_bound(ctx, app.data, 0, len(values), key)
+            index = yield app.lower_bound(ctx, app.data, 0, len(values), key)
             return index
 
         assert drive(machine, 1, body(ctxs[1])) == bisect.bisect_left(values, key)
@@ -176,7 +176,7 @@ class TestCilksortHelpers:
         ctxs = machine.make_contexts()
 
         def body(ctx):
-            yield from app.serial_merge(ctx, app.data, app.temp, 0, 3, 3, 6, 0)
+            yield app.serial_merge(ctx, app.data, app.temp, 0, 3, 3, 6, 0)
 
         drive(machine, 1, body(ctxs[1]))
         assert app.temp.host_read() == sorted(left + right)

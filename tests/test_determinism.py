@@ -122,15 +122,17 @@ def test_heartbeat_runs_are_bit_identical_to_bare_runs(
 def test_profiled_runs_are_bit_identical_to_bare_runs(kind, app_name, params):
     """An engine-profiled run (probed frames, wrapped op dispatch and
     memory/NoC methods) is cycle- and digest-identical to bare, and its
-    call counts are exact: one ``runtime.coroutine`` per value sent into
-    a thread or ULI handler generator, one ``op.<kind>`` per executed op."""
+    call counts are exact: one ``runtime.coroutine`` per value that enters
+    a thread or ULI handler from outside its call stack (calls, returns
+    and no-ops are timed but not counted), one ``op.<kind>`` per executed
+    op."""
     from repro.obs import EngineProfiler
 
     runs = []
 
     def instrument(machine, rt):
-        # The checkpoint send log records every frame.send, ULI handler
-        # frames included: the reference count for runtime.coroutine.
+        # The checkpoint send log records every value entering a thread or
+        # ULI handler from outside: the reference count for runtime.coroutine.
         machine.enable_checkpointing()
         runs.append((machine, EngineProfiler().install(machine)))
         return None

@@ -11,7 +11,7 @@ from helpers import run_thread, tiny_machine
 
 def drive(machine, core_id, gen):
     def wrapper():
-        yield from gen
+        yield gen
 
     run_thread(machine, core_id, wrapper())
 
@@ -24,10 +24,10 @@ class TestDenseFrontier:
         results = []
 
         def body():
-            yield from frontier.add(ctx, 3)
-            results.append((yield from frontier.test_and_clear(ctx, 3)))
-            results.append((yield from frontier.test_and_clear(ctx, 3)))
-            results.append((yield from frontier.test_and_clear(ctx, 5)))
+            yield frontier.add(ctx, 3)
+            results.append((yield frontier.test_and_clear(ctx, 3)))
+            results.append((yield frontier.test_and_clear(ctx, 3)))
+            results.append((yield frontier.test_and_clear(ctx, 5)))
 
         drive(machine, 1, body())
         assert results == [True, False, False]
@@ -39,13 +39,13 @@ class TestDenseFrontier:
         sizes = []
 
         def body():
-            yield from frontier.reset_size(ctx)
-            yield from frontier.add_size(ctx, 3)
-            yield from frontier.add_size(ctx, 0)  # no-op
-            yield from frontier.add_size(ctx, 2)
-            sizes.append((yield from frontier.read_size(ctx)))
-            yield from frontier.reset_size(ctx)
-            sizes.append((yield from frontier.read_size(ctx)))
+            yield frontier.reset_size(ctx)
+            yield frontier.add_size(ctx, 3)
+            yield frontier.add_size(ctx, 0)  # no-op
+            yield frontier.add_size(ctx, 2)
+            sizes.append((yield frontier.read_size(ctx)))
+            yield frontier.reset_size(ctx)
+            sizes.append((yield frontier.read_size(ctx)))
 
         drive(machine, 1, body())
         assert sizes == [5, 0]
@@ -60,9 +60,9 @@ class TestVertexMap:
         class Root(Task):
             def execute(self, rt, ctx):
                 def functor(ctx, v):
-                    yield from ctx.store(out + v * 8, v * v)
+                    yield ctx.store(out + v * 8, v * v)
 
-                yield from vertex_map(rt, ctx, 10, functor, grain=3)
+                yield vertex_map(rt, ctx, 10, functor, grain=3)
 
         rt.run(Root())
         assert machine.host_read_array(out, 10) == [v * v for v in range(10)]

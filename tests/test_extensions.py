@@ -28,23 +28,23 @@ class FibTask(Task):
 
     def execute(self, rt, ctx):
         if self.n < 2:
-            yield from ctx.store(self.out_addr, self.n)
+            yield ctx.store(self.out_addr, self.n)
             return
         scratch = rt.machine.address_space.alloc_words(2, "s")
-        yield from rt.fork_join(
+        yield rt.fork_join(
             ctx, self,
             [FibTask(self.n - 1, scratch), FibTask(self.n - 2, scratch + WORD_BYTES)],
         )
-        x = yield from ctx.load(scratch)
-        y = yield from ctx.load(scratch + WORD_BYTES)
-        yield from ctx.store(self.out_addr, x + y)
+        x = yield ctx.load(scratch)
+        y = yield ctx.load(scratch + WORD_BYTES)
+        yield ctx.store(self.out_addr, x + y)
 
 
 def drive(machine, core_id, gen):
     result = {}
 
     def wrapper():
-        result["value"] = yield from gen
+        result["value"] = yield gen
         if False:
             yield
 
@@ -60,10 +60,10 @@ class TestChaseLevDeque:
 
         def body(ctx):
             for task_id in (1, 2, 3):
-                yield from dq.push(ctx, task_id)
+                yield dq.push(ctx, task_id)
             out = []
             for _ in range(4):
-                out.append((yield from dq.take(ctx)))
+                out.append((yield dq.take(ctx)))
             return out
 
         assert drive(machine, 1, body(ctxs[1])) == [3, 2, 1, 0]
@@ -75,10 +75,10 @@ class TestChaseLevDeque:
 
         def body(ctx):
             for task_id in (1, 2, 3):
-                yield from dq.push(ctx, task_id)
+                yield dq.push(ctx, task_id)
             out = []
             for _ in range(4):
-                out.append((yield from dq.steal(ctx)))
+                out.append((yield dq.steal(ctx)))
             return out
 
         assert drive(machine, 1, body(ctxs[1])) == [1, 2, 3, 0]
@@ -90,7 +90,7 @@ class TestChaseLevDeque:
 
         def body(ctx):
             for task_id in (1, 2, 3):
-                yield from dq.push(ctx, task_id)
+                yield dq.push(ctx, task_id)
 
         with pytest.raises(SimulationError):
             drive(machine, 1, body(ctxs[1]))
@@ -104,26 +104,26 @@ class TestChaseLevDeque:
 
         def owner(ctx):
             for task_id in range(1, 33):
-                yield from dq.push(ctx, task_id)
-                yield from ctx.work(3)
+                yield dq.push(ctx, task_id)
+                yield ctx.work(3)
             while True:
-                got = yield from dq.take(ctx)
+                got = yield dq.take(ctx)
                 if not got:
                     break
-                yield from ctx.amo_add(claimed_addr + (got - 1) * 8, 1)
-                yield from ctx.work(5)
+                yield ctx.amo_add(claimed_addr + (got - 1) * 8, 1)
+                yield ctx.work(5)
 
         def thief(ctx):
             misses = 0
             while misses < 30:
-                got = yield from dq.steal(ctx)
+                got = yield dq.steal(ctx)
                 if got:
                     misses = 0
-                    yield from ctx.amo_add(claimed_addr + (got - 1) * 8, 1)
-                    yield from ctx.work(5)
+                    yield ctx.amo_add(claimed_addr + (got - 1) * 8, 1)
+                    yield ctx.work(5)
                 else:
                     misses += 1
-                    yield from ctx.idle(7)
+                    yield ctx.idle(7)
 
         machine.cores[1].start(owner(ctxs[1]))
         machine.cores[2].start(thief(ctxs[2]))
@@ -150,17 +150,17 @@ class TestChaseLevDeque:
         got = {}
 
         def owner(ctx):
-            yield from dq.push(ctx, 7)
-            yield from ctx.work(2)  # window for the thief to move in
-            got["owner"] = yield from dq.take(ctx)
+            yield dq.push(ctx, 7)
+            yield ctx.work(2)  # window for the thief to move in
+            got["owner"] = yield dq.take(ctx)
 
         def thief(ctx):
             for _ in range(64):
-                task_id = yield from dq.steal(ctx)
+                task_id = yield dq.steal(ctx)
                 if task_id:
                     got["thief"] = task_id
                     return
-                yield from ctx.idle(3)
+                yield ctx.idle(3)
             got["thief"] = 0
 
         machine.cores[1].start(owner(ctxs[1]))
@@ -183,13 +183,13 @@ class TestChaseLevDeque:
         def body(ctx):
             out = []
             for task_id in (1, 2, 3, 4):
-                yield from dq.push(ctx, task_id)
-            out.append((yield from dq.steal(ctx)))  # 1 (head slot 0 freed)
-            out.append((yield from dq.steal(ctx)))  # 2 (head slot 1 freed)
-            yield from dq.push(ctx, 5)  # tail=4 -> physical slot 0
-            yield from dq.push(ctx, 6)  # tail=5 -> physical slot 1
+                yield dq.push(ctx, task_id)
+            out.append((yield dq.steal(ctx)))  # 1 (head slot 0 freed)
+            out.append((yield dq.steal(ctx)))  # 2 (head slot 1 freed)
+            yield dq.push(ctx, 5)  # tail=4 -> physical slot 0
+            yield dq.push(ctx, 6)  # tail=5 -> physical slot 1
             for _ in range(5):
-                out.append((yield from dq.take(ctx)))
+                out.append((yield dq.take(ctx)))
             return out
 
         assert drive(machine, 1, body(ctxs[1])) == [1, 2, 6, 5, 4, 3, 0]
@@ -201,7 +201,7 @@ class TestChaseLevDeque:
 
         def body(ctx):
             for task_id in (1, 2, 3):
-                yield from dq.push(ctx, task_id)
+                yield dq.push(ctx, task_id)
 
         with pytest.raises(
             SimulationError, match=r"chase-lev deque 3 overflow \(capacity 2\)"
@@ -225,7 +225,7 @@ class TestTaskDequeOverflow:
 
         def body(ctx):
             for task_id in (1, 2, 3):
-                yield from dq.enqueue(ctx, task_id)
+                yield dq.enqueue(ctx, task_id)
 
         with pytest.raises(
             SimulationError, match=r"task deque 2 overflow \(capacity 2\)"

@@ -111,17 +111,17 @@ def _fib_run(kind, faults=None, **rt_kwargs):
 
         def execute(self, rt, ctx):
             if self.n < 2:
-                yield from ctx.store(self.out_addr, self.n)
+                yield ctx.store(self.out_addr, self.n)
                 return
             scratch = rt.machine.address_space.alloc_words(2, "fib_scratch")
             children = [
                 FibTask(self.n - 1, scratch),
                 FibTask(self.n - 2, scratch + WORD_BYTES),
             ]
-            yield from rt.fork_join(ctx, self, children)
-            x = yield from ctx.load(scratch)
-            y = yield from ctx.load(scratch + WORD_BYTES)
-            yield from ctx.store(self.out_addr, x + y)
+            yield rt.fork_join(ctx, self, children)
+            x = yield ctx.load(scratch)
+            y = yield ctx.load(scratch + WORD_BYTES)
+            yield ctx.store(self.out_addr, x + y)
 
     machine = tiny_machine(kind, faults=faults)
     rt = WorkStealingRuntime(machine, **rt_kwargs)

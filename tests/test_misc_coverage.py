@@ -47,9 +47,9 @@ class _CounterTask(Task):
 
     def execute(self, rt, ctx):
         if self.n == 0:
-            yield from ctx.amo_add(self.addr, 1)
+            yield ctx.amo_add(self.addr, 1)
             return
-        yield from rt.fork_join(
+        yield rt.fork_join(
             ctx, self, [_CounterTask(self.addr, self.n - 1) for _ in range(3)]
         )
 

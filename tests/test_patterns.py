@@ -19,10 +19,10 @@ class _PforRoot(Task):
     def execute(self, rt, ctx):
         def body(rt, ctx, lo, hi):
             for i in range(lo, hi):
-                old = yield from ctx.amo_add(self.out_base + i * 8, 1)
+                old = yield ctx.amo_add(self.out_base + i * 8, 1)
                 assert old == 0  # each index visited exactly once
 
-        yield from parallel_for(rt, ctx, 0, self.n, body, self.grain)
+        yield parallel_for(rt, ctx, 0, self.n, body, self.grain)
 
 
 def run_pfor(kind, n, grain):
@@ -60,13 +60,13 @@ class TestParallelInvoke:
 
         def make_body(i):
             def body(rt, ctx):
-                yield from ctx.store(out + i * 8, i + 1)
+                yield ctx.store(out + i * 8, i + 1)
 
             return body
 
         class Root(Task):
             def execute(self, rt, ctx):
-                yield from parallel_invoke(
+                yield parallel_invoke(
                     rt, ctx, make_body(0), make_body(1), make_body(2)
                 )
 
@@ -79,8 +79,8 @@ class TestParallelInvoke:
 
         class Root(Task):
             def execute(self, rt, ctx):
-                yield from parallel_invoke(rt, ctx)
-                yield from ctx.work(1)
+                yield parallel_invoke(rt, ctx)
+                yield ctx.work(1)
 
         rt.run(Root())  # completes without error
 
@@ -91,14 +91,14 @@ class TestParallelInvoke:
         machine.host_write_word(counter, 0)
 
         def leaf(rt, ctx):
-            yield from ctx.amo_add(counter, 1)
+            yield ctx.amo_add(counter, 1)
 
         def inner(rt, ctx):
-            yield from parallel_invoke(rt, ctx, leaf, leaf)
+            yield parallel_invoke(rt, ctx, leaf, leaf)
 
         class Root(Task):
             def execute(self, rt, ctx):
-                yield from parallel_invoke(rt, ctx, inner, inner, leaf)
+                yield parallel_invoke(rt, ctx, inner, inner, leaf)
 
         rt.run(Root())
         assert machine.host_read_word(counter) == 5
@@ -111,11 +111,11 @@ class TestFuncTask:
         out = machine.address_space.alloc_words(1, "out")
 
         def body(rt, ctx):
-            yield from ctx.store(out, 42)
+            yield ctx.store(out, 42)
 
         class Root(Task):
             def execute(self, rt, ctx):
-                yield from rt.fork_join(ctx, self, [FuncTask(body)])
+                yield rt.fork_join(ctx, self, [FuncTask(body)])
 
         rt.run(Root())
         assert machine.host_read_word(out) == 42

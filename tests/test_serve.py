@@ -788,3 +788,34 @@ class TestEndToEnd:
                     os.kill(worker_pid, 9)
                 except OSError:
                     pass
+
+    def test_shutdown_ends_connected_clients_cleanly(self, tmp_path):
+        """A ``shutdown`` with other clients still connected exits 0 and
+        logs no traceback: a client handler cancelled mid-read must end
+        cleanly, not leave asyncio's done-callback a cancelled task."""
+        from repro.serve import connect
+        from repro.serve.server import socket_path
+
+        workdir = str(tmp_path / "work")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, REPRO_RESULTS_DIR=str(tmp_path / "results"))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", workdir, "--slots", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            with connect(socket_path(workdir), retry_for_s=30.0) as idle:
+                idle.request("ping")
+                with connect(socket_path(workdir), retry_for_s=30.0) as client:
+                    client.request("ping")
+                    assert client.request("shutdown")["ok"]
+                    _, stderr = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=10)
+        assert server.returncode == 0
+        assert "Traceback" not in stderr
+        assert "Exception in callback" not in stderr

@@ -21,7 +21,7 @@ def drive(machine, core_id, gen):
     result = {}
 
     def wrapper():
-        result["value"] = yield from gen
+        result["value"] = yield gen
         if False:
             yield
 
@@ -35,10 +35,10 @@ class TestDequeSemantics:
 
         def thread(ctx):
             for task_id in (1, 2, 3):
-                yield from dq.enqueue(ctx, task_id)
+                yield dq.enqueue(ctx, task_id)
             popped = []
             for _ in range(3):
-                popped.append((yield from dq.dequeue_tail(ctx)))
+                popped.append((yield dq.dequeue_tail(ctx)))
             return popped
 
         assert drive(machine, 1, thread(ctxs[1])) == [3, 2, 1]
@@ -48,10 +48,10 @@ class TestDequeSemantics:
 
         def thread(ctx):
             for task_id in (1, 2, 3):
-                yield from dq.enqueue(ctx, task_id)
+                yield dq.enqueue(ctx, task_id)
             stolen = []
             for _ in range(3):
-                stolen.append((yield from dq.steal_head(ctx)))
+                stolen.append((yield dq.steal_head(ctx)))
             return stolen
 
         assert drive(machine, 1, thread(ctxs[1])) == [1, 2, 3]
@@ -60,8 +60,8 @@ class TestDequeSemantics:
         machine, ctxs, dq = setup()
 
         def thread(ctx):
-            a = yield from dq.dequeue_tail(ctx)
-            b = yield from dq.steal_head(ctx)
+            a = yield dq.dequeue_tail(ctx)
+            b = yield dq.steal_head(ctx)
             return (a, b)
 
         assert drive(machine, 1, thread(ctxs[1])) == (0, 0)
@@ -71,9 +71,9 @@ class TestDequeSemantics:
 
         def thread(ctx):
             for task_id in (1, 2, 3, 4):
-                yield from dq.enqueue(ctx, task_id)
-            stolen = yield from dq.steal_head(ctx)
-            popped = yield from dq.dequeue_tail(ctx)
+                yield dq.enqueue(ctx, task_id)
+            stolen = yield dq.steal_head(ctx)
+            popped = yield dq.dequeue_tail(ctx)
             return (stolen, popped)
 
         assert drive(machine, 1, thread(ctxs[1])) == (1, 4)
@@ -83,7 +83,7 @@ class TestDequeSemantics:
 
         def thread(ctx):
             for task_id in range(1, 7):
-                yield from dq.enqueue(ctx, task_id)
+                yield dq.enqueue(ctx, task_id)
 
         with pytest.raises(SimulationError):
             drive(machine, 1, thread(ctxs[1]))
@@ -95,9 +95,9 @@ class TestDequeSemantics:
             out = []
             for round_ in range(5):
                 for task_id in (10 + round_, 20 + round_):
-                    yield from dq.enqueue(ctx, task_id)
-                out.append((yield from dq.dequeue_tail(ctx)))
-                out.append((yield from dq.dequeue_tail(ctx)))
+                    yield dq.enqueue(ctx, task_id)
+                out.append((yield dq.dequeue_tail(ctx)))
+                out.append((yield dq.dequeue_tail(ctx)))
             return out
 
         out = drive(machine, 1, thread(ctxs[1]))
@@ -118,14 +118,14 @@ class TestDequeSemantics:
                 if action == "enq":
                     task_id = next_id[0]
                     next_id[0] += 1
-                    yield from dq.enqueue(ctx, task_id)
+                    yield dq.enqueue(ctx, task_id)
                     model.append(task_id)
                 elif action == "deq":
-                    got = yield from dq.dequeue_tail(ctx)
+                    got = yield dq.dequeue_tail(ctx)
                     expected = model.pop() if model else 0
                     results.append((got, expected))
                 else:
-                    got = yield from dq.steal_head(ctx)
+                    got = yield dq.steal_head(ctx)
                     expected = model.popleft() if model else 0
                     results.append((got, expected))
             return results
@@ -146,13 +146,13 @@ class TestDequeLock:
                 # The Figure 3b critical-section recipe: invalidate after
                 # acquire, flush before release.
                 for _ in range(10):
-                    yield from dq.lock_acquire(ctx)
-                    yield from ctx.cache_invalidate()
-                    value = yield from ctx.load(shared)
-                    yield from ctx.work(5)  # widen the race window
-                    yield from ctx.store(shared, value + 1)
-                    yield from ctx.cache_flush()
-                    yield from dq.lock_release(ctx)
+                    yield dq.lock_acquire(ctx)
+                    yield ctx.cache_invalidate()
+                    value = yield ctx.load(shared)
+                    yield ctx.work(5)  # widen the race window
+                    yield ctx.store(shared, value + 1)
+                    yield ctx.cache_flush()
+                    yield dq.lock_release(ctx)
                 trace.append(tid)
 
             machine.cores[1].start(worker(ctxs[1], 1))
@@ -167,16 +167,16 @@ class TestDequeLock:
         order = []
 
         def holder(ctx):
-            yield from dq.lock_acquire(ctx)
-            yield from ctx.work(200)
+            yield dq.lock_acquire(ctx)
+            yield ctx.work(200)
             order.append("release")
-            yield from dq.lock_release(ctx)
+            yield dq.lock_release(ctx)
 
         def contender(ctx):
-            yield from ctx.idle(10)
-            yield from dq.lock_acquire(ctx)
+            yield ctx.idle(10)
+            yield dq.lock_acquire(ctx)
             order.append("acquired")
-            yield from dq.lock_release(ctx)
+            yield dq.lock_release(ctx)
 
         machine.cores[1].start(holder(ctxs[1]))
         machine.cores[2].start(contender(ctxs[2]))

@@ -115,7 +115,7 @@ class WedgedTask(Task):
 
     def execute(self, rt, ctx):
         while True:
-            value = yield from ctx.amo_or(self.flag_addr, 0)
+            value = yield ctx.amo_or(self.flag_addr, 0)
             if value:
                 return
 
@@ -130,17 +130,17 @@ class FibTask(Task):
 
     def execute(self, rt, ctx):
         if self.n < 2:
-            yield from ctx.store(self.out_addr, self.n)
+            yield ctx.store(self.out_addr, self.n)
             return
         scratch = rt.machine.address_space.alloc_words(2, "fib_scratch")
         children = [
             FibTask(self.n - 1, scratch),
             FibTask(self.n - 2, scratch + WORD_BYTES),
         ]
-        yield from rt.fork_join(ctx, self, children)
-        x = yield from ctx.load(scratch)
-        y = yield from ctx.load(scratch + WORD_BYTES)
-        yield from ctx.store(self.out_addr, x + y)
+        yield rt.fork_join(ctx, self, children)
+        x = yield ctx.load(scratch)
+        y = yield ctx.load(scratch + WORD_BYTES)
+        yield ctx.store(self.out_addr, x + y)
 
 
 class TestRuntimeWatchdog:
