@@ -287,16 +287,12 @@ def _cmd_top(args) -> int:
 
     directory = args.dir or heartbeat_dir()
     if not directory:
-        # With --serve the service frame alone is still useful; without
-        # it there is nothing at all to show.
-        if not args.serve:
-            print(
-                "repro top: no snapshot directory "
-                "(pass --dir or set REPRO_HEARTBEAT_DIR)",
-                file=sys.stderr,
-            )
-            return 2
-        directory = ""
+        print(
+            "repro top: no snapshot directory "
+            "(pass --dir or set REPRO_HEARTBEAT_DIR)",
+            file=sys.stderr,
+        )
+        return 2
     return run_top(
         directory,
         interval=args.interval,
@@ -305,72 +301,7 @@ def _cmd_top(args) -> int:
         frames=args.frames,
         clean=args.clean,
         stale_after=args.stale_after,
-        serve_dir=args.serve,
     )
-
-
-def _cmd_serve(args) -> int:
-    from repro.harness.retry import BackoffPolicy
-    from repro.serve import ServePolicy
-    from repro.serve.server import run_server
-
-    policy = ServePolicy(
-        slots=args.slots,
-        max_pending=args.max_pending,
-        max_per_tenant=args.max_per_tenant,
-        max_attempts=args.max_attempts,
-        timeout_s=args.timeout,
-        wedged_after_s=args.wedged_after,
-        checkpoint_interval=args.checkpoint_interval,
-        backoff=BackoffPolicy(
-            base_s=args.backoff_base, cap_s=args.backoff_cap
-        ),
-    )
-    return run_server(args.workdir, policy=policy, socket=args.socket)
-
-
-def _cmd_submit(args) -> int:
-    import json
-
-    from repro.serve import ServeError, connect
-    from repro.serve.server import socket_path
-
-    path = args.socket or socket_path(args.workdir)
-    job = {
-        "app": args.app,
-        "kind": args.config,
-        "scale": args.scale,
-        "serial": args.serial,
-        "tenant": args.tenant,
-        "priority": args.priority,
-        "deadline_s": args.deadline,
-    }
-    try:
-        with connect(path, retry_for_s=args.retry_for) as client:
-            response = client.submit(job)
-            if response["state"] == "rejected":
-                print(
-                    f"rejected: {response.get('reason')} "
-                    f"(id {response['id']})",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"submitted: {response['id']}")
-            if not args.wait:
-                return 0
-            outcome = client.wait(response["id"])
-            record = outcome["job"]
-            print(
-                f"{record['id']}: {record['state']}"
-                + (f" ({record['outcome']})" if record.get("outcome") else "")
-                + (f" — {record['message']}" if record.get("message") else "")
-            )
-            if args.json and outcome.get("result") is not None:
-                print(json.dumps(outcome["result"], indent=2, sort_keys=True))
-            return 0 if record["state"] == "done" else 1
-    except (ServeError, OSError) as exc:
-        print(f"repro submit: {exc}", file=sys.stderr)
-        return 2
 
 
 def _cmd_profile(args) -> int:
@@ -639,95 +570,6 @@ def main(argv=None) -> int:
         "--stale-after", type=float, default=None, metavar="SECONDS",
         help="flag a live run as stale? after this many seconds without "
              "a heartbeat (default: REPRO_TOP_STALE_S or 30)")
-    top_parser.add_argument(
-        "--serve", default=None, metavar="WORKDIR",
-        help="also render the job service status from WORKDIR's "
-             "serve-status.json ('repro serve' work directory)")
-
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run the crash-tolerant simulation job service: supervised "
-             "worker pool with retry/backoff, checkpoint resume and "
-             "journal-based recovery (kill it anytime; restart "
-             "recovers every job exactly once)",
-        parents=[harness_flags])
-    serve_parser.add_argument(
-        "workdir", metavar="DIR",
-        help="work directory: journal, snapshots, socket, status file")
-    serve_parser.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="unix socket path (default: DIR/serve.sock)")
-    serve_parser.add_argument(
-        "--slots", type=positive_int, default=2, metavar="N",
-        help="concurrent worker processes (default: 2)")
-    serve_parser.add_argument(
-        "--max-pending", type=positive_int, default=64, metavar="N",
-        help="queued jobs before submissions are rejected as overload "
-             "(default: 64)")
-    serve_parser.add_argument(
-        "--max-per-tenant", type=positive_int, default=32, metavar="N",
-        help="non-terminal jobs one tenant may hold (default: 32)")
-    serve_parser.add_argument(
-        "--max-attempts", type=positive_int, default=3, metavar="N",
-        help="attempts before a failing job is quarantined (default: 3)")
-    serve_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per attempt (default: unlimited)")
-    serve_parser.add_argument(
-        "--wedged-after", type=float, default=60.0, metavar="SECONDS",
-        help="kill a worker whose heartbeat snapshot is older than this "
-             "(default: 60; needs --heartbeat-dir)")
-    serve_parser.add_argument(
-        "--checkpoint-interval", type=positive_int, default=50_000,
-        metavar="N", help="periodic snapshot cadence in simulated cycles "
-                          "(default: 50000)")
-    serve_parser.add_argument(
-        "--backoff-base", type=float, default=0.5, metavar="SECONDS",
-        help="retry backoff floor (default: 0.5)")
-    serve_parser.add_argument(
-        "--backoff-cap", type=float, default=30.0, metavar="SECONDS",
-        help="retry backoff ceiling (default: 30)")
-
-    submit_parser = sub.add_parser(
-        "submit",
-        help="submit one experiment job to a running 'repro serve' "
-             "instance (optionally waiting for its result)")
-    submit_parser.add_argument(
-        "workdir", metavar="DIR",
-        help="the server's work directory (to find its socket)")
-    submit_parser.add_argument("app", type=_app_arg, metavar="APP",
-                               help="application (registry name or alias)")
-    submit_parser.add_argument(
-        "--config", "--kind", dest="config", type=_kind_arg,
-        default="bt-hcc-dts-gwb", metavar="KIND")
-    submit_parser.add_argument("--scale", default="quick",
-                               choices=sorted(SCALES))
-    submit_parser.add_argument("--serial", action="store_true",
-                               help="serial elision")
-    submit_parser.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="unix socket path (default: DIR/serve.sock)")
-    submit_parser.add_argument(
-        "--tenant", default="default", metavar="NAME",
-        help="tenant the job is charged to (default: default)")
-    submit_parser.add_argument(
-        "--priority", type=int, default=5, metavar="N",
-        help="scheduling priority, lower is more urgent (default: 5)")
-    submit_parser.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="soft deadline in seconds from submission; among equal "
-             "priorities the earlier deadline dispatches first (it never "
-             "stops a running job)")
-    submit_parser.add_argument(
-        "--wait", action="store_true",
-        help="block until the job is terminal and report its outcome")
-    submit_parser.add_argument(
-        "--json", action="store_true",
-        help="with --wait, print the full result payload as JSON")
-    submit_parser.add_argument(
-        "--retry-for", type=float, default=5.0, metavar="SECONDS",
-        help="keep retrying the socket connection this long while the "
-             "server boots (default: 5)")
 
     profile_parser = sub.add_parser(
         "profile",
@@ -783,8 +625,6 @@ def main(argv=None) -> int:
         "top": _cmd_top,
         "profile": _cmd_profile,
         "report": _cmd_report,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
     }[args.command]
     code = handler(args)
     if args.command in ("run", "table", "fig", "workspan"):

@@ -4,10 +4,10 @@ Every paper artifact (Tables III-V, Figures 5-8) is derived from the same
 experiment grid.  :func:`run_grid` executes a list of :class:`GridPoint`s
 (defined in ``repro.harness.runner``, re-exported here), each with the
 checkpoint spec the grid derives for it, either serially in-process or,
-with ``jobs > 1``, as one batch on an in-process
-:class:`repro.serve.Supervisor` — the job service's own worker
-supervision (per-run timeout, backoff retry, wedge detection, poison-job
-quarantine, work-key dedup) — with an optional progress/ETA line.
+with ``jobs > 1``, on the supervised worker pool of
+``repro.harness.worker`` (per-run timeout, backoff retry, wedge
+detection, poison-point quarantine, work-key dedup) — with an optional
+progress/ETA line.
 Completed results are adopted into the parent's memo cache (and the
 persistent result store when one is configured), so the table/figure
 producers that follow hit the cache instead of re-simulating.
@@ -41,10 +41,10 @@ from repro.harness.retry import BackoffPolicy
 from repro.harness.runner import GridPoint
 
 #: Default retry schedule for failed grid workers: exponential backoff
-#: with decorrelated jitter (repro.harness.retry), capped lower than the
-#: job service's SERVE_BACKOFF.  A crashed worker usually shares its cause
-#: with its siblings (OOM, disk, a wedged store), so immediate same-slot
-#: retries mostly burn an attempt reproducing the failure.
+#: with decorrelated jitter (repro.harness.retry).  A crashed worker
+#: usually shares its cause with its siblings (OOM, disk, a wedged store),
+#: so immediate same-slot retries mostly burn an attempt reproducing the
+#: failure.
 GRID_BACKOFF = BackoffPolicy(base_s=0.2, cap_s=5.0, multiplier=3.0)
 
 
@@ -207,7 +207,7 @@ def _live_helper_threads():
 
 
 def _mp_context():
-    """Pick the multiprocessing start method for grid/serve workers.
+    """Pick the multiprocessing start method for grid workers.
 
     ``REPRO_MP=spawn|fork`` forces a method (``fork`` asserts no live
     non-daemon helper threads first — a forced fork with helpers alive is
@@ -288,11 +288,11 @@ def run_grid(
 ):
     """Run every grid point; return results in input order.
 
-    ``jobs > 1`` submits the points as one batch of jobs to an in-process
-    :class:`repro.serve.Supervisor` with ``jobs`` worker slots; each run
-    gets at most ``timeout`` wall-clock seconds (None = unlimited) and
-    ``retries`` fresh attempts after a failure, timeout, worker death or
-    heartbeat wedge before :class:`GridError` is raised.
+    ``jobs > 1`` runs the points on a pool of ``jobs`` supervised worker
+    processes (:class:`repro.harness.worker.Supervisor`); each run gets at
+    most ``timeout`` wall-clock seconds (None = unlimited, else > 0) and
+    ``retries`` (an int >= 0) fresh attempts after a failure, timeout,
+    worker death or heartbeat wedge before :class:`GridError` is raised.
     Identical points coalesce onto one simulation.  Retries wait out an
     exponential backoff with decorrelated jitter (``backoff``, default
     :data:`GRID_BACKOFF`; pass ``repro.harness.retry.NO_BACKOFF`` for
@@ -312,7 +312,10 @@ def run_grid(
     under the directory.  ``on_error="resume"`` is ``"record"`` plus
     restore-on-restart — a retried, re-run, or previously killed point
     picks up from its latest snapshot instead of starting over (results
-    are byte-identical either way; it requires ``checkpoint_dir``).
+    are byte-identical either way; it requires ``checkpoint_dir``).  So a
+    killed sweep recovers by running it again: with a result store,
+    finished points are store hits, and an interrupted one resumes from
+    its snapshot.
     """
     if on_error not in ("raise", "record", "resume"):
         raise ValueError(
@@ -320,6 +323,10 @@ def run_grid(
         )
     if on_error == "resume" and checkpoint_dir is None:
         raise ValueError("on_error='resume' requires checkpoint_dir")
+    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+        raise ValueError(f"retries must be an int >= 0, got {retries!r}")
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"timeout must be None or > 0 seconds, got {timeout!r}")
     points = list(points)
     specs: List[Optional[dict]] = [None] * len(points)
     if checkpoint_dir is not None:
@@ -372,66 +379,44 @@ def _run_supervised(
     on_error: str,
     backoff: Optional[BackoffPolicy],
 ) -> list:
-    """Run ``points`` as one batch on an in-process job supervisor."""
-    import tempfile
-
+    """Run ``points`` on a pool of ``jobs`` supervised worker processes."""
     from repro.harness.export import result_from_dict
-    from repro.harness.worker import spawn_worker
-    from repro.serve import Job, JobQueue, Journal, ServePolicy, Supervisor
+    from repro.harness.worker import Supervisor
 
-    policy = ServePolicy(
+    supervisor = Supervisor(
         slots=jobs,
-        max_pending=len(points),
-        max_per_tenant=len(points),
         max_attempts=retries + 1,
-        timeout_s=timeout,
         backoff=backoff if backoff is not None else GRID_BACKOFF,
+        timeout_s=timeout,
     )
-    spec_of: dict = {}
-
-    def spawn(record, _checkpoint):
-        # The grid's own checkpoint spec (or none — a snapshot path would
-        # record every generator send), not the service's.
-        return spawn_worker(record.job, spec_of[record.id], ledger_source="runner")
-
+    tasks = [supervisor.submit(point, spec) for point, spec in zip(points, specs)]
+    waiting = dict(enumerate(tasks))
     results: list = [None] * len(points)
-    with tempfile.TemporaryDirectory(prefix="repro-grid-") as workdir:
-        supervisor = Supervisor(
-            JobQueue(), Journal(os.path.join(workdir, "journal.jsonl")),
-            policy, workdir, spawn=spawn,
-        )
-        supervisor.ledger_source = "grid"
-        records = []
-        for point, spec in zip(points, specs):
-            record = supervisor.submit(Job(**vars(point)))
-            spec_of[record.id] = spec
-            records.append(record)
-        waiting = dict(enumerate(records))
-        try:
-            while waiting:
-                supervisor.poll()
-                for idx, record in list(waiting.items()):
-                    if not record.terminal:
-                        continue
-                    del waiting[idx]
-                    point = points[idx]
-                    if record.state == "done":
-                        result = result_from_dict(record.result)
-                        runner.adopt_result(result, point)
-                        results[idx] = result
-                    elif on_error == "record":
-                        results[idx] = _record_failure(
-                            point, record.outcome, record.message,
-                            record.diagnostic, record.attempts,
-                        )
-                    else:
-                        raise GridError(
-                            f"grid point {point.label()} failed after "
-                            f"{record.attempts} attempt(s): {record.message}"
-                        )
-                    meter.step(point.label(), instant=(record.sims == 0))
-                if waiting:
-                    time.sleep(0.02)
-        finally:
-            supervisor.shutdown()
+    try:
+        while waiting:
+            supervisor.poll()
+            for idx, task in list(waiting.items()):
+                if not task.terminal:
+                    continue
+                del waiting[idx]
+                point = points[idx]
+                if task.state == "done":
+                    result = result_from_dict(task.result)
+                    runner.adopt_result(result, point)
+                    results[idx] = result
+                elif on_error == "record":
+                    results[idx] = _record_failure(
+                        point, task.outcome, task.message,
+                        task.diagnostic, task.attempts,
+                    )
+                else:
+                    raise GridError(
+                        f"grid point {point.label()} failed after "
+                        f"{task.attempts} attempt(s): {task.message}"
+                    )
+                meter.step(point.label(), instant=(task.sims == 0))
+            if waiting:
+                time.sleep(0.02)
+    finally:
+        supervisor.shutdown()
     return results

@@ -1,10 +1,10 @@
-"""Retry backoff policy for the worker supervisor (``repro.serve``).
+"""Retry backoff policy for the grid's worker pool.
 
-The one supervisor — the job service and every parallel ``run_grid``
-sweep — retries failed workers with exponential backoff with
-*decorrelated jitter* (the AWS architecture-blog variant): each delay
-is drawn uniformly from ``[base, prev * multiplier]`` and clamped to
-``cap``.  Compared with plain exponential backoff this
+The worker pool behind every parallel ``run_grid`` sweep
+(``repro.harness.worker.Supervisor``) retries failed workers with
+exponential backoff with *decorrelated jitter* (the AWS architecture-blog
+variant): each delay is drawn uniformly from ``[base, prev * multiplier]``
+and clamped to ``cap``.  Compared with plain exponential backoff this
 spreads retries of simultaneously failing workers apart (no thundering
 herd after a shared-cause failure) while still growing the expected delay
 geometrically.

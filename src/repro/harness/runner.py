@@ -151,12 +151,11 @@ class GridPoint:
     """One experiment: every field that decides a run's outcome.
 
     This is the only definition of an experiment.  The in-process memo key
-    (:meth:`key`), the persistent store key (:meth:`store_key`), the job
-    service's work key and a grid point's snapshot name (both
+    (:meth:`key`), the persistent store key (:meth:`store_key`), the worker
+    pool's dedup key and a grid point's snapshot name (both
     ``hash_key(point.key())``) and the progress label all derive from these
-    fields.  ``repro.serve.Job`` subclasses it and adds only scheduling
-    metadata, which no identity reads.  How a point is run (tracer,
-    checkpoint spec, cache use) is passed beside it to :func:`run_point`.
+    fields.  How a point is run (tracer, checkpoint spec, cache use) is
+    passed beside it to :func:`run_point`.
     """
 
     app: str
@@ -316,10 +315,7 @@ def _ledger_record(
     if ledger is None:
         return
     ledger.record(
-        # Worker processes relabel their lines (repro.harness.worker sets
-        # "serve" in job-service children) so `repro report` can tell
-        # service work from ad-hoc runs.
-        source=os.environ.get("REPRO_LEDGER_SOURCE", "runner"),
+        source="runner",
         outcome=outcome,
         app=point.app,
         kind=point.kind,

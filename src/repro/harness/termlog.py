@@ -16,8 +16,8 @@ Verbosity is controlled by the ``REPRO_VERBOSE`` environment variable:
 
 Structured mode: ``REPRO_LOG_JSON=1`` switches every emission to one JSON
 object per line — ``{"ts": ..., "level": ..., "kind": "log"|"alert"|
-"status", "msg": ...}`` — so the run ledger and a future sweep server can
-consume harness telemetry without scraping human-formatted stderr.  The
+"status", "msg": ...}`` — so log collectors can consume harness
+telemetry without scraping human-formatted stderr.  The
 human format stays the default; in JSON mode status lines lose their
 ``\\r`` overwrite behaviour (each update is its own line, as a stream
 consumer needs).

@@ -2,9 +2,9 @@
 
 The result store answers "what was the result of experiment X?"; the ledger
 answers "what work did this machine actually do, when, and how did it go?"
-— the record a sweep server needs for admission control, retry policy, and
-wall-time accounting.  Every ``run_experiment`` call appends exactly one
-line describing its outcome:
+— the record a sweep's hit/miss, failure and wall-time accounting is
+rebuilt from.  Every ``run_experiment`` call appends exactly one line
+describing its outcome:
 
 * ``ok``         — a real simulation ran to completion,
 * ``memo-hit``   — satisfied from the in-process memo cache,
@@ -13,12 +13,10 @@ line describing its outcome:
   deadlock / violation / timeout / worker-died / wedged / error, matching
   ``FailedResult.error``).
 
-Workers that died, timed out or wedged can't write their own line, so the
-supervisor that lost them appends one on their behalf (``source: "grid"``
-under ``run_grid``, ``"serve"`` under the job service).  Job-service
-workers label their own lines ``source: "serve"`` too (grid workers keep
-``"runner"``), so a report over a shared ledger can tell service work
-from ad-hoc runs.
+Every run labels its own line ``source: "runner"``, in-process or in a
+grid worker.  Workers that died, timed out or wedged can't write their own
+line, so the ``run_grid`` worker pool that lost them appends one on their
+behalf with ``source: "grid"``.
 
 Each line carries the store-key digest (the same SHA-256 that names the
 result store's files), the config seed, the robustness block, checkpoint
@@ -159,17 +157,8 @@ def read_ledger_with_errors(path):
     mid-append.  That line is *recoverable* damage (every complete entry
     before it is intact, and the interrupted run never finished recording
     its outcome anyway), so it is reported separately rather than counted
-    among the malformed lines; the serve journal replayer
-    (``repro.serve.journal``) relies on this classification to recover
-    from a crashed server.
+    among the malformed lines.
     """
-    return read_jsonl_with_errors(path)
-
-
-def read_jsonl_with_errors(path):
-    """Shared tolerant JSONL reader: (dict entries, malformed count,
-    torn_tail flag).  Used by the run ledger and the serve job journal —
-    both are O_APPEND single-write streams with the same crash modes."""
     entries = []
     bad = 0
     torn = False

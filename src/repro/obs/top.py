@@ -12,8 +12,7 @@ a torn snapshot; files that fail to parse anyway (foreign files, future
 schemas) are counted and skipped, never fatal.
 
 ``--prom FILE`` additionally maintains a Prometheus textfile with sweep
-aggregates on every refresh, which is the scrape hook the future sweep
-server gets for free.
+aggregates on every refresh, for any scraper that watches a sweep.
 """
 
 from __future__ import annotations
@@ -209,41 +208,6 @@ def sweep_gauges(snaps: List[dict]) -> dict:
     return gauges
 
 
-def render_serve(workdir: str, now: Optional[float] = None) -> Optional[str]:
-    """A service header block from a serve work directory's status file
-    (written atomically by ``repro.serve.server``), or None when absent."""
-    path = os.path.join(workdir, "serve-status.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or "counts" not in payload:
-        return None
-    now = time.time() if now is None else now
-    age = now - payload.get("updated_at", now)
-    pid = payload.get("pid")
-    alive = _pid_alive(pid)
-    counts = payload.get("counts", {})
-    lines = [
-        f"repro serve — pid {pid}"
-        + ("" if alive else " (DEAD — journal will recover on restart)")
-        + f"  slots {len(payload.get('active', []))}/{payload.get('slots', '?')}"
-        + f"  age {age:.0f}s",
-        "  jobs: "
-        + "  ".join(
-            f"{state}:{counts.get(state, 0)}"
-            for state in ("pending", "running", "done", "failed", "rejected")
-        ),
-    ]
-    for worker in payload.get("active", []):
-        lines.append(
-            f"  worker pid {worker.get('pid'):>7}  {worker.get('id')}  "
-            f"{worker.get('app')}  attempt {worker.get('attempt')}"
-        )
-    return "\n".join(lines)
-
-
 def run_top(
     directory: str,
     interval: float = 1.0,
@@ -252,7 +216,6 @@ def run_top(
     frames: Optional[int] = None,
     clean: bool = False,
     stale_after: Optional[float] = None,
-    serve_dir: Optional[str] = None,
 ) -> int:
     """The ``repro top`` main loop; returns a process exit code."""
     shown = 0
@@ -262,11 +225,6 @@ def run_top(
                 print(f"repro top: collected dead snapshot {name}")
         snaps, skipped = read_snapshots(directory)
         frame = render(snaps, skipped, stale_after=stale_after)
-        if serve_dir:
-            serve_frame = render_serve(serve_dir)
-            if serve_frame is None:
-                serve_frame = f"repro serve — no status file in {serve_dir}"
-            frame = f"{serve_frame}\n\n{frame}"
         if once or frames is not None:
             print(frame)
         else:

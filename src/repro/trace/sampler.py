@@ -7,8 +7,8 @@ delta since the previous snapshot.  The resulting series feeds the Chrome
 trace counter tracks (hit rate, traffic, steals per interval), the CSV
 export below, and any number of additional *sinks* — callables invoked
 with every ``(cycle, delta)`` pair — so consumers (JSONL export, the
-metrics registry in ``repro.obs.metrics``, a future sweep server) no
-longer have to pose as tracers.
+metrics registry in ``repro.obs.metrics``) no longer have to pose as
+tracers.
 
 Scheduling: the sampler rides the simulation's own event queue as *daemon*
 events (``Simulator.schedule(..., daemon=True)``), which never keep the run

@@ -219,6 +219,22 @@ class TestCrashTolerantSweeps:
         with pytest.raises(ValueError):
             run_grid([], on_error="ignore")
 
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("bad, match", [
+        (dict(retries=-1), "retries must be an int >= 0, got -1"),
+        (dict(retries=1.5), "retries must be an int >= 0, got 1.5"),
+        (dict(retries=True), "retries must be an int >= 0, got True"),
+        (dict(timeout=0), "timeout must be None or > 0 seconds, got 0"),
+        (dict(timeout=-5), "timeout must be None or > 0 seconds, got -5"),
+    ])
+    def test_bad_retries_or_timeout_rejected_before_any_point_runs(
+        self, jobs, bad, match
+    ):
+        before = simulation_count()
+        with pytest.raises(ValueError, match=match):
+            run_grid(SUB_GRID[:2], jobs=jobs, **bad)
+        assert simulation_count() == before
+
     @pytest.mark.parametrize("jobs", (1, 3))
     def test_deadlock_recorded_in_slot(self, jobs):
         points = [SUB_GRID[0], DEADLOCK_POINT, SUB_GRID[1]]
