@@ -7,6 +7,11 @@ on ``CONFIG_KINDS[i % 11]`` so every app and every configuration appears —
 and compares each point's cycle count, memory digest and full statistics
 tree against ``pinned_results.json``.
 
+Four more points cover what the quick machine does not: the 64-core
+``paper`` machine (8x8 mesh, 8 L2 banks) on MESI, write-through HCC and
+DTS, and a run under the ``timing`` fault plan, whose NoC jitter draws
+must keep their order.
+
 Any change to simulated timing, coherence traffic or final memory fails
 here.  A deliberate model change must regenerate the file
 (``PYTHONPATH=src python tests/test_pinned_results.py``) and show the
@@ -32,15 +37,25 @@ POINTS = [
     (app, CONFIG_KINDS[i % len(CONFIG_KINDS)]) for i, app in enumerate(PAPER_APPS)
 ]
 
+#: id -> (app, kind, scale, app overrides, fault plan).  The paper-machine
+#: inputs are the bench's ``manycore-paper`` ones for ligra-bfs.
+EXTRA_POINTS = {
+    f"paper:ligra-bfs/{kind}": ("ligra-bfs", kind, "paper", dict(scale=6, grain=4), None)
+    for kind in ("bt-mesi", "bt-hcc-gwt", "bt-hcc-dts-gwb")
+}
+EXTRA_POINTS["quick:cilk5-cs/bt-hcc-dts-gwt+timing"] = (
+    "cilk5-cs", "bt-hcc-dts-gwt", "quick", {}, "timing"
+)
+
 
 def point_id(app_name, kind):
     return f"{app_name}/{kind}"
 
 
-def simulate(app_name, kind):
+def simulate(app_name, kind, scale=SCALE, app_overrides=None, faults=None):
     """One Table III point, the way ``run_experiment`` simulates it."""
-    machine = Machine(make_config(kind, SCALE))
-    app = make_app(app_name, **app_params(app_name, SCALE))
+    machine = Machine(make_config(kind, scale), faults=faults)
+    app = make_app(app_name, **{**app_params(app_name, scale), **(app_overrides or {})})
     app.setup(machine)
     serial = kind == "serial-io"
     runtime = WorkStealingRuntime(machine, serial_elision=serial)
@@ -61,7 +76,8 @@ def load_pinned():
 
 def test_pinned_file_covers_every_app_and_config():
     pinned = load_pinned()
-    assert sorted(pinned) == sorted(point_id(*point) for point in POINTS)
+    ids = [point_id(*point) for point in POINTS] + list(EXTRA_POINTS)
+    assert sorted(pinned) == sorted(ids)
     assert {app for app, _ in POINTS} == set(PAPER_APPS)
     assert {kind for _, kind in POINTS} == set(CONFIG_KINDS)
 
@@ -73,8 +89,14 @@ def test_quick_point_matches_pinned_result(app_name, kind):
     assert simulate(app_name, kind) == load_pinned()[point_id(app_name, kind)]
 
 
+@pytest.mark.parametrize("pin_id", list(EXTRA_POINTS))
+def test_extra_point_matches_pinned_result(pin_id):
+    assert simulate(*EXTRA_POINTS[pin_id]) == load_pinned()[pin_id]
+
+
 if __name__ == "__main__":
     pinned = {point_id(*point): simulate(*point) for point in POINTS}
+    pinned.update({pin_id: simulate(*spec) for pin_id, spec in EXTRA_POINTS.items()})
     with open(PINNED_PATH, "w") as f:
         json.dump(pinned, f, indent=2, sort_keys=True)
         f.write("\n")
