@@ -173,12 +173,13 @@ class TagArray:
     def resident_count(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    def clear(self) -> List[CacheLine]:
-        """Drop every line, returning them (for flash invalidation)."""
-        dropped: List[CacheLine] = []
+    def clear(self) -> int:
+        """Drop every line (flash invalidation); return how many there were."""
+        dropped = 0
         for cache_set in self._sets:
-            dropped.extend(cache_set.values())
-            cache_set.clear()
+            if cache_set:
+                dropped += len(cache_set)
+                cache_set.clear()
         return dropped
 
     # ------------------------------------------------------------------

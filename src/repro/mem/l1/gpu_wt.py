@@ -97,7 +97,7 @@ class GpuWtL1(L1Cache):
     def invalidate_all(self, now: int) -> int:
         """All lines are clean: flash-invalidate everything."""
         self.stats.add("invalidate_ops")
-        dropped = len(self.tags.clear())
+        dropped = self.tags.clear()
         self.stats.add("lines_invalidated", dropped)
         self._trace_burst("invalidate", now, dropped, self.FLASH_OP_LATENCY)
         return self.FLASH_OP_LATENCY

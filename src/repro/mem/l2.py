@@ -22,8 +22,10 @@ Latency accounting: each operation computes its end-to-end latency
 analytically — requester->bank mesh hops, bank queue delay (busy-until
 model), L2 tag/data access, optional DRAM fetch through the bank's memory
 controller, optional owner recall / sharer invalidation round trips, and the
-response hops back.  Traffic is recorded per the paper's Figure 8 message
-categories.
+response hops back.  The core<->bank geometry is fixed, so hop counts, head
+latencies and coherence round trips are tabulated per (core, bank) when the
+L2 is built; fault-injected NoC jitter is drawn per message on top of them.
+Traffic is recorded per the paper's Figure 8 message categories.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ class SharedL2:
         self.memory = memory
         self.traffic = traffic
         self.stats = stats.child("l2")
+        self._cnt = self.stats._counters
         self.n_banks = n_banks
         self.tag_latency = tag_latency
         self.service_time = service_time
@@ -90,7 +93,18 @@ class SharedL2:
             raise ValueError("need one DRAM controller per L2 bank")
         self.dram = dram_controllers
         self._l1s: Dict[int, "object"] = {}
-        self._bank_pos = [mesh.bank_position(b, n_banks) for b in range(n_banks)]
+        # Route tables, indexed [core_id][bank_id] over every mesh tile: XY
+        # hop count, head-flit latency, and the coherence round trip (probe
+        # out, ack back, one cycle at the L1).  ``_body[n]`` is the body-flit
+        # serialization of an n-byte message (at most a command + full line).
+        bank_pos = [mesh.bank_position(b, n_banks) for b in range(n_banks)]
+        self._hops = [
+            [mesh.hops(mesh.core_position(core), pos) for pos in bank_pos]
+            for core in range(mesh.rows * mesh.cols)
+        ]
+        self._head = [[mesh.head_latency(h) for h in row] for row in self._hops]
+        self._round_trip = [[2 * head + 1 for head in row] for row in self._head]
+        self._body = [mesh.body_flits(n) for n in range(LINE_DATA_BYTES + 1)]
 
     # ------------------------------------------------------------------
     # Wiring
@@ -116,11 +130,17 @@ class SharedL2:
             bank.tags.load_state(bank_state["tags"])
             bank.busy_until = bank_state["busy_until"]
 
-    def _core_pos(self, core_id: int):
-        return self.mesh.core_position(core_id)
-
     def bank_of(self, address: int) -> int:
-        return (line_addr(address) // LINE_BYTES) % self.n_banks
+        return (address // LINE_BYTES) % self.n_banks
+
+    def _noc_latency(self, core_id: int, bank_id: int, n_bytes: int) -> int:
+        """Latency of an ``n_bytes`` message between a core and a bank, with
+        one fault-injected NoC jitter draw (as ``Mesh.latency``)."""
+        latency = self._head[core_id][bank_id] + self._body[n_bytes]
+        injector = self.mesh.fault_injector
+        if injector is not None:
+            latency += injector.noc_extra()
+        return latency
 
     # ------------------------------------------------------------------
     # Internal machinery
@@ -131,7 +151,7 @@ class SharedL2:
         if entry is not None:
             return entry, 0
         # L2 miss: fetch from DRAM through this bank's controller.
-        self.stats.add("misses")
+        self._cnt["misses"] += 1
         dram = self.dram[bank.bank_id % len(self.dram)]
         latency = dram.access(now, LINE_DATA_BYTES)
         self.traffic.record("dram_req", CTRL_BYTES, 1)
@@ -145,7 +165,7 @@ class SharedL2:
     def _evict_l2_line(self, bank: _Bank, victim: CacheLine, now: int) -> int:
         """Evict an L2 line: recall/invalidate L1 copies, write back dirty data."""
         latency = 0
-        self.stats.add("evictions")
+        self._cnt["evictions"] += 1
         if victim.owner is not None:
             latency += self._recall_owner(bank, victim, now)
         if victim.sharers:
@@ -176,33 +196,31 @@ class SharedL2:
         if kept and l1.TRACKED:
             # MESI owner downgraded to S: it stays on the sharer list.
             entry.sharers.add(owner)
-        hops = self.mesh.hops(self._bank_pos[bank.bank_id], self._core_pos(owner))
-        round_trip = 2 * hops * (
-            self.mesh.config.router_latency + self.mesh.config.channel_latency
-        ) + 1
+        hops = self._hops[owner][bank.bank_id]
         self.traffic.record("coh_req", CTRL_BYTES, hops)
         self.traffic.record("coh_resp", LINE_DATA_BYTES if mask else CTRL_BYTES, hops)
-        self.stats.add("owner_recalls")
-        return round_trip
+        self._cnt["owner_recalls"] += 1
+        return self._round_trip[owner][bank.bank_id]
 
     def _invalidate_sharers(
         self, bank: _Bank, entry: CacheLine, now: int, except_core: Optional[int]
     ) -> int:
         """Writer-initiated invalidation of all MESI sharers (parallel)."""
+        if not entry.sharers:
+            return 0
         worst = 0
-        bank_pos = self._bank_pos[bank.bank_id]
+        bank_id = bank.bank_id
         for sharer in sorted(entry.sharers):
             if sharer == except_core:
                 continue
             self._l1s[sharer].snoop_invalidate(entry.addr)
-            hops = self.mesh.hops(bank_pos, self._core_pos(sharer))
-            round_trip = 2 * hops * (
-                self.mesh.config.router_latency + self.mesh.config.channel_latency
-            ) + 1
-            worst = max(worst, round_trip)
+            hops = self._hops[sharer][bank_id]
+            round_trip = self._round_trip[sharer][bank_id]
+            if round_trip > worst:
+                worst = round_trip
             self.traffic.record("coh_req", CTRL_BYTES, hops)
             self.traffic.record("coh_resp", CTRL_BYTES, hops)
-            self.stats.add("sharer_invalidations")
+            self._cnt["sharer_invalidations"] += 1
         entry.sharers = {except_core} if except_core in entry.sharers else set()
         return worst
 
@@ -210,21 +228,15 @@ class SharedL2:
         self, core_id: int, bank: _Bank, now: int, req_bytes: int, req_cat: str
     ) -> int:
         """Requester->bank hops + queue + tag access; records request traffic."""
-        core_pos = self._core_pos(core_id)
-        bank_pos = self._bank_pos[bank.bank_id]
-        hops = self.mesh.hops(core_pos, bank_pos)
-        req_latency = self.mesh.latency(core_pos, bank_pos, req_bytes)
-        self.traffic.record(req_cat, req_bytes, hops)
+        req_latency = self._noc_latency(core_id, bank.bank_id, req_bytes)
+        self.traffic.record(req_cat, req_bytes, self._hops[core_id][bank.bank_id])
         queue = bank.queue_delay(now + req_latency, self.service_time)
-        self.stats.add("accesses")
+        self._cnt["accesses"] += 1
         return req_latency + queue + self.tag_latency
 
     def _response_latency(self, core_id: int, bank: _Bank, resp_bytes: int, resp_cat: str) -> int:
-        core_pos = self._core_pos(core_id)
-        bank_pos = self._bank_pos[bank.bank_id]
-        hops = self.mesh.hops(bank_pos, core_pos)
-        self.traffic.record(resp_cat, resp_bytes, hops)
-        return self.mesh.latency(bank_pos, core_pos, resp_bytes)
+        self.traffic.record(resp_cat, resp_bytes, self._hops[core_id][bank.bank_id])
+        return self._noc_latency(core_id, bank.bank_id, resp_bytes)
 
     # ------------------------------------------------------------------
     # Requests from L1 caches
@@ -306,12 +318,9 @@ class SharedL2:
         """
         base = line_addr(address)
         bank = self.banks[self.bank_of(base)]
-        core_pos = self._core_pos(core_id)
-        bank_pos = self._bank_pos[bank.bank_id]
-        hops = self.mesh.hops(core_pos, bank_pos)
         n_words = bin(mask).count("1")
         n_bytes = CTRL_BYTES + n_words * 8
-        self.traffic.record("wb_req", n_bytes, hops)
+        self.traffic.record("wb_req", n_bytes, self._hops[core_id][bank.bank_id])
         bank.queue_delay(now, self.service_time)
         entry, _ = self._ensure_line(bank, base, now)
         # A write-back from one cache invalidates hardware-coherent copies
@@ -325,8 +334,8 @@ class SharedL2:
         entry.dirty_mask |= mask
         if release_ownership and entry.owner == core_id:
             entry.owner = None
-        self.stats.add("writebacks")
-        return self.mesh.latency(core_pos, bank_pos, n_bytes)
+        self._cnt["writebacks"] += 1
+        return self._noc_latency(core_id, bank.bank_id, n_bytes)
 
     def eviction_notice(self, core_id: int, address: int) -> None:
         """Silent clean eviction from a tracked L1 (keeps directory precise)."""
@@ -338,18 +347,14 @@ class SharedL2:
         entry.sharers.discard(core_id)
         if entry.owner == core_id:
             entry.owner = None
-        hops = self.mesh.hops(self._core_pos(core_id), self._bank_pos[bank.bank_id])
-        self.traffic.record("coh_resp", CTRL_BYTES, hops)
+        self.traffic.record("coh_resp", CTRL_BYTES, self._hops[core_id][bank.bank_id])
 
     def write_through_word(self, core_id: int, address: int, value: int, now: int) -> int:
         """GPU-WT store: update the shared cache directly (no L1 allocation)."""
         base = line_addr(address)
         bank = self.banks[self.bank_of(base)]
-        core_pos = self._core_pos(core_id)
-        bank_pos = self._bank_pos[bank.bank_id]
-        hops = self.mesh.hops(core_pos, bank_pos)
-        self.traffic.record("wb_req", WORD_DATA_BYTES, hops)
-        latency = self.mesh.latency(core_pos, bank_pos, WORD_DATA_BYTES)
+        self.traffic.record("wb_req", WORD_DATA_BYTES, self._hops[core_id][bank.bank_id])
+        latency = self._noc_latency(core_id, bank.bank_id, WORD_DATA_BYTES)
         latency += bank.queue_delay(now + latency, self.service_time) + self.tag_latency
         entry, miss_latency = self._ensure_line(bank, base, now + latency)
         latency += miss_latency
@@ -359,7 +364,7 @@ class SharedL2:
         idx = word_index(address)
         entry.data[idx] = value
         entry.dirty_mask |= 1 << idx
-        self.stats.add("write_throughs")
+        self._cnt["write_throughs"] += 1
         return latency
 
     def amo_word(self, core_id: int, address: int, op: str, operand, now: int) -> Tuple[int, int]:
@@ -377,7 +382,7 @@ class SharedL2:
         entry.data[idx] = new
         entry.dirty_mask |= 1 << idx
         latency += self._response_latency(core_id, bank, AMO_BYTES, "sync_resp")
-        self.stats.add("amos")
+        self._cnt["amos"] += 1
         return old, latency
 
     def read_word_bypass(self, core_id: int, address: int, now: int) -> Tuple[int, int]:
@@ -414,16 +419,13 @@ class SharedL2:
         owner = entry.owner
         l1 = self._l1s[owner]
         value = l1.snoop_peek_word(entry.addr, idx)
-        hops = self.mesh.hops(self._bank_pos[bank.bank_id], self._core_pos(owner))
-        round_trip = 2 * hops * (
-            self.mesh.config.router_latency + self.mesh.config.channel_latency
-        ) + 1
+        hops = self._hops[owner][bank.bank_id]
         self.traffic.record("coh_req", CTRL_BYTES, hops)
         self.traffic.record(
             "coh_resp", WORD_DATA_BYTES if value is not None else CTRL_BYTES, hops
         )
-        self.stats.add("owner_peeks")
-        return value, round_trip
+        self._cnt["owner_peeks"] += 1
+        return value, self._round_trip[owner][bank.bank_id]
 
     # ------------------------------------------------------------------
     # Introspection (tests / debugging)

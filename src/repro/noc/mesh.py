@@ -7,7 +7,9 @@ banks and DRAM controllers sit one virtual row below the core mesh, one per
 column (Figure 1 of the paper).
 
 The model is analytic: a message's latency is per-hop router+channel delay
-plus body-flit serialization.  Link-level contention is not simulated
+for its head flit plus one cycle per body flit (:meth:`Mesh.head_latency`,
+:meth:`Mesh.body_flits`); ``repro.mem.l2`` tabulates both per (core, bank)
+route when the machine is built.  Link-level contention is not simulated
 flit-by-flit (endpoint contention is modeled at L2 banks and DRAM
 controllers instead); injected bytes and byte-hops are accounted exactly.
 """
@@ -84,14 +86,18 @@ class Mesh:
             return 0
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
+    def head_latency(self, hop_count: int) -> int:
+        """Cycles the head flit of a message spends crossing ``hop_count`` hops."""
+        return hop_count * (self.config.router_latency + self.config.channel_latency)
+
+    def body_flits(self, n_bytes: int) -> int:
+        """Flits of an ``n_bytes`` message that pipeline behind its head flit
+        (one cycle each)."""
+        return max(1, math.ceil(n_bytes / self.config.flit_bytes)) - 1
+
     def latency(self, a: Position, b: Position, n_bytes: int) -> int:
         """End-to-end latency in cycles of an ``n_bytes`` message a -> b."""
-        hop_count = self.hops(a, b)
-        cfg = self.config
-        per_hop = cfg.router_latency + cfg.channel_latency
-        flits = max(1, math.ceil(n_bytes / cfg.flit_bytes))
-        # Head flit pays per-hop latency; body flits pipeline behind it.
-        latency = hop_count * per_hop + (flits - 1)
+        latency = self.head_latency(self.hops(a, b)) + self.body_flits(n_bytes)
         if self.fault_injector is not None:
             latency += self.fault_injector.noc_extra()
         return latency

@@ -1,8 +1,16 @@
 """Shared L2 / heterogeneous directory unit tests."""
 
+import pytest
+
+from repro.config import make_config
+from repro.engine import StatGroup
 from repro.mem.address import WORD_BYTES, line_addr
+from repro.mem.backing import MainMemory
 from repro.mem.cacheline import MODIFIED
-from repro.mem.traffic import CATEGORIES, CTRL_BYTES
+from repro.mem.l2 import SharedL2
+from repro.mem.traffic import CATEGORIES, CTRL_BYTES, LINE_DATA_BYTES, TrafficMeter
+from repro.noc import Mesh, MeshConfig
+from repro.verify.model import MicroMachine
 
 from helpers import tiny_machine
 
@@ -238,3 +246,43 @@ class TestL2Mechanics:
         same_bank = base + 64 * machine.l2.n_banks
         _, lat2 = machine.l1s[2].load(same_bank, 0)
         assert lat2 >= lat1 - 5  # both paid the miss; second may queue more
+
+
+def _l2_for(geometry):
+    """A bare L2 on one of the preset machines' meshes, on a 2x5 mesh with
+    3 banks (5 % 3 != 0: bank columns 0, 1, 3), or the verify model's."""
+    if geometry == "verify-1x3":
+        return MicroMachine(("mesi",) * 3).l2
+    if geometry == "2x5-3banks":
+        rows, cols, n_banks = 2, 5, 3
+    else:
+        config = make_config("bt-mesi", geometry)
+        rows, cols, n_banks = config.mesh_rows, config.mesh_cols, config.n_l2_banks
+    return SharedL2(
+        Mesh(MeshConfig(rows=rows, cols=cols)), MainMemory(), TrafficMeter(),
+        StatGroup(), n_banks=n_banks, bank_size_bytes=4096,
+    )
+
+
+@pytest.mark.parametrize(
+    "geometry", ["tiny", "quick", "paper", "large", "2x5-3banks", "verify-1x3"]
+)
+def test_route_tables_match_mesh(geometry):
+    """The L2's per-(core, bank) tables agree with ``Mesh`` on every route
+    and message size: hops, one-way latency and the coherence round trip."""
+    l2 = _l2_for(geometry)
+    mesh = l2.mesh
+    n_cores = mesh.rows * mesh.cols
+    assert len(l2._hops) == n_cores
+    for core in range(n_cores):
+        core_pos = mesh.core_position(core)
+        for bank in range(l2.n_banks):
+            bank_pos = mesh.bank_position(bank, l2.n_banks)
+            assert l2._hops[core][bank] == mesh.hops(core_pos, bank_pos)
+            assert l2._round_trip[core][bank] == (
+                2 * mesh.latency(bank_pos, core_pos, CTRL_BYTES) + 1
+            )
+            for n_bytes in range(CTRL_BYTES, LINE_DATA_BYTES + 1, 8):
+                expected = mesh.latency(core_pos, bank_pos, n_bytes)
+                assert l2._noc_latency(core, bank, n_bytes) == expected
+                assert mesh.latency(bank_pos, core_pos, n_bytes) == expected

@@ -78,8 +78,7 @@ class TestTagArray:
         tags = self.make()
         for i in range(5):
             tags.insert(CacheLine(0x1000 + i * 64, VALID))
-        dropped = tags.clear()
-        assert len(dropped) == 5
+        assert tags.clear() == 5
         assert tags.resident_count() == 0
 
     def test_bad_geometry_rejected(self):
