@@ -293,6 +293,9 @@ def run_grid(
     most ``timeout`` wall-clock seconds (None = unlimited, else > 0) and
     ``retries`` (an int >= 0) fresh attempts after a failure, timeout,
     worker death or heartbeat wedge before :class:`GridError` is raised.
+    A grid with a ``timeout`` always runs on the pool, on one worker when
+    ``jobs <= 1``.  Without one, ``jobs <= 1`` (or a single point) runs
+    in-process, one attempt per point: ``retries`` does not apply.
     Identical points coalesce onto one simulation.  Retries wait out an
     exponential backoff with decorrelated jitter (``backoff``, default
     :data:`GRID_BACKOFF`; pass ``repro.harness.retry.NO_BACKOFF`` for
@@ -346,7 +349,7 @@ def run_grid(
         return []
     if on_error == "resume":
         on_error = "record"
-    if jobs <= 1 or len(points) == 1:
+    if timeout is None and (jobs <= 1 or len(points) == 1):
         results = []
         for point, spec in zip(points, specs):
             sims_before = runner.simulation_count()
@@ -365,7 +368,7 @@ def run_grid(
             )
         return results
     return _run_supervised(
-        points, specs, jobs, timeout, retries, meter, on_error, backoff
+        points, specs, max(jobs, 1), timeout, retries, meter, on_error, backoff
     )
 
 

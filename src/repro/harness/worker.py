@@ -261,16 +261,18 @@ class Supervisor:
 
     Verdicts per worker, in check order:
 
-    1. message received — ``ok``, a deterministic failure
+    1. wall-clock budget exceeded — kill, retryable (``timeout``), even
+       when a message is waiting: a result is only seen when the pool
+       polls, so one read after the deadline cannot show the run met it;
+    2. message received — ``ok``, a deterministic failure
        (``deadlock``/``violation``: quarantined at once) or a retryable
        ``error``;
-    2. process died without a message — retryable (``worker-died``);
-    3. wall-clock budget exceeded — kill, retryable (``timeout``);
+    3. process died without a message — retryable (``worker-died``);
     4. heartbeat snapshot too old — kill, retryable (``wedged``).
 
-    A worker that could not report (verdicts 2-4) never wrote its own run
-    ledger line, so the supervisor writes a ``failed`` line for it with
-    ``source: "grid"``.  Retryable failures wait out ``backoff``
+    On verdicts 1, 3 and 4 the supervisor writes a ``failed`` run ledger
+    line with ``source: "grid"``: a killed or dead worker never wrote its
+    own.  Retryable failures wait out ``backoff``
     (``repro.harness.retry``); a point that fails ``max_attempts`` times
     is quarantined as ``failed``.  A point identical to a running one
     (same work key) waits for that twin and takes its result.
@@ -315,8 +317,9 @@ class Supervisor:
 
     def poll(self) -> None:
         """One complete supervision pass (cheap; call it on a timer)."""
+        self._check_timeouts()
         self._reap_messages()
-        self._check_watchdogs()
+        self._check_wedged()
         self._admit_delayed()
         self._dispatch()
 
@@ -431,12 +434,16 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Watchdogs: timeout, wedged
     # ------------------------------------------------------------------
-    def _check_watchdogs(self) -> None:
+    def _check_timeouts(self) -> None:
+        if self.timeout_s is None:
+            return
         now = self.clock()
         for task in list(self.active.values()):
-            if self.timeout_s is not None and now > task.started_at + self.timeout_s:
+            if now > task.started_at + self.timeout_s:
                 self._lost(task, "timeout", f"timed out after {self.timeout_s}s")
-                continue
+
+    def _check_wedged(self) -> None:
+        for task in list(self.active.values()):
             age = self.heartbeat_age(task.handle.pid)
             if age is not None and age > WEDGED_AFTER_S:
                 self._lost(task, "wedged", f"no heartbeat for {age:.1f}s")

@@ -200,6 +200,17 @@ class TestFailureHandling:
         with pytest.raises(GridError, match="timed out"):
             run_grid([point, SUB_GRID[1]], jobs=2, timeout=1e-9, retries=0)
 
+    @pytest.mark.parametrize("points, jobs", [
+        ([GridPoint("cilk5-mt", "bt-mesi", "tiny")], 2),
+        ([GridPoint("cilk5-mt", "bt-mesi", "tiny"),
+          GridPoint("cilk5-mt", "bt-hcc-gwt", "tiny")], 1),
+    ])
+    def test_timeout_holds_for_one_point_or_one_job(self, points, jobs):
+        """Regression: a single point, or ``jobs=1``, ran in-process and
+        ignored ``timeout``; such a grid now runs on the worker pool."""
+        with pytest.raises(GridError, match="timed out"):
+            run_grid(points, jobs=jobs, timeout=1e-9, retries=0)
+
     def test_serial_path_propagates_exceptions(self):
         bad = GridPoint(
             "cilk5-mt", "bt-mesi", "quick",

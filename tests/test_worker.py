@@ -177,6 +177,17 @@ class TestSupervisor:
         assert len(spawner.calls) == 2
         assert task.attempts == 2 and task.state == "running"
 
+    def test_result_read_after_the_deadline_is_a_timeout(self):
+        supervisor, _, clock = make_supervisor(
+            slots=1, timeout_s=30.0, max_attempts=1
+        )
+        task = supervisor.submit(point())
+        supervisor.poll()
+        task.handle.finish_ok()
+        clock.advance(31.0)
+        supervisor.poll()
+        assert task.state == "failed" and task.outcome == "timeout"
+
     def test_timed_out_worker_leaves_one_failed_ledger_line(self, tmp_path):
         """A worker the supervisor kills cannot write its own ledger line;
         the supervisor writes exactly one on its behalf."""
