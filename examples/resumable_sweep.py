@@ -6,7 +6,9 @@ with a result store and one snapshot file per point.  Kill the sweep at
 any moment, even with SIGKILL, and run the same command again: points
 that finished are result-store hits, a point that was interrupted resumes
 from its last snapshot, and stdout is byte-identical to an uninterrupted
-run.  The workers of a killed sweep exit with it.
+run.  The workers of a killed sweep exit with it.  A point whose worker
+alone is killed prints ``FAILED worker-died`` (each point gets one
+attempt) and the sweep exits 1; rerunning it resumes that point.
 
 Prints one ``label cycles digest`` line per point.  ``digest`` is a
 sha256 of the whole result apart from ``extras``, which is the only part

@@ -569,7 +569,7 @@ def main(argv=None) -> int:
     top_parser.add_argument(
         "--stale-after", type=float, default=None, metavar="SECONDS",
         help="flag a live run as stale? after this many seconds without "
-             "a heartbeat (default: REPRO_TOP_STALE_S or 30)")
+             "a heartbeat (default: 30)")
 
     profile_parser = sub.add_parser(
         "profile",

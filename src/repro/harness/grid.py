@@ -4,9 +4,8 @@ Every paper artifact (Tables III-V, Figures 5-8) is derived from the same
 experiment grid.  :func:`run_grid` executes a list of :class:`GridPoint`s
 (defined in ``repro.harness.runner``, re-exported here), each with the
 checkpoint spec the grid derives for it, either serially in-process or,
-with ``jobs > 1``, on the supervised worker pool of
-``repro.harness.worker`` (per-run timeout, backoff retry, wedge
-detection, poison-point quarantine, work-key dedup) — with an optional
+with ``jobs > 1``, on the worker pool of ``repro.harness.worker`` (one
+attempt per point, identical points simulated once) — with an optional
 progress/ETA line.
 Completed results are adopted into the parent's memo cache (and the
 persistent result store when one is configured), so the table/figure
@@ -32,24 +31,16 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import repro.harness.runner as runner
 from repro.harness import termlog
 from repro.harness.resultstore import hash_key
-from repro.harness.retry import BackoffPolicy
 from repro.harness.runner import GridPoint
-
-#: Default retry schedule for failed grid workers: exponential backoff
-#: with decorrelated jitter (repro.harness.retry).  A crashed worker
-#: usually shares its cause with its siblings (OOM, disk, a wedged store),
-#: so immediate same-slot retries mostly burn an attempt reproducing the
-#: failure.
-GRID_BACKOFF = BackoffPolicy(base_s=0.2, cap_s=5.0, multiplier=3.0)
 
 
 class GridError(RuntimeError):
-    """A grid point failed (or timed out) on every allowed attempt."""
+    """A grid point failed on the worker pool (``on_error="raise"``)."""
 
 
 @dataclass
@@ -59,9 +50,9 @@ class FailedResult:
     Occupies the failed point's slot in ``run_grid``'s output so a sweep
     with one wedged configuration still returns every other cell.  The
     ``error`` field is one of ``"deadlock"``, ``"violation"``,
-    ``"timeout"``, ``"worker-died"``, ``"wedged"``, or ``"error"``;
-    ``diagnostic`` carries the watchdog's per-core dump (or the
-    sanitizer's violation list) when available.
+    ``"worker-died"``, or ``"error"``; ``diagnostic`` carries the
+    watchdog's per-core dump (or the sanitizer's violation list) when
+    available.
     """
 
     app: str
@@ -71,7 +62,6 @@ class FailedResult:
     error: str
     message: str
     diagnostic: dict = field(default_factory=dict)
-    attempts: int = 1
 
     #: Discriminator mirroring ExperimentResult duck-typing checks.
     failed: bool = True
@@ -240,7 +230,7 @@ def _mp_context():
 # The grid driver
 # ----------------------------------------------------------------------
 def _record_failure(
-    point: GridPoint, error: str, message: str, diagnostic: dict, attempts: int
+    point: GridPoint, error: str, message: str, diagnostic: dict
 ) -> FailedResult:
     first_line = message.splitlines()[0] if message else error
     termlog.alert(f"{error}: {point.label()}: {first_line}")
@@ -252,7 +242,6 @@ def _record_failure(
         error=error,
         message=message,
         diagnostic=diagnostic or {},
-        attempts=attempts,
     )
 
 
@@ -265,8 +254,8 @@ def _point_checkpoint_spec(
     """The CheckpointConfig kwargs one grid point runs with.
 
     The snapshot filename is ``hash_key(point.key())``, so a rerun of the
-    same sweep — or a retry of one point — finds exactly its own snapshot
-    and two different points can never collide.
+    same sweep finds exactly its own snapshot and two different points can
+    never collide.
     """
     return dict(
         path=os.path.join(checkpoint_dir, f"{hash_key(point.key())[:20]}.ckpt"),
@@ -278,47 +267,37 @@ def _point_checkpoint_spec(
 def run_grid(
     points: Sequence[GridPoint],
     jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
     progress: Optional[bool] = None,
     on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
     checkpoint_interval: Optional[int] = 50_000,
-    backoff: Optional[BackoffPolicy] = None,
 ):
     """Run every grid point; return results in input order.
 
-    ``jobs > 1`` runs the points on a pool of ``jobs`` supervised worker
-    processes (:class:`repro.harness.worker.Supervisor`); each run gets at
-    most ``timeout`` wall-clock seconds (None = unlimited, else > 0) and
-    ``retries`` (an int >= 0) fresh attempts after a failure, timeout,
-    worker death or heartbeat wedge before :class:`GridError` is raised.
-    A grid with a ``timeout`` always runs on the pool, on one worker when
-    ``jobs <= 1``.  Without one, ``jobs <= 1`` (or a single point) runs
-    in-process, one attempt per point: ``retries`` does not apply.
-    Identical points coalesce onto one simulation.  Retries wait out an
-    exponential backoff with decorrelated jitter (``backoff``, default
-    :data:`GRID_BACKOFF`; pass ``repro.harness.retry.NO_BACKOFF`` for
-    immediate retries) instead of respawning into the same failure.  All
-    completed results are adopted into the in-process memo cache and the
-    configured result store, so follow-up ``run_experiment`` calls for the
-    same points are free.
+    ``jobs <= 1`` (or a single point) runs the points in-process;
+    ``jobs > 1`` runs them on a pool of ``jobs`` worker processes
+    (:class:`repro.harness.worker.Supervisor`), where a point that fails
+    raises :class:`GridError`.  Every point gets one attempt: a failure is
+    recovered by rerunning the sweep, not inside it.  Identical points
+    coalesce onto one simulation on the pool.  All completed results are
+    adopted into the in-process memo cache and the configured result
+    store, so follow-up ``run_experiment`` calls for the same points are
+    free.
 
     ``on_error="record"`` makes sweeps crash-tolerant: a point that
-    deadlocks, trips the sanitizer, times out, or errors yields a
+    deadlocks, trips the sanitizer, errors or loses its worker yields a
     :class:`FailedResult` in its slot (announced via ``termlog.alert``)
-    instead of aborting the whole grid.  Deadlocks and sanitizer
-    violations are deterministic, so they are never retried.
+    instead of aborting the whole grid.
 
     ``checkpoint_dir`` turns on deterministic checkpointing: every point
     snapshots itself each ``checkpoint_interval`` cycles into its own file
     under the directory.  ``on_error="resume"`` is ``"record"`` plus
-    restore-on-restart — a retried, re-run, or previously killed point
-    picks up from its latest snapshot instead of starting over (results
-    are byte-identical either way; it requires ``checkpoint_dir``).  So a
-    killed sweep recovers by running it again: with a result store,
-    finished points are store hits, and an interrupted one resumes from
-    its snapshot.
+    restore-on-restart — a re-run or previously killed point picks up from
+    its latest snapshot instead of starting over (results are
+    byte-identical either way; it requires ``checkpoint_dir``).  So a
+    failed or killed sweep recovers by running it again: with a result
+    store, finished points are store hits, and an interrupted one resumes
+    from its snapshot.
     """
     if on_error not in ("raise", "record", "resume"):
         raise ValueError(
@@ -326,10 +305,6 @@ def run_grid(
         )
     if on_error == "resume" and checkpoint_dir is None:
         raise ValueError("on_error='resume' requires checkpoint_dir")
-    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
-        raise ValueError(f"retries must be an int >= 0, got {retries!r}")
-    if timeout is not None and not timeout > 0:
-        raise ValueError(f"timeout must be None or > 0 seconds, got {timeout!r}")
     points = list(points)
     specs: List[Optional[dict]] = [None] * len(points)
     if checkpoint_dir is not None:
@@ -349,7 +324,7 @@ def run_grid(
         return []
     if on_error == "resume":
         on_error = "record"
-    if timeout is None and (jobs <= 1 or len(points) == 1):
+    if jobs <= 1 or len(points) == 1:
         results = []
         for point, spec in zip(points, specs):
             sims_before = runner.simulation_count()
@@ -358,68 +333,63 @@ def run_grid(
             except Exception as exc:
                 if on_error != "record":
                     raise
-                error, message, diagnostic = runner._classify_failure(exc)
-                results.append(
-                    _record_failure(point, error, message, diagnostic, attempts=1)
-                )
+                results.append(_record_failure(point, *runner._classify_failure(exc)))
             meter.step(
                 point.label(),
                 instant=(runner.simulation_count() == sims_before),
             )
         return results
-    return _run_supervised(
-        points, specs, max(jobs, 1), timeout, retries, meter, on_error, backoff
-    )
+    return _run_supervised(points, specs, jobs, meter, on_error)
 
 
 def _run_supervised(
     points: List[GridPoint],
     specs: List[Optional[dict]],
     jobs: int,
-    timeout: Optional[float],
-    retries: int,
     meter: _Progress,
     on_error: str,
-    backoff: Optional[BackoffPolicy],
 ) -> list:
-    """Run ``points`` on a pool of ``jobs`` supervised worker processes."""
+    """Run ``points`` on a pool of ``jobs`` worker processes.
+
+    Identical points (same ``hash_key(point.key())``) are submitted once,
+    and their one result fills every slot of the group.
+    """
     from repro.harness.export import result_from_dict
     from repro.harness.worker import Supervisor
 
-    supervisor = Supervisor(
-        slots=jobs,
-        max_attempts=retries + 1,
-        backoff=backoff if backoff is not None else GRID_BACKOFF,
-        timeout_s=timeout,
-    )
-    tasks = [supervisor.submit(point, spec) for point, spec in zip(points, specs)]
-    waiting = dict(enumerate(tasks))
+    groups: Dict[str, List[int]] = {}
+    for idx, point in enumerate(points):
+        groups.setdefault(hash_key(point.key()), []).append(idx)
+    supervisor = Supervisor(slots=jobs)
+    waiting = {}
+    for idxs in groups.values():
+        task = supervisor.submit(points[idxs[0]], specs[idxs[0]])
+        waiting[task.id] = (task, idxs)
     results: list = [None] * len(points)
     try:
         while waiting:
+            supervisor.wait()
             supervisor.poll()
-            for idx, task in list(waiting.items()):
+            for tid, (task, idxs) in list(waiting.items()):
                 if not task.terminal:
                     continue
-                del waiting[idx]
-                point = points[idx]
-                if task.state == "done":
-                    result = result_from_dict(task.result)
-                    runner.adopt_result(result, point)
-                    results[idx] = result
-                elif on_error == "record":
-                    results[idx] = _record_failure(
-                        point, task.outcome, task.message,
-                        task.diagnostic, task.attempts,
-                    )
-                else:
+                del waiting[tid]
+                if task.state == "failed" and on_error != "record":
                     raise GridError(
-                        f"grid point {point.label()} failed after "
-                        f"{task.attempts} attempt(s): {task.message}"
+                        f"grid point {task.point.label()} failed: {task.message}"
                     )
-                meter.step(point.label(), instant=(task.sims == 0))
-            if waiting:
-                time.sleep(0.02)
+                for n, idx in enumerate(idxs):
+                    point = points[idx]
+                    if task.state == "done":
+                        result = result_from_dict(task.result)
+                        runner.adopt_result(result, point)
+                        results[idx] = result
+                    else:
+                        results[idx] = _record_failure(
+                            point, task.outcome, task.message, task.diagnostic
+                        )
+                    # Only the group's first slot can have simulated.
+                    meter.step(point.label(), instant=(n > 0 or task.sims == 0))
     finally:
         supervisor.shutdown()
     return results

@@ -1,16 +1,16 @@
 """Shared stderr logging for harness telemetry.
 
-Everything the harness says on stderr — the grid progress/ETA line, retry
-notes, result-store hit/miss telemetry — goes through this module so the
-output is consistent and parallel activity cannot interleave mangled
-fragments: every emission is a single ``write()`` call, and a pending
-overwriting status line is terminated with a newline before any regular
-line is printed over it.
+Everything the harness says on stderr — the grid progress/ETA line,
+failed-point alerts, result-store hit/miss telemetry — goes through this
+module so the output is consistent and parallel activity cannot
+interleave mangled fragments: every emission is a single ``write()``
+call, and a pending overwriting status line is terminated with a newline
+before any regular line is printed over it.
 
 Verbosity is controlled by the ``REPRO_VERBOSE`` environment variable:
 
 * ``0`` — silence all telemetry (progress and store lines);
-* ``1`` — normal (the default): store telemetry, retry notes, and the
+* ``1`` — normal (the default): store telemetry and the
   progress line when ``REPRO_PROGRESS`` requests one;
 * ``2+`` — debug-level extras (per-worker lifecycle notes).
 

@@ -5,7 +5,8 @@
 checkpoint spec passed beside it, and ships the outcome back over a
 one-way pipe as JSON-safe plain data; the caller gets a
 :class:`WorkerHandle`.  :class:`Supervisor` drives these handles as the
-worker pool behind ``run_grid(jobs > 1)``.
+worker pool behind ``run_grid(jobs > 1)``: one attempt per point, no
+timers, blocking on the workers' pipes and process sentinels.
 
 Pipe protocol — exactly one ``(status, payload)`` message per worker:
 
@@ -23,7 +24,6 @@ leaves nothing simulating behind it.
 
 from __future__ import annotations
 
-import glob
 import itertools
 import multiprocessing
 import os
@@ -32,22 +32,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, Optional
 
 import repro.harness.runner as runner
 from repro.harness.grid import _mp_context
-from repro.harness.resultstore import hash_key
-from repro.harness.retry import Backoff, BackoffPolicy
 from repro.harness.runner import GridPoint
-
-#: Errors that are deterministic functions of the point — retrying would
-#: only reproduce them.
-DETERMINISTIC_ERRORS = ("deadlock", "violation")
-
-#: A running worker whose heartbeat snapshot has not been replaced for this
-#: many seconds is presumed wedged and killed (only when a heartbeat
-#: directory is configured).
-WEDGED_AFTER_S = 60.0
 
 
 def _exit_with_parent() -> None:
@@ -156,94 +145,28 @@ def spawn_worker(point: GridPoint, checkpoint: Optional[dict]) -> WorkerHandle:
     return WorkerHandle(proc, parent_conn)
 
 
-class HeartbeatAgeTracker:
-    """Ages heartbeat snapshots on the supervisor's injected clock.
-
-    File mtimes live in the wall-clock domain (``time.time``) while every
-    supervision verdict runs on the injectable ``clock`` (default
-    ``time.monotonic``); subtracting one from the other lets an NTP step
-    instantly "age" a healthy worker past the wedged threshold — and makes
-    the wedged path untestable under a fake clock.  The tracker therefore
-    never subtracts an mtime from anything: mtimes are compared only for
-    *equality* (did the snapshot change since last look?), each change is
-    stamped with the injected clock, and ages are differences of those
-    stamps.  The first observation of a pid counts as fresh (age 0): the
-    worker gets one full :data:`WEDGED_AFTER_S` window from the moment the
-    supervisor starts watching it, never a head start from stale files.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic):
-        self.clock = clock
-        #: pid -> (newest mtime last seen, injected-clock stamp of that
-        #: observation).  Mtimes are opaque change tokens here.
-        self._seen: Dict[int, tuple] = {}
-
-    @staticmethod
-    def _newest_mtime(pid: int) -> Optional[float]:
-        from repro.obs.heartbeat import heartbeat_dir
-
-        directory = heartbeat_dir()
-        if not directory:
-            return None
-        newest = None
-        for path in glob.glob(os.path.join(directory, f"{pid}-*.json")):
-            try:
-                mtime = os.path.getmtime(path)
-            except OSError:
-                continue
-            if newest is None or mtime > newest:
-                newest = mtime
-        return newest
-
-    def __call__(self, pid: int) -> Optional[float]:
-        """Seconds (on the injected clock) since worker ``pid`` last
-        replaced a heartbeat snapshot, or None when no snapshot exists
-        (heartbeats off → no wedged verdict, the wall-clock timeout is
-        the only backstop)."""
-        newest = self._newest_mtime(pid)
-        if newest is None:
-            self._seen.pop(pid, None)
-            return None
-        now = self.clock()
-        last = self._seen.get(pid)
-        if last is None or last[0] != newest:
-            self._seen[pid] = (newest, now)
-            return 0.0
-        return max(0.0, now - last[1])
-
-    def forget(self, pid: int) -> None:
-        """Drop state for a reaped worker (pids get recycled)."""
-        self._seen.pop(pid, None)
-
-
 @dataclass
 class Task:
-    """One submitted point: how it runs and how far it got.
+    """One submitted point and how its single attempt went.
 
-    ``state`` goes pending → running → done | failed; a retry goes back
-    to pending.  ``outcome`` is ``"ok"``, ``"dedup"`` (finished by an
-    identical running point) or the failure kind.
+    ``state`` goes pending → running → done | failed.  ``outcome`` is
+    ``"ok"`` or the failure kind.
     """
 
     id: int
     point: GridPoint
     checkpoint: Optional[dict]
-    #: ``hash_key(point.key())``: identical points share it.
-    key: str
     state: str = "pending"
-    attempts: int = 0
     outcome: Optional[str] = None
     message: Optional[str] = None
     #: ``result_to_dict`` payload once done.
     result: Optional[dict] = None
-    #: The worker's simulation count once done (0 = a store hit; dedup
-    #: followers ran nothing themselves).
+    #: The worker's simulation count once done (0 = a store hit).
     sims: Optional[int] = None
     #: Failure detail once failed (watchdog dump, sanitizer violations).
     diagnostic: dict = field(default_factory=dict)
     handle: Optional[WorkerHandle] = None
     started_at: float = 0.0
-    backoff: Optional[Backoff] = None
 
     @property
     def terminal(self) -> bool:
@@ -253,75 +176,58 @@ class Task:
 class Supervisor:
     """A pool of ``slots`` worker processes over a FIFO of points.
 
-    One :meth:`poll` is a complete supervision tick: reap worker messages,
-    judge lost workers, admit backed-off retries, and dispatch pending
-    points into free slots.  The clock, the spawn function and the
-    heartbeat probe are injectable, so every failure path runs in
-    milliseconds without real processes.
+    :meth:`poll` never blocks: it reaps worker messages and deaths, then
+    dispatches pending points into free slots.  :meth:`wait` blocks until
+    some worker has something to reap.  The spawn function is injectable,
+    so tests drive :meth:`poll` against fake workers.
 
-    Verdicts per worker, in check order:
-
-    1. wall-clock budget exceeded — kill, retryable (``timeout``), even
-       when a message is waiting: a result is only seen when the pool
-       polls, so one read after the deadline cannot show the run met it;
-    2. message received — ``ok``, a deterministic failure
-       (``deadlock``/``violation``: quarantined at once) or a retryable
-       ``error``;
-    3. process died without a message — retryable (``worker-died``);
-    4. heartbeat snapshot too old — kill, retryable (``wedged``).
-
-    On verdicts 1, 3 and 4 the supervisor writes a ``failed`` run ledger
-    line with ``source: "grid"``: a killed or dead worker never wrote its
-    own.  Retryable failures wait out ``backoff``
-    (``repro.harness.retry``); a point that fails ``max_attempts`` times
-    is quarantined as ``failed``.  A point identical to a running one
-    (same work key) waits for that twin and takes its result.
+    Each point gets one attempt, and a worker's message is final: ``ok``
+    completes the point, any failure kind it reports fails it.  A worker
+    that exits without a message fails its point as ``worker-died``; it
+    never wrote its own run ledger line, so the supervisor writes a
+    ``failed`` one with ``source: "grid"``.  A failed point is recovered
+    by rerunning the sweep.
     """
 
     def __init__(
         self,
         slots: int,
-        max_attempts: int,
-        backoff: BackoffPolicy,
-        timeout_s: Optional[float] = None,
         spawn: Optional[Callable[[GridPoint, Optional[dict]], WorkerHandle]] = None,
-        clock: Callable[[], float] = time.monotonic,
-        heartbeat_age: Optional[Callable[[int], Optional[float]]] = None,
     ):
         self.slots = slots
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.timeout_s = timeout_s
         # Looked up per instance, not bound as a default, so a wrapped
         # spawn_worker takes effect.
         self.spawn = spawn if spawn is not None else spawn_worker
-        self.clock = clock
-        # The default tracker shares the supervisor's clock so wedged
-        # verdicts run in the same (fake-steppable) time domain as the rest.
-        self.heartbeat_age = (
-            heartbeat_age if heartbeat_age is not None
-            else HeartbeatAgeTracker(clock)
-        )
         self._ids = itertools.count()
         self.active: Dict[int, Task] = {}
-        self.delayed: Dict[int, Task] = {}
-        #: leader task id -> tasks coalesced behind it.
-        self.followers: Dict[int, List[Task]] = {}
         self._pending: Deque[Task] = deque()
 
     def submit(self, point: GridPoint, checkpoint: Optional[dict] = None) -> Task:
         """Queue one point (behind every point already queued)."""
-        task = Task(next(self._ids), point, checkpoint, hash_key(point.key()))
+        task = Task(next(self._ids), point, checkpoint)
         self._pending.append(task)
         return task
 
     def poll(self) -> None:
-        """One complete supervision pass (cheap; call it on a timer)."""
-        self._check_timeouts()
-        self._reap_messages()
-        self._check_wedged()
-        self._admit_delayed()
-        self._dispatch()
+        """Reap finished workers, then fill free slots; never blocks."""
+        for task in list(self.active.values()):
+            message = task.handle.poll_message()
+            if message is not None:
+                self._on_message(task, *message)
+            elif not task.handle.alive():
+                self._lost(task, "worker exited without reporting a result")
+        while len(self.active) < self.slots and self._pending:
+            task = self._pending.popleft()
+            task.handle = self.spawn(task.point, task.checkpoint)
+            task.state = "running"
+            task.started_at = time.monotonic()
+            self.active[task.id] = task
+
+    def wait(self) -> None:
+        """Block until a running worker sends its message or exits."""
+        if self.active:
+            wait([obj for task in self.active.values()
+                  for obj in (task.handle.conn, task.handle.proc.sentinel)])
 
     def shutdown(self) -> None:
         """Kill every live worker."""
@@ -330,43 +236,37 @@ class Supervisor:
             task.handle.kill()
             task.handle.close()
 
-    # ------------------------------------------------------------------
-    # Message reaping
-    # ------------------------------------------------------------------
-    def _reap_messages(self) -> None:
-        for task in list(self.active.values()):
-            message = task.handle.poll_message()
-            if message is not None:
-                self._on_message(task, *message)
-            elif not task.handle.alive():
-                self._lost(task, "worker-died",
-                           "worker exited without reporting a result")
-
     def _on_message(self, task: Task, status, payload) -> None:
         if status == "gone":
-            self._lost(task, "worker-died", "result pipe broke")
+            self._lost(task, "result pipe broke")
             return
         payload = payload or {}
         self._close(task)
         if status == "ok":
-            self._complete(task, payload)
-        elif status in DETERMINISTIC_ERRORS:
-            self._quarantine(task, status, payload.get("message", status),
-                             payload.get("diagnostic"))
+            task.state = "done"
+            task.outcome = "ok"
+            task.result = payload["result"]
+            task.sims = payload.get("sims")
         else:
-            self._retry(task, status, payload.get("message", status),
-                        payload.get("diagnostic"))
+            self._fail(task, status, payload.get("message", status),
+                       payload.get("diagnostic"))
 
     def _close(self, task: Task) -> None:
         del self.active[task.id]
         task.handle.close()
-        forget = getattr(self.heartbeat_age, "forget", None)
-        if forget is not None:
-            forget(task.handle.pid)
 
-    def _lost(self, task: Task, error: str, message: str) -> None:
-        """Kill (if still alive) and reap a worker that cannot report, write
-        the ledger line it never will, and retry its point."""
+    def _fail(
+        self, task: Task, error: str, message: str,
+        diagnostic: Optional[dict] = None,
+    ) -> None:
+        task.state = "failed"
+        task.outcome = error
+        task.message = message
+        task.diagnostic = diagnostic or {}
+
+    def _lost(self, task: Task, message: str) -> None:
+        """Reap a worker that exited without reporting, write the ledger
+        line it never will, and fail its point as ``worker-died``."""
         task.handle.kill()
         self._close(task)
         from repro.obs.ledger import get_ledger
@@ -377,95 +277,12 @@ class Supervisor:
             ledger.record(
                 source="grid",
                 outcome="failed",
-                error=error,
+                error="worker-died",
                 message=message,
                 app=point.app,
                 kind=point.kind,
                 scale=point.scale,
                 serial=bool(point.serial),
-                attempt=task.attempts,
-                wall_s=self.clock() - task.started_at,
+                wall_s=time.monotonic() - task.started_at,
             )
-        self._retry(task, error, message)
-
-    # ------------------------------------------------------------------
-    # Verdicts
-    # ------------------------------------------------------------------
-    def _complete(self, task: Task, payload: dict) -> None:
-        task.state = "done"
-        task.outcome = "ok"
-        task.result = payload["result"]
-        task.sims = payload.get("sims")
-        for follower in self.followers.pop(task.id, []):
-            follower.state = "done"
-            follower.outcome = "dedup"
-            follower.result = task.result
-            follower.sims = 0
-
-    def _quarantine(
-        self, task: Task, error: str, message: str,
-        diagnostic: Optional[dict] = None,
-    ) -> None:
-        task.state = "failed"
-        task.outcome = error
-        task.message = message
-        task.diagnostic = diagnostic or {}
-        # Followers must run for themselves now (and will store-hit if the
-        # failure was environmental and a retrying twin later succeeds).
-        self._pending.extend(self.followers.pop(task.id, []))
-
-    def _retry(
-        self, task: Task, error: str, message: str,
-        diagnostic: Optional[dict] = None,
-    ) -> None:
-        if task.attempts >= self.max_attempts:
-            self._quarantine(
-                task, error,
-                f"quarantined after {task.attempts} attempts: {message}",
-                diagnostic,
-            )
-            return
-        task.state = "pending"
-        if task.backoff is None:
-            task.backoff = Backoff(self.backoff, clock=self.clock)
-        task.backoff.fail()
-        self.delayed[task.id] = task
-
-    # ------------------------------------------------------------------
-    # Watchdogs: timeout, wedged
-    # ------------------------------------------------------------------
-    def _check_timeouts(self) -> None:
-        if self.timeout_s is None:
-            return
-        now = self.clock()
-        for task in list(self.active.values()):
-            if now > task.started_at + self.timeout_s:
-                self._lost(task, "timeout", f"timed out after {self.timeout_s}s")
-
-    def _check_wedged(self) -> None:
-        for task in list(self.active.values()):
-            age = self.heartbeat_age(task.handle.pid)
-            if age is not None and age > WEDGED_AFTER_S:
-                self._lost(task, "wedged", f"no heartbeat for {age:.1f}s")
-
-    def _admit_delayed(self) -> None:
-        for tid in list(self.delayed):
-            if self.delayed[tid].backoff.ready():
-                self._pending.append(self.delayed.pop(tid))
-
-    def _dispatch(self) -> None:
-        while len(self.active) < self.slots and self._pending:
-            task = self._pending.popleft()
-            twin = next(
-                (run for run in self.active.values() if run.key == task.key), None
-            )
-            if twin is not None:
-                # Identical work is already in flight: wait for its result
-                # instead of simulating twice.
-                self.followers.setdefault(twin.id, []).append(task)
-                continue
-            task.handle = self.spawn(task.point, task.checkpoint)
-            task.state = "running"
-            task.attempts += 1
-            task.started_at = self.clock()
-            self.active[task.id] = task
+        self._fail(task, "worker-died", message)

@@ -10,12 +10,12 @@ describing its outcome:
 * ``memo-hit``   — satisfied from the in-process memo cache,
 * ``store-hit``  — satisfied from the persistent result store,
 * ``failed``     — the run raised, or its worker was lost (``error`` holds
-  deadlock / violation / timeout / worker-died / wedged / error, matching
+  deadlock / violation / worker-died / error, matching
   ``FailedResult.error``).
 
 Every run labels its own line ``source: "runner"``, in-process or in a
-grid worker.  Workers that died, timed out or wedged can't write their own
-line, so the ``run_grid`` worker pool that lost them appends one on their
+grid worker.  A worker that died without reporting can't write its own
+line, so the ``run_grid`` worker pool that lost it appends one on its
 behalf with ``source: "grid"``.
 
 Each line carries the store-key digest (the same SHA-256 that names the

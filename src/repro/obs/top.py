@@ -30,16 +30,8 @@ _ANSI_HOME = "\x1b[H\x1b[J"
 
 #: A run whose file hasn't been replaced for this many seconds is flagged
 #: stale (worker wedged but still alive).  Overridable per call
-#: (``--stale-after``) or process-wide via ``REPRO_TOP_STALE_S``.
+#: (``--stale-after``).
 STALE_AFTER_S = 30.0
-
-
-def stale_after_default() -> float:
-    """The effective stale threshold (env override, else the constant)."""
-    try:
-        return float(os.environ.get("REPRO_TOP_STALE_S", ""))
-    except ValueError:
-        return STALE_AFTER_S
 
 
 def _pid_alive(pid) -> bool:
@@ -136,7 +128,7 @@ def render(
 ) -> str:
     """One frame of the top view as a plain string."""
     now = time.time() if now is None else now
-    stale_after = stale_after_default() if stale_after is None else stale_after
+    stale_after = STALE_AFTER_S if stale_after is None else stale_after
     by_status: dict = {}
     for snap in snaps:
         by_status[snap["status"]] = by_status.get(snap["status"], 0) + 1

@@ -193,23 +193,7 @@ class TestFailureHandling:
             app_overrides={"no_such_param": 1},
         )
         with pytest.raises(GridError, match="no_such_param"):
-            run_grid([SUB_GRID[0], bad], jobs=2, retries=1)
-
-    def test_timeout_raises_grid_error(self):
-        point = GridPoint("cilk5-mt", "bt-mesi", "quick")
-        with pytest.raises(GridError, match="timed out"):
-            run_grid([point, SUB_GRID[1]], jobs=2, timeout=1e-9, retries=0)
-
-    @pytest.mark.parametrize("points, jobs", [
-        ([GridPoint("cilk5-mt", "bt-mesi", "tiny")], 2),
-        ([GridPoint("cilk5-mt", "bt-mesi", "tiny"),
-          GridPoint("cilk5-mt", "bt-hcc-gwt", "tiny")], 1),
-    ])
-    def test_timeout_holds_for_one_point_or_one_job(self, points, jobs):
-        """Regression: a single point, or ``jobs=1``, ran in-process and
-        ignored ``timeout``; such a grid now runs on the worker pool."""
-        with pytest.raises(GridError, match="timed out"):
-            run_grid(points, jobs=jobs, timeout=1e-9, retries=0)
+            run_grid([SUB_GRID[0], bad], jobs=2)
 
     def test_serial_path_propagates_exceptions(self):
         bad = GridPoint(
@@ -230,22 +214,6 @@ class TestCrashTolerantSweeps:
         with pytest.raises(ValueError):
             run_grid([], on_error="ignore")
 
-    @pytest.mark.parametrize("jobs", (1, 2))
-    @pytest.mark.parametrize("bad, match", [
-        (dict(retries=-1), "retries must be an int >= 0, got -1"),
-        (dict(retries=1.5), "retries must be an int >= 0, got 1.5"),
-        (dict(retries=True), "retries must be an int >= 0, got True"),
-        (dict(timeout=0), "timeout must be None or > 0 seconds, got 0"),
-        (dict(timeout=-5), "timeout must be None or > 0 seconds, got -5"),
-    ])
-    def test_bad_retries_or_timeout_rejected_before_any_point_runs(
-        self, jobs, bad, match
-    ):
-        before = simulation_count()
-        with pytest.raises(ValueError, match=match):
-            run_grid(SUB_GRID[:2], jobs=jobs, **bad)
-        assert simulation_count() == before
-
     @pytest.mark.parametrize("jobs", (1, 3))
     def test_deadlock_recorded_in_slot(self, jobs):
         points = [SUB_GRID[0], DEADLOCK_POINT, SUB_GRID[1]]
@@ -260,11 +228,34 @@ class TestCrashTolerantSweeps:
         assert failed.diagnostic["done"] is False
         assert "cores" in failed.diagnostic
 
-    def test_deadlock_not_retried(self):
-        # Deadlocks are deterministic; retries would just re-wedge.
-        results = _run_fresh([DEADLOCK_POINT], jobs=2, retries=3,
-                             on_error="record")
-        assert results[0].attempts == 1
+    @pytest.mark.parametrize("bad, error, match", [
+        (GridPoint("cilk5-mt", "bt-mesi", "tiny",
+                   config_overrides={"max_cycles": 200}),
+         "error", "SimulationError"),
+        (GridPoint("cilk5-mt", "bt-mesi", "tiny",
+                   app_overrides={"no_such_param": 1}),
+         "error", "no_such_param"),
+        (DEADLOCK_POINT, "deadlock", "no runtime progress"),
+    ], ids=["max-cycles", "bad-param", "deadlock"])
+    def test_failing_point_runs_once(self, monkeypatch, bad, error, match):
+        """A worker's failure report is final: the pool spawns one worker
+        per point and never re-simulates a failure."""
+        import repro.harness.worker as worker
+
+        spawned = []
+        real_spawn = worker.spawn_worker
+
+        def spawn(point, checkpoint):
+            spawned.append(point)
+            return real_spawn(point, checkpoint)
+
+        monkeypatch.setattr(worker, "spawn_worker", spawn)
+        good = GridPoint("cilk5-mt", "bt-hcc-gwt", "tiny")
+        results = _run_fresh([good, bad], jobs=2, on_error="record")
+        assert len(spawned) == 2 and spawned.count(bad) == 1
+        assert results[0].cycles > 0
+        assert isinstance(results[1], FailedResult)
+        assert results[1].error == error and match in results[1].message
 
     def test_deadlock_raises_by_default(self):
         with pytest.raises((GridError, Exception)) as exc_info:
