@@ -128,11 +128,25 @@ class TestSupervisor:
         assert all(task.state == "done" for task in tasks)
         assert not supervisor.active and len(spawner.calls) == 3
 
-    def test_worker_death_fails_the_point_once(self, tmp_path):
+    def test_worker_death_fails_the_point_once(self):
         """A worker that exits without a message fails its point at once,
-        and the supervisor writes the one ledger line the worker never
-        wrote."""
+        on its one spawn."""
         supervisor, spawner = make_supervisor(slots=1)
+        task = supervisor.submit(point())
+        supervisor.poll()
+        task.handle.die_silently()
+        supervisor.poll()
+        supervisor.poll()
+        assert task.state == "failed"
+        assert task.outcome == "worker-died"
+        assert task.message == "worker exited without reporting a result"
+        assert task.handle.killed
+        assert len(spawner.calls) == 1 and not supervisor.active
+
+    def test_lost_worker_leaves_one_grid_ledger_line(self, tmp_path):
+        """The supervisor writes the one ledger line a silently dead worker
+        never wrote."""
+        supervisor, _ = make_supervisor(slots=1)
         set_ledger(tmp_path / "ledger.jsonl")
         try:
             task = supervisor.submit(point())
@@ -142,11 +156,7 @@ class TestSupervisor:
             supervisor.poll()
         finally:
             set_ledger(None)
-        assert task.state == "failed"
         assert task.outcome == "worker-died"
-        assert task.message == "worker exited without reporting a result"
-        assert task.handle.killed
-        assert len(spawner.calls) == 1 and not supervisor.active
         (line,) = read_ledger(tmp_path / "ledger.jsonl")
         assert line["outcome"] == "failed" and line["error"] == "worker-died"
         assert line["source"] == "grid"
@@ -166,7 +176,6 @@ class TestSupervisor:
         assert task.state == "failed"
         assert task.outcome == "deadlock"
         assert len(spawner.calls) == 1
-
 
     def test_wait_blocks_until_a_worker_can_be_reaped(self):
         """Real workers: ``wait()`` returns only once some worker has sent
@@ -196,7 +205,6 @@ class TestSupervisor:
         results = run_grid([point(), other, point()], jobs=2)
         assert sorted(p.kind for p, _ in spawns.spawned) == ["bt-hcc-gwt", "bt-mesi"]
         assert results[0] == results[2] and results[0] != results[1]
-
 
     def test_failure_fills_every_identical_slot(self, monkeypatch):
         """A failed point fails every slot of its group, on one spawn."""
