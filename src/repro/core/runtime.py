@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 from repro.core.chaselev import ChaseLevDeque
 from repro.core.task import Task
 from repro.core.taskqueue import TaskDeque
+from repro.cores import ops
 from repro.engine.simulator import SimulationError
 from repro.engine.watchdog import Watchdog
 from repro.machine import Machine
@@ -129,6 +130,9 @@ class WorkStealingRuntime:
         self._next_task_id = 1
         self.done = False
         self.stats = machine.stats.child("runtime")
+        #: Raw counter dict of ``stats`` (mutated in place, never rebound),
+        #: indexed directly on the scheduling paths.
+        self._cnt = self.stats._counters
         #: Event tracer (repro.trace); the machine's, NULL_TRACER when off.
         #: ``_tracing`` is hoisted so hot loops pay one attribute test.
         self.tracer = getattr(machine, "tracer", NULL_TRACER)
@@ -164,7 +168,7 @@ class WorkStealingRuntime:
     # ------------------------------------------------------------------
     def spawn(self, ctx, task: Task):
         """Figure 3 ``task::spawn``: enqueue on the current thread's deque."""
-        self.stats.add("spawns")
+        self._cnt["spawns"] += 1
         self.progress += 1
         dq = self.deques[ctx.tid]
         if self.deque_kind == "chase-lev":
@@ -240,7 +244,7 @@ class WorkStealingRuntime:
         core = ctx.core
         spin_prev = core.spinning
         core.spinning = False
-        self.stats.add("tasks_executed")
+        self._cnt["tasks_executed"] += 1
         self.progress += 1
         if self._tracing:
             now = self.machine.sim.now
@@ -257,8 +261,15 @@ class WorkStealingRuntime:
             self.tracer.task_end(ctx.tid, self.machine.sim.now)
 
     def _decrement_parent_amo(self, ctx, task: Task):
+        """The op that drops the parent's reference count (NOP for a root).
+
+        Like the other one-op helpers it returns the op for the caller to
+        yield, rather than being a generator the trampoline pushes and
+        pops around a single op; the caller ignores the op's result.
+        """
         if task.parent is not None:
-            yield ctx.amo_sub(task.parent.rc_addr, 1)
+            return ctx.amo_sub(task.parent.rc_addr, 1)
+        return ops.NOP
 
     def _choose_victim(self, ctx) -> int:
         if self.steal_policy == "big-first":
@@ -273,12 +284,13 @@ class WorkStealingRuntime:
     # Steal backoff
     # ------------------------------------------------------------------
     def _steal_backoff(self, ctx):
+        """The idle op after a failed steal (returned, not yielded)."""
         failures = getattr(ctx, "_steal_failures", 0)
         ctx._steal_failures = failures + 1
         window = min(STEAL_BACKOFF << min(failures, 6), STEAL_BACKOFF_CAP)
         if self._tracing:
             self.tracer.core_state(ctx.tid, self.machine.sim.now, "idle")
-        yield ctx.idle(window + ctx.rng.randint(0, window))
+        return ctx.idle(window + ctx.rng.randint(0, window))
 
     @staticmethod
     def _steal_succeeded(ctx):
@@ -298,7 +310,7 @@ class WorkStealingRuntime:
         if not task_id:
             return False
         task = self.tasks[task_id]
-        self.stats.add("local_dequeues")
+        self._cnt["local_dequeues"] += 1
         yield self._run_task(ctx, task)
         yield self._decrement_parent_amo(ctx, task)
         return True
@@ -307,7 +319,7 @@ class WorkStealingRuntime:
         if self.n_threads < 2:
             yield ctx.idle(STEAL_BACKOFF)
             return False
-        self.stats.add("steal_attempts")
+        self._cnt["steal_attempts"] += 1
         # The attempt's start cycle lives on ctx, not in a frame local:
         # checkpoint restore replays frames before the clock is restored,
         # so a local read of sim.now would be stale for a steal that was
@@ -329,7 +341,7 @@ class WorkStealingRuntime:
             return False
         self._steal_succeeded(ctx)
         task = self.tasks[task_id]
-        self.stats.add("steals")
+        self._cnt["steals"] += 1
         if self._tracing:
             self.tracer.steal(
                 ctx.tid, vid, task_id, ctx._steal_start,
@@ -371,7 +383,7 @@ class WorkStealingRuntime:
         if not task_id:
             return False
         task = self.tasks[task_id]
-        self.stats.add("local_dequeues")
+        self._cnt["local_dequeues"] += 1
         yield self._run_task(ctx, task)
         yield self._decrement_parent_amo(ctx, task)
         return True
@@ -380,7 +392,7 @@ class WorkStealingRuntime:
         if self.n_threads < 2:
             yield ctx.idle(STEAL_BACKOFF)
             return False
-        self.stats.add("steal_attempts")
+        self._cnt["steal_attempts"] += 1
         # On ctx for checkpoint restore; see _steal_hw.
         steal_start = ctx._steal_start = self.machine.sim.now
         if self._tracing:
@@ -400,7 +412,7 @@ class WorkStealingRuntime:
             return False
         self._steal_succeeded(ctx)
         task = self.tasks[task_id]
-        self.stats.add("steals")
+        self._cnt["steals"] += 1
         if self._tracing:
             self.tracer.steal(
                 ctx.tid, vid, task_id, ctx._steal_start,
@@ -444,7 +456,7 @@ class WorkStealingRuntime:
         if not task_id:
             return False
         task = self.tasks[task_id]
-        self.stats.add("local_dequeues")
+        self._cnt["local_dequeues"] += 1
         yield self._run_task(ctx, task)
         yield self._finish_child_dts(ctx, task)
         return True
@@ -467,7 +479,7 @@ class WorkStealingRuntime:
         if self.n_threads < 2:
             yield ctx.idle(STEAL_BACKOFF)
             return False
-        self.stats.add("steal_attempts")
+        self._cnt["steal_attempts"] += 1
         # On ctx for checkpoint restore; see _steal_hw.
         steal_start = ctx._steal_start = self.machine.sim.now
         if self._tracing:
@@ -475,7 +487,7 @@ class WorkStealingRuntime:
         vid = self._choose_victim(ctx)
         ack = yield ctx.uli_send_req(vid)
         if not ack:
-            self.stats.add("steal_nacks")
+            self._cnt["steal_nacks"] += 1
             yield self._steal_backoff(ctx)
             return False
         task_id = yield ctx.amo("xchg", self._mailboxes[ctx.tid], 0)
@@ -484,7 +496,7 @@ class WorkStealingRuntime:
             return False
         self._steal_succeeded(ctx)
         task = self.tasks[task_id]
-        self.stats.add("steals")
+        self._cnt["steals"] += 1
         if self._tracing:
             self.tracer.steal(
                 ctx.tid, vid, task_id, ctx._steal_start,
@@ -543,7 +555,7 @@ class WorkStealingRuntime:
             core = ctx.core
             spin_prev = core.spinning
             core.spinning = True
-            self.stats.add("uli_handler_runs")
+            self._cnt["uli_handler_runs"] += 1
             if self.handler_steals_tail:
                 task_id = yield dq.dequeue_tail(ctx)
             else:
@@ -557,7 +569,7 @@ class WorkStealingRuntime:
                     yield ctx.store(task.parent.hsc_addr, 1)
                 yield ctx.amo("xchg", self._mailboxes[thief_core_id], task_id)
                 yield ctx.cache_flush()
-                self.stats.add("uli_tasks_exported")
+                self._cnt["uli_tasks_exported"] += 1
             core.spinning = spin_prev
 
         return handler

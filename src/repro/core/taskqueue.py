@@ -39,7 +39,8 @@ class TaskDeque:
         return self._slots + (index % self.capacity) * WORD_BYTES
 
     # ------------------------------------------------------------------
-    # Locking (generator methods)
+    # Locking (``lock_acquire`` is a generator; ``lock_release`` returns
+    # its one op)
     # ------------------------------------------------------------------
     def lock_acquire(self, ctx):
         """Test-and-set spin lock with bounded exponential backoff."""
@@ -52,16 +53,16 @@ class TaskDeque:
             backoff = min(backoff * 2, self.BACKOFF_MAX)
 
     def lock_release(self, ctx):
-        """Release the lock so that the release is globally visible.
+        """The op that releases the lock so the release is globally visible.
 
         Ownership protocols (MESI, DeNovo) and write-through (GPU-WT)
         propagate a plain store; GPU-WB dirty data stays private until a
         flush, so the release must itself be an AMO at the shared cache.
+        The caller yields the returned op.
         """
         if ctx.core.l1.LOCK_RELEASE_AMO:
-            yield ctx.amo("xchg", self.lock_addr, 0)
-        else:
-            yield ctx.store(self.lock_addr, 0)
+            return ctx.amo("xchg", self.lock_addr, 0)
+        return ctx.store(self.lock_addr, 0)
 
     # ------------------------------------------------------------------
     # Queue operations (caller must hold the lock / have ULI disabled)

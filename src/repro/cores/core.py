@@ -27,19 +27,29 @@ thread's stack and starts it, and when a frame returns it pops it and
 sends the return value to its caller, so every op costs one ``send``
 into the innermost frame however deep the task tree is.  (With delegation
 CPython re-enters every frame of the chain on each ``send``, ~60 ns per
-level on CPython 3.11.)  Each op is dispatched through a
-per-kind bound-method table (``_op_*``, each returning
-``(result, latency)``), and then the simulator's event-fusion fast path
-(:meth:`repro.engine.simulator.Simulator.try_fuse`) is asked: if the
-completion is strictly earlier than every pending event the clock
-advances inline and the loop continues — no closure allocation, no heap
-traffic, no event dispatch.  Otherwise the op parks its result on the
-core and schedules a *preallocated* continuation (``_complete_cont``),
-which re-enters the trampoline when the event fires.  ULI handler entry
-is checked at exactly the op boundaries where the unfused path would
-check it (calls, returns and :data:`~repro.cores.ops.NOP` are not op
-boundaries), so fused and unfused runs are cycle- and
-statistic-identical.
+level on CPython 3.11.)  Each op is dispatched through a per-kind
+bound-method table (``_op_*``, each returning ``(result, latency)``), and
+then the trampoline takes the simulator's next step itself when it can
+(the rule and its proof are in :mod:`repro.engine.simulator`):
+
+* *fuse* — the completion is strictly earlier than every pending event,
+  so the clock advances inline and the same thread goes on: no heap
+  traffic, no event dispatch;
+* *switch* — the queue head is another core's completion, the event the
+  run loop would pop next: this core parks its result, pushes its
+  preallocated continuation (``_complete_cont``) with ``heapreplace``,
+  which pops the head in the same step, and the loop goes on as the other
+  core.  On the 64-core machines, where few completions fuse, most
+  events run this way;
+* otherwise park the result, push the continuation and return to
+  ``Simulator.run`` (ULI deliveries, wakes, due daemons, ``until`` runs
+  and the ``max_cycles`` error).
+
+The continuation is ``_resume`` itself, bound to the core, so an event
+popped by the run loop costs one call.  ULI handler entry is checked at
+exactly the op boundaries where the unfused path would check it (calls,
+returns and :data:`~repro.cores.ops.NOP` are not op boundaries), so
+fused, switched and unfused runs are cycle- and statistic-identical.
 
 ``_resume`` is the only op loop; :func:`advance` states the same
 call/return rule for the two drivers off the hot path (checkpoint replay
@@ -53,7 +63,8 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from types import GeneratorType
+from heapq import heappush, heapreplace
+from types import GeneratorType, MethodType
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.cores import ops
@@ -64,6 +75,10 @@ from repro.trace.tracer import NULL_TRACER
 #: Sentinel pushed on the resume stack when a handler interrupts a core
 #: that is blocked waiting for its own ULI response (no value to deliver).
 _NO_RESULT = object()
+
+#: Default argument of :meth:`Core._resume` when an op-completion event
+#: calls it: the value to send is the core's parked ``_pending_result``.
+_COMPLETION = object()
 
 
 def advance(stack: List, value: Any) -> Optional[ops.Op]:
@@ -142,7 +157,6 @@ class Core:
         "_resume_none_cont",
         "_dispatch_table",
         "_cnt",
-        "_c_uli_handler",
         "_ckpt_log",
         "_prof",
     )
@@ -219,7 +233,7 @@ class Core:
         # Preallocated continuations: the event queue carries these bound
         # methods instead of a fresh closure per operation.
         self._pending_result: Any = None
-        self._complete_cont = self._on_complete
+        self._complete_cont = self._resume
         self._resume_none_cont = self._resume_none
 
         # Per-kind dispatch table and the raw counter dict of this core's
@@ -230,7 +244,6 @@ class Core:
             kind: getattr(self, name) for kind, name in self._OP_METHODS.items()
         }
         self._cnt = self.stats._counters
-        self._c_uli_handler = self.stats.counter("cycles_uli_handler")
 
         #: Checkpoint send-log (repro.engine.checkpoint): when a Machine
         #: enables checkpointing this is the machine-wide list that records
@@ -301,136 +314,167 @@ class Core:
     def _resume_none(self) -> None:
         self._resume(None)
 
-    def _on_complete(self) -> None:
-        """An operation's completion event fired: take a pending ULI
-        first (this is an op boundary), else resume the thread."""
-        result = self._pending_result
-        self._pending_result = None
-        if self._pending_uli is not None and self.uli_enabled and not self._in_handler:
-            self._resume_stack.append(result)
-            self._enter_handler()
-            return
-        self._resume(result)
+    def _resume(self, value: Any = _COMPLETION) -> None:
+        """Drive thread coroutines from one heap event until control goes
+        back to the run loop.
 
-    def _resume(self, value: Any) -> None:
-        """Drive the thread coroutine, fusing op completions inline.
+        Called without a value this is the core's op-completion event
+        (``_complete_cont``): it takes the parked result, or enters a
+        pending ULI handler first, since a completion is an op boundary.
+        Otherwise ``value`` enters the thread as it is (a wake, a ULI ack).
 
-        Each outer step is one architectural operation: send the previous
+        Each inner step is one architectural operation: send the previous
         result into the innermost frame, follow calls and returns on the
-        thread's call stack to the next yielded op, dispatch it, and
-        either continue inline (fusion granted: the completion is provably
-        the next event) or park the result and schedule the preallocated
-        continuation.
-
-        The fusion test is :meth:`Simulator.try_fuse` inlined with its
-        operands hoisted to locals (the queue lists are mutated in place
-        and ``_fusible``/``max_cycles`` cannot change while a callback is
-        running, so hoisting is safe); with fusion disabled the loop pays
-        exactly one extra branch per op.
+        thread's call stack to the next yielded op and dispatch it.  Then
+        the loop fuses, switches to the core whose completion heads the
+        queue, or pushes the continuation and returns (see the module
+        docstring; ``repro.engine.simulator`` states the rule and why it
+        is exact).  The rule's operands are hoisted to locals: the queue
+        lists are mutated in place, and ``_fusible``/``max_cycles`` cannot
+        change while a callback runs.
         """
-        stacks = self._stacks
+        core = self
         sim = self.sim
-        table = self._dispatch_table
         queue = sim._queue
         daemon_queue = sim._daemon_queue
         max_cycles = sim.max_cycles
         fusible = sim._fusible
-        log = self._ckpt_log
-        prof = self._prof
-        cid = self.core_id
         generator = GeneratorType
+        method = MethodType
         nop = ops.NOP
-        fused = 0
-        stack = stacks[-1]
-        frame = stack[-1]
-        # The checkpoint log records each value that enters the thread
-        # from outside its call stack (op results, ULI acks, the value a
-        # thread resumes with after its handler): a complete replay
-        # script, since pushes and returns follow from the stack itself.
-        if log is not None:
-            log.append((cid, value))
+        fused = switched = 0
         try:
             while True:
-                try:
-                    op = frame.send(value)
-                except StopIteration as stop:
-                    stack.pop()
-                    if stack:
-                        # A call returned: resume its caller with the value.
-                        frame = stack[-1]
-                        value = stop.value
-                        continue
-                    value = self._pop_frame()
-                    if value is _NO_RESULT:
+                # One pass per core activation: the event that called this
+                # method, then each completion it switched to.
+                if value is _COMPLETION:
+                    value = core._pending_result
+                    core._pending_result = None
+                    if (
+                        core._pending_uli is not None
+                        and core.uli_enabled
+                        and not core._in_handler
+                    ):
+                        core._resume_stack.append(value)
+                        core._enter_handler()
                         return
-                    stack = stacks[-1]
-                    frame = stack[-1]
-                    if log is not None:
-                        log.append((cid, value))
-                    continue
-                if type(op) is generator:
-                    # A call: push the callee and start it.
-                    frame = op if prof is None else prof.probe_call(op)
-                    stack.append(frame)
-                    value = None
-                    continue
-                try:
-                    fn = table[op.KIND]
-                except (AttributeError, KeyError):
-                    if op is nop:
+                table = core._dispatch_table
+                log = core._ckpt_log
+                stack = core._stacks[-1]
+                frame = stack[-1]
+                # The checkpoint log records each value that enters the
+                # thread from outside its call stack (op results, ULI acks,
+                # the value a thread resumes with after its handler): a
+                # complete replay script, since pushes and returns follow
+                # from the stack itself.
+                if log is not None:
+                    log.append((core.core_id, value))
+                while True:
+                    try:
+                        op = frame.send(value)
+                    except StopIteration as stop:
+                        stack.pop()
+                        if stack:
+                            # A call returned: resume its caller with the value.
+                            frame = stack[-1]
+                            value = stop.value
+                            continue
+                        value = core._pop_frame()
+                        if value is _NO_RESULT:
+                            return
+                        stack = core._stacks[-1]
+                        frame = stack[-1]
+                        if log is not None:
+                            log.append((core.core_id, value))
+                        continue
+                    if type(op) is generator:
+                        # A call: push the callee and start it.
+                        prof = core._prof
+                        frame = op if prof is None else prof.probe_call(op)
+                        stack.append(frame)
                         value = None
                         continue
-                    raise self._bad_yield(op) from None
-                out = fn(op)
-                if out is None:
-                    # Asynchronous op (uli_send): resumes via deliver_uli_response.
-                    return
-                value, latency = out
-                if self._in_handler:
-                    # Victim-side DTS cost (Section VI-C: "<1% of execution time").
-                    self._c_uli_handler.add(latency)
-                completion = sim.now + latency
-                if (
-                    fusible
-                    and completion <= max_cycles
-                    and not sim._stop_requested
-                    and (not queue or queue[0][0] > completion)
-                    and (not daemon_queue or daemon_queue[0][0] > completion)
-                ):
-                    sim.now = completion
-                    fused += 1
-                    # Op boundary: identical ULI handler entry check to the
-                    # one _on_complete performs on the unfused path.
-                    if (
-                        self._pending_uli is not None
-                        and self.uli_enabled
-                        and not self._in_handler
-                    ):
-                        self._resume_stack.append(value)
-                        self._enter_handler()
+                    try:
+                        fn = table[op.KIND]
+                    except (AttributeError, KeyError):
+                        if op is nop:
+                            value = None
+                            continue
+                        raise core._bad_yield(op) from None
+                    out = fn(op)
+                    if out is None:
+                        # Asynchronous op (uli_send): resumes via deliver_uli_response.
                         return
-                    if log is not None:
-                        log.append((cid, value))
-                    continue
-                self._pending_result = value
-                sim.schedule_at(completion, self._complete_cont)
-                return
+                    value, latency = out
+                    if core._in_handler:
+                        # Victim-side DTS cost (Section VI-C: "<1% of execution time").
+                        core._cnt["cycles_uli_handler"] += latency
+                    completion = sim.now + latency
+                    if fusible and not sim._stop_requested:
+                        if not queue or queue[0][0] > completion:
+                            if completion <= max_cycles and (
+                                not daemon_queue or daemon_queue[0][0] > completion
+                            ):
+                                # Fuse.
+                                sim.now = completion
+                                fused += 1
+                                # Op boundary: the same ULI handler entry
+                                # check as a completion event makes.
+                                if (
+                                    core._pending_uli is not None
+                                    and core.uli_enabled
+                                    and not core._in_handler
+                                ):
+                                    core._resume_stack.append(value)
+                                    core._enter_handler()
+                                    return
+                                if log is not None:
+                                    log.append((core.core_id, value))
+                                continue
+                        else:
+                            # The head is due no later than this completion
+                            # and holds a smaller sequence number: it is the
+                            # event the run loop would pop next (and it is
+                            # not in the past, so neither is the completion).
+                            head_time, _seq, head = queue[0]
+                            if (
+                                type(head) is method
+                                and head.__func__ is _resume_fn
+                                and head_time <= max_cycles
+                                and (not daemon_queue or daemon_queue[0][0] > head_time)
+                            ):
+                                # Switch.
+                                core._pending_result = value
+                                seq = sim._seq
+                                sim._seq = seq + 1
+                                heapreplace(queue, (completion, seq, core._complete_cont))
+                                sim.now = head_time
+                                switched += 1
+                                core = head.__self__
+                                value = _COMPLETION
+                                break
+                    if latency < 0:
+                        raise ValueError(
+                            f"cannot schedule in the past ({completion} < {sim.now})"
+                        )
+                    core._pending_result = value
+                    seq = sim._seq
+                    sim._seq = seq + 1
+                    heappush(queue, (completion, seq, core._complete_cont))
+                    return
         finally:
             if fused:
                 sim.events_fused += fused
-
-    def _charge_memory(self, latency: int) -> int:
-        """Scale exposed memory latency for big cores (MLP overlap)."""
-        if latency <= 1 or self.mlp_factor >= 1.0:
-            return latency
-        return 1 + max(0, math.ceil((latency - 1) * self.mlp_factor))
+            if switched:
+                sim.events_executed += switched
 
     # ------------------------------------------------------------------
     # Per-kind op execution (bound into _dispatch_table)
     #
     # Each returns (result, latency) — or None when the op completes
-    # asynchronously — and records its own instruction/cycle counters
-    # through the preallocated handles.
+    # asynchronously — and records its own instruction/cycle counters in
+    # the raw counter dict.  Big cores scale exposed memory latency by
+    # ``mlp_factor`` (MLP overlap), written out in each memory op.
     # ------------------------------------------------------------------
     def _op_work(self, op: ops.Work):
         n = op.n
@@ -456,7 +500,9 @@ class Core:
             value, latency = self.l1.l2.read_word_bypass(self.core_id, op.addr, now)
         else:
             value, latency = self.l1.load(op.addr, now)
-        latency = self._charge_memory(latency)
+        mlp = self.mlp_factor
+        if latency > 1 and mlp < 1.0:
+            latency = 1 + max(0, math.ceil((latency - 1) * mlp))
         cnt = self._cnt
         cnt["instructions"] += 1
         if self.spinning:
@@ -466,7 +512,10 @@ class Core:
         return value, latency
 
     def _op_store(self, op: ops.Store):
-        latency = self._charge_memory(self.l1.store(op.addr, op.value, self.sim.now))
+        latency = self.l1.store(op.addr, op.value, self.sim.now)
+        mlp = self.mlp_factor
+        if latency > 1 and mlp < 1.0:
+            latency = 1 + max(0, math.ceil((latency - 1) * mlp))
         cnt = self._cnt
         cnt["instructions"] += 1
         if self.spinning:
@@ -477,7 +526,9 @@ class Core:
 
     def _op_amo(self, op: ops.Amo):
         old, latency = self.l1.amo(op.op, op.addr, op.operand, self.sim.now)
-        latency = self._charge_memory(latency)
+        mlp = self.mlp_factor
+        if latency > 1 and mlp < 1.0:
+            latency = 1 + max(0, math.ceil((latency - 1) * mlp))
         cnt = self._cnt
         cnt["instructions"] += 1
         if self.spinning:
@@ -538,7 +589,7 @@ class Core:
     def _send_uli(self, victim_core_id: int) -> None:
         if self.uli_network is None:
             raise SimulationError("ULI network not configured on this system")
-        self.stats.add("uli_requests_sent")
+        self._cnt["uli_requests_sent"] += 1
         latency = self.uli_network.send_latency(self.core_id, victim_core_id)
         self._uli_waiting = True
         self._uli_send_time = self.sim.now
@@ -554,12 +605,13 @@ class Core:
             self._deferred_uli_resp = ack
             return
         self._uli_waiting = False
-        self.stats.add("uli_acks" if ack else "uli_nacks")
+        cnt = self._cnt
+        cnt["uli_acks" if ack else "uli_nacks"] += 1
         # Handler time spent while waiting was already charged per-op;
         # charge only the genuine wait here.
         wait = self.sim.now - self._uli_send_time - self._wait_handler_cycles
         self._wait_handler_cycles = 0
-        self.stats.add("cycles_uli", max(0, wait))
+        cnt["cycles_uli"] += max(0, wait)
         self._resume(ack)
 
     # ------------------------------------------------------------------
@@ -575,7 +627,7 @@ class Core:
             or self.uli_handler_factory is None
         )
         if rejectable:
-            self.stats.add("uli_rejected")
+            self._cnt["uli_rejected"] += 1
             self._respond(thief_core_id, ack=False)
             return
         self._pending_uli = thief_core_id
@@ -585,7 +637,7 @@ class Core:
             self._resume_stack.append(_NO_RESULT)
             self._enter_handler()
         # Otherwise the handler starts at the next op boundary
-        # (_on_complete, or the fused boundary check in _resume).
+        # (a completion event, or the fused boundary check in _resume).
 
     def _enter_handler(self) -> None:
         self._in_handler = True
@@ -593,9 +645,10 @@ class Core:
         if self.tracer.enabled:
             self.tracer.push_state(self.core_id, self.sim.now, "uli-handler")
         thief = self._pending_uli
-        self.stats.add("uli_handled")
-        self.stats.add("cycles_uli", self.uli_entry_latency)
-        self.stats.add("cycles_uli_handler", self.uli_entry_latency)
+        cnt = self._cnt
+        cnt["uli_handled"] += 1
+        cnt["cycles_uli"] += self.uli_entry_latency
+        cnt["cycles_uli_handler"] += self.uli_entry_latency
         if self._ckpt_log is not None:
             # Replay marker: a handler frame was pushed for this thief.
             self._ckpt_log.append(("h", self.core_id, thief))
@@ -660,3 +713,8 @@ class Core:
 
     def cycle_breakdown(self) -> dict:
         return {cat: self.stats.get(f"cycles_{cat}") for cat in TIME_CATEGORIES}
+
+
+#: The function behind every core's ``_complete_cont``: the trampoline
+#: switches to a queue head only when it is a bound method of this one.
+_resume_fn = Core._resume

@@ -155,7 +155,7 @@ def _describe_event(entry) -> tuple:
     bound_self = getattr(callback, "__self__", None)
     if bound_self is not None:
         name = getattr(callback, "__name__", "")
-        if name == "_on_complete":
+        if name == "_resume":
             return (time, seq, "complete", bound_self.core_id)
         if name == "_resume_none":
             return (time, seq, "wake", bound_self.core_id)

@@ -21,11 +21,12 @@ class XorShift64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
+        # The state stays below 2**64, so only the left shift needs a mask.
         x = self._state
-        x ^= (x >> 12) & _MASK64
+        x ^= x >> 12
         x ^= (x << 25) & _MASK64
-        x ^= (x >> 27) & _MASK64
-        self._state = x & _MASK64
+        x ^= x >> 27
+        self._state = x
         return (x * 0x2545F4914F6CDD1D) & _MASK64
 
     def randint(self, lo: int, hi: int) -> int:

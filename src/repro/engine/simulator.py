@@ -13,40 +13,50 @@ the last real event — so they cannot perturb a simulation's outcome.  The
 main event loop only pays one truthiness test per event for their
 existence, keeping untraced runs at full speed.
 
-Event fusion (the :meth:`Simulator.try_fuse` fast path)
--------------------------------------------------------
+Fusion and switching (the core trampoline's share of the run loop)
+------------------------------------------------------------------
 
 Most events in this simulator are core-operation completions: a core
 finishes a load/store/work op and schedules its own continuation a few
-cycles later.  When that continuation is due *strictly before* every other
-pending event — regular or daemon — executing it inline is exactly
-equivalent to a heappush immediately followed by a heappop of the same
-entry.  :meth:`try_fuse` implements that claim check: callers (the core's
-coroutine trampoline, see ``repro.cores.core.Core._resume``) ask "may I
-just advance the clock to ``time`` and keep running?" and the simulator
-answers yes only when
+cycles later.  The core's trampoline (``repro.cores.core.Core._resume``)
+therefore takes over the step :meth:`Simulator.run` would take next
+whenever that step is another op completion.  After an op it computes the
+completion time and, with the regular and daemon queues in view, either
+
+* *fuses*: the continuation is due strictly before every pending regular
+  and daemon event, so pushing it and popping it again would return the
+  same entry; the clock advances and the same thread keeps running; or
+* *switches*: the queue head is another core's completion, so it is the
+  event :meth:`run` would pop next; the continuation is pushed with
+  ``heapreplace``, which pops that head in the same step, and the
+  trampoline advances the clock to it and runs that core inline; or
+* pushes its continuation and returns to :meth:`run` (ULI deliveries,
+  wakes, due daemons, ``until`` runs and the ``max_cycles`` error all
+  take this path).
+
+Both shortcuts are taken only while
 
 * fusion is enabled and a ``run()`` without an ``until`` predicate is
   active (an ``until`` predicate must be re-evaluated after *every*
   event, so fusion is disabled for such runs),
 * ``stop()`` has not been requested,
-* ``time`` does not exceed ``max_cycles`` (the runaway guard must fire
-  exactly as it would on the heap path), and
-* ``time`` is strictly earlier than both the regular and the daemon
-  queue heads.
+* the event that runs next is due at or before ``max_cycles`` (the
+  runaway guard must fire exactly as it would on the heap path), and
+* no daemon event is due at or before it.
 
-The strict-less-than comparison is what makes fused and unfused runs
-provably identical: an event at the same cycle as the queue head must
-lose the FIFO tie-break (the queued event holds a smaller sequence
-number), so it is never fused.  Daemon events run just before the first
-regular event at-or-after their due time, so fusing past a due daemon
-event is likewise forbidden.  Under these rules the sequence of executed
+A fused continuation must be *strictly* earlier than the queue head: an
+event at the same cycle as the head loses the FIFO tie-break (the queued
+event holds a smaller sequence number), so it is never fused; the head
+runs first, inline when it is a completion.  Daemon events run just before the
+first regular event at or after their due time, so neither shortcut runs
+an event past a due daemon.  Under these rules the sequence of executed
 callbacks, the clock values they observe, and every statistic they record
-are identical whether fusion is on or off — only the host-side heap
-traffic disappears.  Set ``REPRO_NO_FUSION=1`` (or construct with
-``fusion=False``) to force every continuation through the heap for
-differential testing; the hot loop then pays a single extra branch per
-completed operation.
+are identical whether the shortcuts are on or off; only host-side heap
+traffic and run-loop dispatch disappear.  A switched event counts in
+``events_executed``, a fused one in ``events_fused``.  Set
+``REPRO_NO_FUSION=1`` (or construct with ``fusion=False``) to send every
+event through :meth:`run` for differential testing; the hot loop then
+pays a single extra branch per completed operation.
 
 This kernel is deliberately minimal: the memory system resolves most
 latencies analytically (see ``repro.mem``), so the event queue only carries
@@ -93,13 +103,14 @@ class Simulator:
         self._stop_requested = False
         if fusion is None:
             fusion = not os.environ.get("REPRO_NO_FUSION")
-        #: Whether the event-fusion fast path may be used at all.
+        #: Whether the trampoline may fuse and switch events at all.
         self.fusion_enabled = bool(fusion)
         #: True only inside a ``run()`` that is allowed to fuse.
         self._fusible = False
-        #: Events executed through the heap (popped by the run loop).
+        #: Events popped from the heap, by the run loop or by a core's
+        #: trampoline switching to the queue head.
         self.events_executed = 0
-        #: Continuations executed inline via :meth:`try_fuse`.
+        #: Continuations a core's trampoline ran without touching the heap.
         self.events_fused = 0
 
     # ------------------------------------------------------------------
@@ -128,42 +139,6 @@ class Simulator:
         queue = self._daemon_queue if daemon else self._queue
         heapq.heappush(queue, (time, self._seq, callback))
         self._seq += 1
-
-    # ------------------------------------------------------------------
-    # Event fusion (fast path)
-    # ------------------------------------------------------------------
-    def try_fuse(self, time: int) -> bool:
-        """Claim an inline continuation at cycle ``time``.
-
-        Returns True — and advances the clock to ``time`` — when running
-        the continuation immediately is provably identical to scheduling
-        it and letting the run loop pop it next: ``time`` must be strictly
-        earlier than every pending regular and daemon event, within the
-        ``max_cycles`` guard, with no stop requested and no ``until``
-        predicate installed.  Returns False (clock untouched) otherwise;
-        the caller must then schedule normally.
-
-        When fusion is disabled this is a single-branch early exit, so the
-        unfused hot loop pays at most one extra branch per operation.
-        """
-        if not self._fusible:
-            return False
-        if self._stop_requested or time > self.max_cycles:
-            return False
-        queue = self._queue
-        if queue and queue[0][0] <= time:
-            return False
-        daemon_queue = self._daemon_queue
-        if daemon_queue and daemon_queue[0][0] <= time:
-            return False
-        self.now = time
-        self.events_fused += 1
-        return True
-
-    @property
-    def fusion_active(self) -> bool:
-        """Whether the current ``run()`` is allowed to fuse continuations."""
-        return self._fusible
 
     # ------------------------------------------------------------------
     # Execution

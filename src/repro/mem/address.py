@@ -18,9 +18,11 @@ LINE_BYTES = 64
 WORDS_PER_LINE = LINE_BYTES // WORD_BYTES
 
 # Precomputed shift/mask forms of the helpers below, for call-free address
-# arithmetic on hot paths: ``addr & LINE_MASK`` == ``line_addr(addr)`` and
+# arithmetic on hot paths: ``addr & LINE_MASK`` == ``line_addr(addr)``,
+# ``addr >> LINE_SHIFT`` == ``addr // LINE_BYTES`` and
 # ``(addr >> WORD_SHIFT) & WORD_INDEX_MASK`` == ``word_index(addr)``.
 LINE_MASK = ~(LINE_BYTES - 1)
+LINE_SHIFT = LINE_BYTES.bit_length() - 1
 WORD_SHIFT = WORD_BYTES.bit_length() - 1
 WORD_INDEX_MASK = WORDS_PER_LINE - 1
 

@@ -27,6 +27,13 @@ REGISTERED = "R"  # DeNovo: owned/dirty
 
 FULL_MASK = (1 << WORDS_PER_LINE) - 1
 
+#: ``SET_BITS[mask]``: the word indices set in a per-word mask, ascending.
+#: Merging dirty words walks this tuple instead of testing all 8 bits.
+SET_BITS = tuple(
+    tuple(i for i in range(WORDS_PER_LINE) if mask >> i & 1)
+    for mask in range(FULL_MASK + 1)
+)
+
 
 class CacheLine:
     """One resident cache line: tag, state, data, and per-word masks."""

@@ -17,7 +17,7 @@ from collections import deque
 from typing import List, Optional, Tuple
 
 from repro.engine.stats import StatGroup
-from repro.mem.address import line_addr, word_index
+from repro.mem.address import LINE_MASK
 from repro.mem.cacheline import CacheLine, TagArray
 from repro.trace.tracer import NULL_TRACER
 
@@ -103,8 +103,8 @@ class L1Cache:
     # ------------------------------------------------------------------
     def snoop_invalidate(self, base: int) -> None:
         """Writer-initiated invalidation from the directory."""
-        if self.tags.remove(line_addr(base)) is not None:
-            self.stats.add("snoop_invalidations")
+        if self.tags.remove(base & LINE_MASK) is not None:
+            self._cnt["snoop_invalidations"] += 1
 
     def snoop_recall(self, base: int) -> Tuple[Optional[List[int]], int, bool]:
         """Directory recall of an owned line.
@@ -122,7 +122,7 @@ class L1Cache:
         ``SharedL2.read_word_bypass`` so mailbox polling cannot strip
         ownership.
         """
-        line = self.tags.peek(line_addr(base))
+        line = self.tags.peek(base & LINE_MASK)
         if line is not None and line.word_dirty(idx):
             return line.data[idx]
         return None
@@ -134,7 +134,7 @@ class L1Cache:
         """Insert a filled line, evicting through the protocol victim path."""
         victim = self.tags.insert(line)
         if victim is not None:
-            self.stats.add("evictions")
+            self._cnt["evictions"] += 1
             self._evict_victim(victim, now)
         fi = self.fault_injector
         if fi is not None and fi.l1_evict_fires(self.core_id):
@@ -160,8 +160,8 @@ class L1Cache:
         else:
             victim = candidates[0]
         self.tags.remove(victim.addr)
-        self.stats.add("evictions")
-        self.stats.add("forced_evictions")
+        self._cnt["evictions"] += 1
+        self._cnt["forced_evictions"] += 1
         self._evict_victim(victim, now)
         return True
 
@@ -181,7 +181,7 @@ class L1Cache:
         stall = 0
         if len(buffer) >= self.WRITE_BUFFER_ENTRIES:
             stall = max(0, buffer.popleft() - now)
-            self.stats.add("store_buffer_stall_cycles", stall)
+            self._cnt["store_buffer_stall_cycles"] += stall
         buffer.append(now + stall + miss_latency)
         return self.hit_latency + stall
 
@@ -218,22 +218,6 @@ class L1Cache:
         if self.tracer.enabled:
             self.tracer.mem_burst(self.core_id, now, kind, lines, latency)
 
-    #: kind -> (access key, hit key), computed once instead of building an
-    #: f-string + ``rstrip`` on every cached access.
-    _ACCESS_KEYS = {
-        "loads": ("loads", "load_hits"),
-        "stores": ("stores", "store_hits"),
-        "amos": ("amos", "amo_hits"),
-    }
-
-    def _record_access(self, kind: str, hit: bool) -> None:
-        keys = self._ACCESS_KEYS.get(kind)
-        if keys is None:
-            keys = (kind, f"{kind.rstrip('s')}_hits")
-        self.stats.add(keys[0])
-        if hit:
-            self.stats.add(keys[1])
-
     def hit_rate(self) -> float:
         """L1-D hit rate over loads + stores (Figure 6 of the paper)."""
         accesses = self.stats.get("loads") + self.stats.get("stores")
@@ -242,8 +226,5 @@ class L1Cache:
         hits = self.stats.get("load_hits") + self.stats.get("store_hits")
         return hits / accesses
 
-    def _word(self, addr: int) -> int:
-        return word_index(addr)
-
     def resident(self, addr: int) -> Optional[CacheLine]:
-        return self.tags.peek(line_addr(addr))
+        return self.tags.peek(addr & LINE_MASK)

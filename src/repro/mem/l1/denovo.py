@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.mem.address import LINE_MASK, WORD_INDEX_MASK, WORD_SHIFT, line_addr
+from repro.mem.address import LINE_MASK, WORD_INDEX_MASK, WORD_SHIFT
 from repro.mem.amo import apply_amo
 from repro.mem.cacheline import CacheLine, REGISTERED, VALID
 from repro.mem.l1.base import L1Cache
@@ -45,8 +45,8 @@ class DeNovoL1(L1Cache):
         data, latency, _excl = self.l2.fetch_shared(
             self.core_id, addr, now + self.hit_latency, track_sharer=False
         )
-        self._insert(CacheLine(line_addr(addr), VALID, data), now)
-        return data[self._word(addr)], self.hit_latency + latency
+        self._insert(CacheLine(addr & LINE_MASK, VALID, data), now)
+        return data[(addr >> WORD_SHIFT) & WORD_INDEX_MASK], self.hit_latency + latency
 
     def store(self, addr: int, value: int, now: int) -> int:
         base = addr & LINE_MASK
@@ -60,7 +60,7 @@ class DeNovoL1(L1Cache):
         self._cnt["stores"] += 1
         latency = self._register(line, base, addr, now)
         line = self.tags.peek(base)
-        line.set_word(self._word(addr), value, dirty=True)
+        line.set_word((addr >> WORD_SHIFT) & WORD_INDEX_MASK, value, dirty=True)
         return self._buffered_store_latency(now, latency)
 
     def amo(self, op: str, addr: int, operand, now: int) -> Tuple[int, int]:
@@ -71,14 +71,14 @@ class DeNovoL1(L1Cache):
         self._cnt["amos"] += 1
         drain = self._drain_store_buffer(now)
         now += drain
-        base = line_addr(addr)
+        base = addr & LINE_MASK
         line = self.tags.lookup(base)
         if line is not None and line.state == REGISTERED:
             latency = self.hit_latency
         else:
             latency = self.hit_latency + self._register(line, base, addr, now)
             line = self.tags.peek(base)
-        idx = self._word(addr)
+        idx = (addr >> WORD_SHIFT) & WORD_INDEX_MASK
         new, old = apply_amo(op, line.data[idx], operand)
         line.set_word(idx, new, dirty=True)
         return old, drain + latency
@@ -104,13 +104,13 @@ class DeNovoL1(L1Cache):
     # ------------------------------------------------------------------
     def invalidate_all(self, now: int) -> int:
         """Drop every valid-but-unowned line (reader-initiated invalidation)."""
-        self.stats.add("invalidate_ops")
+        self._cnt["invalidate_ops"] += 1
         dropped = 0
         for line in self.tags.lines():
             if line.state == VALID:
                 self.tags.remove(line.addr)
                 dropped += 1
-        self.stats.add("lines_invalidated", dropped)
+        self._cnt["lines_invalidated"] += dropped
         self._trace_burst("invalidate", now, dropped, self.FLASH_OP_LATENCY)
         return self.FLASH_OP_LATENCY
 
@@ -120,14 +120,14 @@ class DeNovoL1(L1Cache):
     # Snoops / eviction
     # ------------------------------------------------------------------
     def snoop_recall(self, base: int) -> Tuple[Optional[List[int]], int, bool]:
-        line = self.tags.peek(line_addr(base))
+        line = self.tags.peek(base & LINE_MASK)
         if line is None:
             return None, 0, False
         dirty = line.dirty_mask
         words = list(line.data) if dirty else None
         line.state = VALID  # lose registration, keep a clean copy
         line.dirty_mask = 0
-        self.stats.add("recalls")
+        self._cnt["recalls"] += 1
         return words, dirty, True
 
     def _evict_victim(self, victim: CacheLine, now: int) -> None:

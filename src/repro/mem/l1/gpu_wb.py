@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.mem.address import LINE_MASK, WORD_INDEX_MASK, WORD_SHIFT, line_addr
+from repro.mem.address import LINE_MASK, WORD_INDEX_MASK, WORD_SHIFT
 from repro.mem.amo import apply_amo
 from repro.mem.cacheline import CacheLine, FULL_MASK, VALID
 from repro.mem.l1.base import L1Cache
@@ -78,7 +78,7 @@ class GpuWbL1(L1Cache):
         self._cnt["stores"] += 1
         line = CacheLine(base, VALID)
         line.valid_mask = 0
-        line.set_word(self._word(addr), value, dirty=True)
+        line.set_word((addr >> WORD_SHIFT) & WORD_INDEX_MASK, value, dirty=True)
         self._insert(line, now)
         return self.hit_latency
 
@@ -89,8 +89,8 @@ class GpuWbL1(L1Cache):
         L2 sees this core's latest value (fence-before-atomic).
         """
         self._cnt["amos"] += 1
-        base = line_addr(addr)
-        idx = self._word(addr)
+        base = addr & LINE_MASK
+        idx = (addr >> WORD_SHIFT) & WORD_INDEX_MASK
         extra = 0
         line = self.tags.peek(base)
         if line is not None and line.word_dirty(idx):
@@ -109,7 +109,7 @@ class GpuWbL1(L1Cache):
     # ------------------------------------------------------------------
     def invalidate_all(self, now: int) -> int:
         """Invalidate clean words everywhere; dirty words survive."""
-        self.stats.add("invalidate_ops")
+        self._cnt["invalidate_ops"] += 1
         dropped = 0
         for line in self.tags.lines():
             if line.dirty_mask == 0:
@@ -118,13 +118,13 @@ class GpuWbL1(L1Cache):
             elif line.valid_mask != line.dirty_mask:
                 line.valid_mask = line.dirty_mask
                 dropped += 1
-        self.stats.add("lines_invalidated", dropped)
+        self._cnt["lines_invalidated"] += dropped
         self._trace_burst("invalidate", now, dropped, self.FLASH_OP_LATENCY)
         return self.FLASH_OP_LATENCY
 
     def flush_all(self, now: int) -> int:
         """Write every dirty word back to the shared L2 (pipelined)."""
-        self.stats.add("flush_ops")
+        self._cnt["flush_ops"] += 1
         flushed = 0
         worst_injection = 0
         for line in self.tags.lines():
@@ -137,7 +137,7 @@ class GpuWbL1(L1Cache):
             worst_injection = max(worst_injection, injection)
             line.dirty_mask = 0
             flushed += 1
-        self.stats.add("lines_flushed", flushed)
+        self._cnt["lines_flushed"] += flushed
         latency = (
             self.FLASH_OP_LATENCY + worst_injection
             + self.FLUSH_PER_LINE_CYCLES * flushed

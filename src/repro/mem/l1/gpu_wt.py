@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Tuple
 
-from repro.mem.address import LINE_MASK, WORD_INDEX_MASK, WORD_SHIFT, line_addr
+from repro.mem.address import LINE_MASK, WORD_INDEX_MASK, WORD_SHIFT
 from repro.mem.cacheline import CacheLine, VALID
 from repro.mem.l1.base import L1Cache
 
@@ -60,8 +60,8 @@ class GpuWtL1(L1Cache):
         data, latency, _excl = self.l2.fetch_shared(
             self.core_id, addr, now + self.hit_latency, track_sharer=False
         )
-        self._insert(CacheLine(line_addr(addr), VALID, data), now)
-        return data[self._word(addr)], self.hit_latency + latency
+        self._insert(CacheLine(addr & LINE_MASK, VALID, data), now)
+        return data[(addr >> WORD_SHIFT) & WORD_INDEX_MASK], self.hit_latency + latency
 
     def store(self, addr: int, value: int, now: int) -> int:
         line = self.tags.lookup(addr & LINE_MASK)
@@ -82,13 +82,13 @@ class GpuWtL1(L1Cache):
         self._cnt["amos"] += 1
         drain = self._drain_stall(now)
         old, latency = self.l2.amo_word(self.core_id, addr, op, operand, now + drain)
-        line = self.tags.peek(line_addr(addr))
+        line = self.tags.peek(addr & LINE_MASK)
         if line is not None:
             # The response updates the stale local word.
             from repro.mem.amo import apply_amo
 
             new, _ = apply_amo(op, old, operand)
-            line.set_word(self._word(addr), new, dirty=False)
+            line.set_word((addr >> WORD_SHIFT) & WORD_INDEX_MASK, new, dirty=False)
         return old, drain + latency
 
     # ------------------------------------------------------------------
@@ -96,9 +96,9 @@ class GpuWtL1(L1Cache):
     # ------------------------------------------------------------------
     def invalidate_all(self, now: int) -> int:
         """All lines are clean: flash-invalidate everything."""
-        self.stats.add("invalidate_ops")
+        self._cnt["invalidate_ops"] += 1
         dropped = self.tags.clear()
-        self.stats.add("lines_invalidated", dropped)
+        self._cnt["lines_invalidated"] += dropped
         self._trace_burst("invalidate", now, dropped, self.FLASH_OP_LATENCY)
         return self.FLASH_OP_LATENCY
 
@@ -116,7 +116,7 @@ class GpuWtL1(L1Cache):
             return 0
         stall = buffer[0] - now
         buffer.popleft()
-        self.stats.add("write_buffer_stall_cycles", stall)
+        self._cnt["write_buffer_stall_cycles"] += stall
         return stall
 
     def _drain_stall(self, now: int) -> int:

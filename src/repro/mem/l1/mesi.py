@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.mem.address import LINE_MASK, WORD_INDEX_MASK, WORD_SHIFT, line_addr
+from repro.mem.address import LINE_MASK, WORD_INDEX_MASK, WORD_SHIFT
 from repro.mem.amo import apply_amo
 from repro.mem.cacheline import (
     CacheLine,
@@ -45,9 +45,9 @@ class MesiL1(L1Cache):
         data, latency, exclusive = self.l2.fetch_shared(
             self.core_id, addr, now + self.hit_latency, track_sharer=True
         )
-        new = CacheLine(line_addr(addr), EXCLUSIVE if exclusive else SHARED, data)
+        new = CacheLine(addr & LINE_MASK, EXCLUSIVE if exclusive else SHARED, data)
         self._insert(new, now)
-        return data[self._word(addr)], self.hit_latency + latency
+        return data[(addr >> WORD_SHIFT) & WORD_INDEX_MASK], self.hit_latency + latency
 
     def store(self, addr: int, value: int, now: int) -> int:
         base = addr & LINE_MASK
@@ -63,12 +63,12 @@ class MesiL1(L1Cache):
             self._cnt["stores"] += 1
             latency = self.l2.upgrade(self.core_id, addr, now + self.hit_latency)
             line.state = MODIFIED
-            line.set_word(self._word(addr), value, dirty=True)
+            line.set_word((addr >> WORD_SHIFT) & WORD_INDEX_MASK, value, dirty=True)
             return self._buffered_store_latency(now, latency)
         self._cnt["stores"] += 1
         data, latency = self.l2.fetch_exclusive(self.core_id, addr, now + self.hit_latency)
         new = CacheLine(base, MODIFIED, data)
-        new.set_word(self._word(addr), value, dirty=True)
+        new.set_word((addr >> WORD_SHIFT) & WORD_INDEX_MASK, value, dirty=True)
         self._insert(new, now)
         return self._buffered_store_latency(now, latency)
 
@@ -80,7 +80,7 @@ class MesiL1(L1Cache):
         self._cnt["amos"] += 1
         drain = self._drain_store_buffer(now)
         now += drain
-        base = line_addr(addr)
+        base = addr & LINE_MASK
         line = self.tags.lookup(base)
         if line is not None and line.state in (MODIFIED, EXCLUSIVE):
             latency = self.hit_latency
@@ -92,7 +92,7 @@ class MesiL1(L1Cache):
             self._insert(line, now)
             latency = self.hit_latency + fetch_latency
         line.state = MODIFIED
-        idx = self._word(addr)
+        idx = (addr >> WORD_SHIFT) & WORD_INDEX_MASK
         new, old = apply_amo(op, line.data[idx], operand)
         line.set_word(idx, new, dirty=True)
         return old, drain + latency
@@ -101,7 +101,7 @@ class MesiL1(L1Cache):
     # Snoops / eviction
     # ------------------------------------------------------------------
     def snoop_recall(self, base: int) -> Tuple[Optional[List[int]], int, bool]:
-        line = self.tags.peek(line_addr(base))
+        line = self.tags.peek(base & LINE_MASK)
         if line is None:
             return None, 0, False
         dirty = line.dirty_mask if line.state == MODIFIED else 0
@@ -109,7 +109,7 @@ class MesiL1(L1Cache):
         # Downgrade to S; the directory re-adds us to the sharer list.
         line.state = SHARED
         line.dirty_mask = 0
-        self.stats.add("recalls")
+        self._cnt["recalls"] += 1
         return words, dirty, True
 
     def _evict_victim(self, victim: CacheLine, now: int) -> None:

@@ -33,10 +33,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.stats import StatGroup
-from repro.mem.address import LINE_BYTES, WORDS_PER_LINE, line_addr, word_index
+from repro.mem.address import LINE_MASK, LINE_SHIFT, WORD_INDEX_MASK, WORD_SHIFT
 from repro.mem.amo import apply_amo
 from repro.mem.backing import MainMemory
-from repro.mem.cacheline import CacheLine, TagArray, VALID
+from repro.mem.cacheline import SET_BITS, CacheLine, TagArray, VALID
 from repro.mem.dram import DramController
 from repro.mem.traffic import (
     AMO_BYTES,
@@ -49,17 +49,19 @@ from repro.noc.mesh import Mesh
 
 
 class _Bank:
-    """One L2 bank: a busy-until FIFO server plus its tag array."""
+    """One L2 bank: a busy-until FIFO server plus its tag array.
+
+    A request arriving at cycle ``a`` starts at ``max(a, busy_until)`` and
+    holds the bank for ``service_time`` cycles; the L2 writes this out at
+    each request site.
+    """
+
+    __slots__ = ("bank_id", "tags", "busy_until")
 
     def __init__(self, bank_id: int, size_bytes: int, assoc: int):
         self.bank_id = bank_id
         self.tags = TagArray(size_bytes, assoc)
         self.busy_until = 0
-
-    def queue_delay(self, arrival: int, service_time: int) -> int:
-        start = max(arrival, self.busy_until)
-        self.busy_until = start + service_time
-        return start - arrival
 
 
 class SharedL2:
@@ -131,19 +133,18 @@ class SharedL2:
             bank.busy_until = bank_state["busy_until"]
 
     def bank_of(self, address: int) -> int:
-        return (address // LINE_BYTES) % self.n_banks
-
-    def _noc_latency(self, core_id: int, bank_id: int, n_bytes: int) -> int:
-        """Latency of an ``n_bytes`` message between a core and a bank, with
-        one fault-injected NoC jitter draw (as ``Mesh.latency``)."""
-        latency = self._head[core_id][bank_id] + self._body[n_bytes]
-        injector = self.mesh.fault_injector
-        if injector is not None:
-            latency += injector.noc_extra()
-        return latency
+        return (address >> LINE_SHIFT) % self.n_banks
 
     # ------------------------------------------------------------------
     # Internal machinery
+    #
+    # Per-message costs are written out where they are paid: a route is
+    # ``_head[core][bank] + _body[n_bytes]`` plus one ``noc_extra()`` jitter
+    # draw when a fault plan is active (as ``Mesh.latency``), a bank queue
+    # is its busy-until clock, and traffic goes straight into the meter's
+    # per-category dicts (as ``TrafficMeter.record``).  Every message
+    # makes its one draw in message order (request, then response), which
+    # fault-injected runs depend on to be reproducible.
     # ------------------------------------------------------------------
     def _ensure_line(self, bank: _Bank, base: int, now: int) -> Tuple[CacheLine, int]:
         """Make ``base`` resident in ``bank``; return (entry, extra_latency)."""
@@ -188,39 +189,59 @@ class SharedL2:
         l1 = self._l1s[owner]
         words, mask, kept = l1.snoop_recall(entry.addr)
         if mask:
-            for i in range(WORDS_PER_LINE):
-                if mask & (1 << i):
-                    entry.data[i] = words[i]
+            data = entry.data
+            for i in SET_BITS[mask]:
+                data[i] = words[i]
             entry.dirty_mask |= mask
         entry.owner = None
         if kept and l1.TRACKED:
             # MESI owner downgraded to S: it stays on the sharer list.
             entry.sharers.add(owner)
-        hops = self._hops[owner][bank.bank_id]
-        self.traffic.record("coh_req", CTRL_BYTES, hops)
-        self.traffic.record("coh_resp", LINE_DATA_BYTES if mask else CTRL_BYTES, hops)
+        bank_id = bank.bank_id
+        hops = self._hops[owner][bank_id]
+        resp_bytes = LINE_DATA_BYTES if mask else CTRL_BYTES
+        traffic = self.traffic
+        traffic.bytes["coh_req"] += CTRL_BYTES
+        traffic.byte_hops["coh_req"] += CTRL_BYTES * hops
+        traffic.messages["coh_req"] += 1
+        traffic.bytes["coh_resp"] += resp_bytes
+        traffic.byte_hops["coh_resp"] += resp_bytes * hops
+        traffic.messages["coh_resp"] += 1
         self._cnt["owner_recalls"] += 1
-        return self._round_trip[owner][bank.bank_id]
+        return self._round_trip[owner][bank_id]
 
     def _invalidate_sharers(
         self, bank: _Bank, entry: CacheLine, now: int, except_core: Optional[int]
     ) -> int:
-        """Writer-initiated invalidation of all MESI sharers (parallel)."""
-        if not entry.sharers:
-            return 0
+        """Writer-initiated invalidation of all MESI sharers (parallel).
+
+        Callers skip the call when ``entry.sharers`` is empty.
+        """
         worst = 0
+        count = 0
+        total_hops = 0
         bank_id = bank.bank_id
         for sharer in sorted(entry.sharers):
             if sharer == except_core:
                 continue
             self._l1s[sharer].snoop_invalidate(entry.addr)
-            hops = self._hops[sharer][bank_id]
+            total_hops += self._hops[sharer][bank_id]
             round_trip = self._round_trip[sharer][bank_id]
             if round_trip > worst:
                 worst = round_trip
-            self.traffic.record("coh_req", CTRL_BYTES, hops)
-            self.traffic.record("coh_resp", CTRL_BYTES, hops)
-            self._cnt["sharer_invalidations"] += 1
+            count += 1
+        if count:
+            # One invalidation out and one ack back per sharer.
+            traffic = self.traffic
+            n_bytes = CTRL_BYTES * count
+            byte_hops = CTRL_BYTES * total_hops
+            traffic.bytes["coh_req"] += n_bytes
+            traffic.bytes["coh_resp"] += n_bytes
+            traffic.byte_hops["coh_req"] += byte_hops
+            traffic.byte_hops["coh_resp"] += byte_hops
+            traffic.messages["coh_req"] += count
+            traffic.messages["coh_resp"] += count
+            self._cnt["sharer_invalidations"] += count
         entry.sharers = {except_core} if except_core in entry.sharers else set()
         return worst
 
@@ -228,15 +249,34 @@ class SharedL2:
         self, core_id: int, bank: _Bank, now: int, req_bytes: int, req_cat: str
     ) -> int:
         """Requester->bank hops + queue + tag access; records request traffic."""
-        req_latency = self._noc_latency(core_id, bank.bank_id, req_bytes)
-        self.traffic.record(req_cat, req_bytes, self._hops[core_id][bank.bank_id])
-        queue = bank.queue_delay(now + req_latency, self.service_time)
+        bank_id = bank.bank_id
+        req_latency = self._head[core_id][bank_id] + self._body[req_bytes]
+        injector = self.mesh.fault_injector
+        if injector is not None:
+            req_latency += injector.noc_extra()
+        traffic = self.traffic
+        traffic.bytes[req_cat] += req_bytes
+        traffic.byte_hops[req_cat] += req_bytes * self._hops[core_id][bank_id]
+        traffic.messages[req_cat] += 1
+        arrival = now + req_latency
+        start = bank.busy_until
+        if start < arrival:
+            start = arrival
+        bank.busy_until = start + self.service_time
         self._cnt["accesses"] += 1
-        return req_latency + queue + self.tag_latency
+        return start - now + self.tag_latency
 
     def _response_latency(self, core_id: int, bank: _Bank, resp_bytes: int, resp_cat: str) -> int:
-        self.traffic.record(resp_cat, resp_bytes, self._hops[core_id][bank.bank_id])
-        return self._noc_latency(core_id, bank.bank_id, resp_bytes)
+        bank_id = bank.bank_id
+        traffic = self.traffic
+        traffic.bytes[resp_cat] += resp_bytes
+        traffic.byte_hops[resp_cat] += resp_bytes * self._hops[core_id][bank_id]
+        traffic.messages[resp_cat] += 1
+        latency = self._head[core_id][bank_id] + self._body[resp_bytes]
+        injector = self.mesh.fault_injector
+        if injector is not None:
+            latency += injector.noc_extra()
+        return latency
 
     # ------------------------------------------------------------------
     # Requests from L1 caches
@@ -249,8 +289,8 @@ class SharedL2:
         Returns (line data copy, latency, exclusive) where ``exclusive`` is
         True when no other cache holds the line (MESI E-state grant).
         """
-        base = line_addr(address)
-        bank = self.banks[self.bank_of(base)]
+        base = address & LINE_MASK
+        bank = self.banks[(base >> LINE_SHIFT) % self.n_banks]
         latency = self._request_overhead(core_id, bank, now, CTRL_BYTES, "cpu_req")
         entry, miss_latency = self._ensure_line(bank, base, now + latency)
         latency += miss_latency
@@ -273,14 +313,15 @@ class SharedL2:
 
     def fetch_exclusive(self, core_id: int, address: int, now: int) -> Tuple[List[int], int]:
         """Obtain an exclusive/owned copy (MESI GetM, DeNovo registration)."""
-        base = line_addr(address)
-        bank = self.banks[self.bank_of(base)]
+        base = address & LINE_MASK
+        bank = self.banks[(base >> LINE_SHIFT) % self.n_banks]
         latency = self._request_overhead(core_id, bank, now, CTRL_BYTES, "cpu_req")
         entry, miss_latency = self._ensure_line(bank, base, now + latency)
         latency += miss_latency
         if entry.owner is not None and entry.owner != core_id:
             latency += self._recall_owner(bank, entry, now + latency)
-        latency += self._invalidate_sharers(bank, entry, now + latency, except_core=None)
+        if entry.sharers:
+            latency += self._invalidate_sharers(bank, entry, now + latency, except_core=None)
         entry.owner = core_id
         entry.sharers = set()
         latency += self._response_latency(core_id, bank, LINE_DATA_BYTES, "data_resp")
@@ -288,14 +329,17 @@ class SharedL2:
 
     def upgrade(self, core_id: int, address: int, now: int) -> int:
         """MESI S->M upgrade: invalidate the other sharers, grant ownership."""
-        base = line_addr(address)
-        bank = self.banks[self.bank_of(base)]
+        base = address & LINE_MASK
+        bank = self.banks[(base >> LINE_SHIFT) % self.n_banks]
         latency = self._request_overhead(core_id, bank, now, CTRL_BYTES, "cpu_req")
         entry, miss_latency = self._ensure_line(bank, base, now + latency)
         latency += miss_latency
         if entry.owner is not None and entry.owner != core_id:
             latency += self._recall_owner(bank, entry, now + latency)
-        latency += self._invalidate_sharers(bank, entry, now + latency, except_core=core_id)
+        if entry.sharers:
+            latency += self._invalidate_sharers(
+                bank, entry, now + latency, except_core=core_id
+            )
         entry.sharers.discard(core_id)
         entry.owner = core_id
         latency += self._response_latency(core_id, bank, CTRL_BYTES, "data_resp")
@@ -316,52 +360,81 @@ class SharedL2:
         injection cost only, not a full round trip; the requester decides
         what to charge.
         """
-        base = line_addr(address)
-        bank = self.banks[self.bank_of(base)]
-        n_words = bin(mask).count("1")
-        n_bytes = CTRL_BYTES + n_words * 8
-        self.traffic.record("wb_req", n_bytes, self._hops[core_id][bank.bank_id])
-        bank.queue_delay(now, self.service_time)
+        base = address & LINE_MASK
+        bank_id = (base >> LINE_SHIFT) % self.n_banks
+        bank = self.banks[bank_id]
+        dirty_words = SET_BITS[mask]
+        n_bytes = CTRL_BYTES + len(dirty_words) * 8
+        traffic = self.traffic
+        traffic.bytes["wb_req"] += n_bytes
+        traffic.byte_hops["wb_req"] += n_bytes * self._hops[core_id][bank_id]
+        traffic.messages["wb_req"] += 1
+        # Posted: the write occupies the bank, nobody waits for the queue.
+        start = bank.busy_until
+        if start < now:
+            start = now
+        bank.busy_until = start + self.service_time
         entry, _ = self._ensure_line(bank, base, now)
         # A write-back from one cache invalidates hardware-coherent copies
         # elsewhere (Spandex: foreign dirty data breaks SWMR for MESI L1s).
         if entry.owner is not None and entry.owner != core_id:
             self._recall_owner(bank, entry, now)
-        self._invalidate_sharers(bank, entry, now, except_core=core_id)
-        for i in range(WORDS_PER_LINE):
-            if mask & (1 << i):
-                entry.data[i] = words[i]
+        if entry.sharers:
+            self._invalidate_sharers(bank, entry, now, except_core=core_id)
+        data = entry.data
+        for i in dirty_words:
+            data[i] = words[i]
         entry.dirty_mask |= mask
         if release_ownership and entry.owner == core_id:
             entry.owner = None
         self._cnt["writebacks"] += 1
-        return self._noc_latency(core_id, bank.bank_id, n_bytes)
+        latency = self._head[core_id][bank_id] + self._body[n_bytes]
+        injector = self.mesh.fault_injector
+        if injector is not None:
+            latency += injector.noc_extra()
+        return latency
 
     def eviction_notice(self, core_id: int, address: int) -> None:
         """Silent clean eviction from a tracked L1 (keeps directory precise)."""
-        base = line_addr(address)
-        bank = self.banks[self.bank_of(base)]
-        entry = bank.tags.peek(base)
+        base = address & LINE_MASK
+        bank_id = (base >> LINE_SHIFT) % self.n_banks
+        entry = self.banks[bank_id].tags.peek(base)
         if entry is None:
             return
         entry.sharers.discard(core_id)
         if entry.owner == core_id:
             entry.owner = None
-        self.traffic.record("coh_resp", CTRL_BYTES, self._hops[core_id][bank.bank_id])
+        traffic = self.traffic
+        traffic.bytes["coh_resp"] += CTRL_BYTES
+        traffic.byte_hops["coh_resp"] += CTRL_BYTES * self._hops[core_id][bank_id]
+        traffic.messages["coh_resp"] += 1
 
     def write_through_word(self, core_id: int, address: int, value: int, now: int) -> int:
         """GPU-WT store: update the shared cache directly (no L1 allocation)."""
-        base = line_addr(address)
-        bank = self.banks[self.bank_of(base)]
-        self.traffic.record("wb_req", WORD_DATA_BYTES, self._hops[core_id][bank.bank_id])
-        latency = self._noc_latency(core_id, bank.bank_id, WORD_DATA_BYTES)
-        latency += bank.queue_delay(now + latency, self.service_time) + self.tag_latency
+        base = address & LINE_MASK
+        bank_id = (base >> LINE_SHIFT) % self.n_banks
+        bank = self.banks[bank_id]
+        traffic = self.traffic
+        traffic.bytes["wb_req"] += WORD_DATA_BYTES
+        traffic.byte_hops["wb_req"] += WORD_DATA_BYTES * self._hops[core_id][bank_id]
+        traffic.messages["wb_req"] += 1
+        latency = self._head[core_id][bank_id] + self._body[WORD_DATA_BYTES]
+        injector = self.mesh.fault_injector
+        if injector is not None:
+            latency += injector.noc_extra()
+        arrival = now + latency
+        start = bank.busy_until
+        if start < arrival:
+            start = arrival
+        bank.busy_until = start + self.service_time
+        latency = start - now + self.tag_latency
         entry, miss_latency = self._ensure_line(bank, base, now + latency)
         latency += miss_latency
         if entry.owner is not None and entry.owner != core_id:
             latency += self._recall_owner(bank, entry, now + latency)
-        latency += self._invalidate_sharers(bank, entry, now + latency, except_core=None)
-        idx = word_index(address)
+        if entry.sharers:
+            latency += self._invalidate_sharers(bank, entry, now + latency, except_core=None)
+        idx = (address >> WORD_SHIFT) & WORD_INDEX_MASK
         entry.data[idx] = value
         entry.dirty_mask |= 1 << idx
         self._cnt["write_throughs"] += 1
@@ -369,15 +442,16 @@ class SharedL2:
 
     def amo_word(self, core_id: int, address: int, op: str, operand, now: int) -> Tuple[int, int]:
         """AMO performed at the shared cache (GPU-WT / GPU-WB protocols)."""
-        base = line_addr(address)
-        bank = self.banks[self.bank_of(base)]
+        base = address & LINE_MASK
+        bank = self.banks[(base >> LINE_SHIFT) % self.n_banks]
         latency = self._request_overhead(core_id, bank, now, AMO_BYTES, "sync_req")
         entry, miss_latency = self._ensure_line(bank, base, now + latency)
         latency += miss_latency
         if entry.owner is not None and entry.owner != core_id:
             latency += self._recall_owner(bank, entry, now + latency)
-        latency += self._invalidate_sharers(bank, entry, now + latency, except_core=None)
-        idx = word_index(address)
+        if entry.sharers:
+            latency += self._invalidate_sharers(bank, entry, now + latency, except_core=None)
+        idx = (address >> WORD_SHIFT) & WORD_INDEX_MASK
         new, old = apply_amo(op, entry.data[idx], operand)
         entry.data[idx] = new
         entry.dirty_mask |= 1 << idx
@@ -395,12 +469,12 @@ class SharedL2:
         even when the owner is the requesting core itself (its own dirty
         copy is the architectural value; the L2's may be stale).
         """
-        base = line_addr(address)
-        bank = self.banks[self.bank_of(base)]
+        base = address & LINE_MASK
+        bank = self.banks[(base >> LINE_SHIFT) % self.n_banks]
         latency = self._request_overhead(core_id, bank, now, CTRL_BYTES, "sync_req")
         entry, miss_latency = self._ensure_line(bank, base, now + latency)
         latency += miss_latency
-        idx = word_index(address)
+        idx = (address >> WORD_SHIFT) & WORD_INDEX_MASK
         value = entry.data[idx]
         if entry.owner is not None:
             peeked, peek_latency = self._peek_owner_word(bank, entry, idx)
@@ -419,25 +493,30 @@ class SharedL2:
         owner = entry.owner
         l1 = self._l1s[owner]
         value = l1.snoop_peek_word(entry.addr, idx)
-        hops = self._hops[owner][bank.bank_id]
-        self.traffic.record("coh_req", CTRL_BYTES, hops)
-        self.traffic.record(
-            "coh_resp", WORD_DATA_BYTES if value is not None else CTRL_BYTES, hops
-        )
+        bank_id = bank.bank_id
+        hops = self._hops[owner][bank_id]
+        resp_bytes = WORD_DATA_BYTES if value is not None else CTRL_BYTES
+        traffic = self.traffic
+        traffic.bytes["coh_req"] += CTRL_BYTES
+        traffic.byte_hops["coh_req"] += CTRL_BYTES * hops
+        traffic.messages["coh_req"] += 1
+        traffic.bytes["coh_resp"] += resp_bytes
+        traffic.byte_hops["coh_resp"] += resp_bytes * hops
+        traffic.messages["coh_resp"] += 1
         self._cnt["owner_peeks"] += 1
-        return value, self._round_trip[owner][bank.bank_id]
+        return value, self._round_trip[owner][bank_id]
 
     # ------------------------------------------------------------------
     # Introspection (tests / debugging)
     # ------------------------------------------------------------------
     def peek_word(self, address: int) -> int:
         """Current L2/DRAM value of a word, ignoring L1 copies (tests only)."""
-        base = line_addr(address)
+        base = address & LINE_MASK
         entry = self.banks[self.bank_of(base)].tags.peek(base)
         if entry is not None:
-            return entry.data[word_index(address)]
+            return entry.data[(address >> WORD_SHIFT) & WORD_INDEX_MASK]
         return self.memory.read_word(address)
 
     def directory_entry(self, address: int) -> Optional[CacheLine]:
-        base = line_addr(address)
+        base = address & LINE_MASK
         return self.banks[self.bank_of(base)].tags.peek(base)

@@ -40,6 +40,8 @@ class UliNetwork:
     def __init__(self, mesh: Mesh, stats: StatGroup, sim=None, tracer=NULL_TRACER):
         self.mesh = mesh
         self.stats = stats.child("uli_network")
+        #: Raw counter dict of ``stats`` (mutated in place, never rebound).
+        self._cnt = self.stats._counters
         self.sim = sim
         self.tracer = tracer
         self._tracing = tracer.enabled and sim is not None
@@ -52,10 +54,11 @@ class UliNetwork:
         if self.fault_injector is not None:
             latency += self.fault_injector.uli_extra(src_core, dst_core)
         hops = self.mesh.hops(a, b)
-        self.stats.add("messages")
-        self.stats.add("total_hops", hops)
-        self.stats.add("total_latency", latency)
-        self.stats.add("bytes", ULI_MESSAGE_BYTES)
+        cnt = self._cnt
+        cnt["messages"] += 1
+        cnt["total_hops"] += hops
+        cnt["total_latency"] += latency
+        cnt["bytes"] += ULI_MESSAGE_BYTES
         if self._tracing:
             self.tracer.uli_message(src_core, dst_core, self.sim.now, latency)
         return latency

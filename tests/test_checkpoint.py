@@ -153,6 +153,46 @@ class TestRoundTrip:
         resumed = restore_and_finish(kind, later[0])
         assert resumed == ref
 
+    def test_paper_machine_snapshot_while_cores_switch(self):
+        """On the 64-core ``paper`` machine most events run inside another
+        core's trampoline call (switching); a daemon snapshot taken there
+        resumes in a fresh machine to the cold run's end state."""
+        def build_paper():
+            app = make_app("ligra-bfs", scale=6, grain=4)
+            machine = Machine(make_config("bt-hcc-dts-gwb", "paper", seed=SEED))
+            machine.enable_checkpointing()
+            app.setup(machine)
+            return app, machine, WorkStealingRuntime(machine)
+
+        app, machine, rt = build_paper()
+        cold = end_state(machine, rt, rt.run(app.make_root(serial=False)))
+        app.check()
+        fusion = machine.sim.fusion_stats()
+        # Fusion is nearly off here: events switch instead.
+        assert fusion["fused_ratio"] < 0.2
+
+        snaps = []
+        app, machine, rt = build_paper()
+        daemon = CheckpointDaemon(
+            machine, 4000, lambda m: snaps.append(m.snapshot())
+        )
+        daemon.arm()
+        cycles = rt.run(app.make_root(serial=False))
+        daemon.cancel()
+        assert end_state(machine, rt, cycles) == cold
+        assert len(snaps) >= 2
+        for snap in (snaps[0], snaps[len(snaps) // 2]):
+            # Many cores' op completions were pending at the snapshot.
+            completions = [e for e in snap["sim"]["queue"] if e[2] == "complete"]
+            assert len(completions) >= 16
+            app, machine, rt = build_paper()
+            machine.restore(snap, app.make_root(serial=False))
+            cycles = rt.resume_run()
+            app.check()
+            assert end_state(machine, rt, cycles) == cold, (
+                f"divergence from snapshot@{snap['cycle']}"
+            )
+
     def test_fresh_process_restore_is_byte_identical(self, tmp_path):
         """ISSUE acceptance: restore in a process that shares nothing with
         the snapshotting one (hash randomization, object ids, ...)."""

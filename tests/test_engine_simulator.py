@@ -1,8 +1,15 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import heapq
+import sys
+
 import pytest
 
+from repro.cores import ops
+from repro.cores.core import Core
 from repro.engine import SimulationError, Simulator
+from repro.engine import simulator as simulator_module
+from repro.engine.stats import StatGroup
 
 
 def test_events_run_in_time_order():
@@ -100,23 +107,132 @@ def test_run_returns_final_cycle():
 
 
 # ----------------------------------------------------------------------
-# Event fusion (try_fuse fast path)
+# Fusion and switching, driven by real cores
+#
+# The rule lives in Core._resume (see repro.engine.simulator).  Each case
+# runs the same cores with fusion on and off and asserts the same
+# callbacks ran in the same order at the same cycles; the mechanism
+# checks (events popped by run(), frames on the stack) show which path
+# the fused run took.
 # ----------------------------------------------------------------------
 
-def test_try_fuse_rejected_outside_run():
+class _WireStub:
+    """ULI wires with a fixed 3-cycle latency (no mesh)."""
+
+    def send_latency(self, src, dst):
+        return 3
+
+
+def _counting_pops(monkeypatch):
+    """Count the events ``Simulator.run`` pops off the regular heap."""
+    counter = {"pops": 0}
+    real = heapq.heappop
+
+    class CountingHeapq:
+        heappush = staticmethod(heapq.heappush)
+        heapify = staticmethod(heapq.heapify)
+
+        @staticmethod
+        def heappop(queue):
+            counter["pops"] += 1
+            return real(queue)
+
+    monkeypatch.setattr(simulator_module, "heapq", CountingHeapq)
+    return counter
+
+
+def _thread(sim, log, cid, works):
+    """A thread that logs (cycle, core) each time it runs, between Work ops."""
+    for n in works:
+        log.append((sim.now, cid))
+        yield ops.Work(n)
+    log.append((sim.now, cid))
+
+
+def _cores(sim, n, **kwargs):
+    stats = StatGroup()
+    cores = [Core(cid, sim, None, stats, **kwargs) for cid in range(n)]
+    for core in cores:
+        core.attach_peers(cores)
+    return cores
+
+
+def _run_threads(plans, *, fusion, max_cycles=100_000, until=None, setup=None):
+    """Start one core per ``(start delay, works)`` plan and run.
+
+    Returns (simulator, log, what ``setup`` returned).
+    """
+    sim = Simulator(max_cycles=max_cycles, fusion=fusion)
+    log = []
+    cores = _cores(sim, len(plans))
+    for core, (delay, works) in zip(cores, plans):
+        core.start(_thread(sim, log, core.core_id, works), delay)
+    extra = setup(sim, log) if setup is not None else None
+    sim.run(until=until)
+    return sim, log, extra
+
+
+def _total(sim):
+    return sim.events_executed + sim.events_fused
+
+
+def test_fuse_succeeds_when_strictly_earlier_than_head():
+    """A lone core's completions fuse while they beat the queue head."""
+    def setup(sim, log):
+        sim.schedule(100, lambda: log.append((sim.now, "head")))
+
+    fused, fused_log, _ = _run_threads([(1, [5] * 10)], fusion=True, setup=setup)
+    plain, plain_log, _ = _run_threads([(1, [5] * 10)], fusion=False, setup=setup)
+    assert fused_log == plain_log
+    assert fused_log[-2:] == [(51, 0), (100, "head")]
+    # Only the start wake and the head went through the heap.
+    assert fused.events_executed == 2
+    assert fused.events_fused == 10
+    assert _total(fused) == _total(plain) == plain.events_executed
+
+
+def test_fuse_refused_on_time_tie_with_queue_head(monkeypatch):
+    """Two cores finish ops at the same cycles: the queued completion (the
+    smaller sequence number) runs first, inline, as run() would pop it."""
+    pops = _counting_pops(monkeypatch)
+    plans = [(0, [10, 10, 10]), (0, [10, 10, 10])]
+    fused, fused_log, _ = _run_threads(plans, fusion=True)
+    fused_pops = pops["pops"]
+    plain, plain_log, _ = _run_threads(plans, fusion=False)
+    assert fused_log == plain_log
+    # At every tie core 0 (queued first) runs before core 1.
+    assert fused_log == [
+        (0, 0), (0, 1), (10, 0), (10, 1), (20, 0), (20, 1), (30, 0), (30, 1)
+    ]
+    assert fused.events_fused == 0
+    assert fused.events_executed == plain.events_executed == 8
+    # Switching ran completions inline: run() popped fewer events.
+    assert fused_pops < fused.events_executed
+
+
+def test_fusion_disabled_sends_every_event_through_run(monkeypatch):
+    pops = _counting_pops(monkeypatch)
+    plans = [(0, [3, 7, 2]), (1, [4, 4, 4]), (2, [9])]
+    sim, _, _ = _run_threads(plans, fusion=False)
+    assert sim.events_fused == 0
+    assert pops["pops"] == sim.events_executed == 10
+
+
+def test_trampoline_outside_run_pushes_its_continuation():
+    """A core resumed by hand, with no run() active, neither fuses nor
+    switches: it parks its result and pushes the completion."""
     sim = Simulator(fusion=True)
-    assert not sim.try_fuse(10)
+    log = []
+    (core,) = _cores(sim, 1)
+    core._push_frame(_thread(sim, log, 0, [5, 5]))
+    core.halted = False
+    core._resume(None)
+    assert log == [(0, 0)]
     assert sim.now == 0
-    assert sim.events_fused == 0
-
-
-def test_try_fuse_rejected_when_fusion_disabled():
-    sim = Simulator(fusion=False)
-    results = []
-    sim.schedule(1, lambda: results.append(sim.try_fuse(5)))
+    assert sim.pending_events == 1
+    assert sim.events_fused == sim.events_executed == 0
     sim.run()
-    assert results == [False]
-    assert sim.events_fused == 0
+    assert log == [(0, 0), (5, 0), (10, 0)]
 
 
 def test_no_fusion_env_var_disables_fusion(monkeypatch):
@@ -126,114 +242,194 @@ def test_no_fusion_env_var_disables_fusion(monkeypatch):
     assert Simulator().fusion_enabled is True
 
 
-def test_fuse_succeeds_when_strictly_earlier_than_head():
-    sim = Simulator(fusion=True)
-    seen = []
-
-    def racer():
-        # Continuation at cycle 5 < queue head at 10: may fuse.
-        assert sim.try_fuse(5)
-        seen.append(sim.now)
-
-    sim.schedule(1, racer)
-    sim.schedule(10, lambda: seen.append(sim.now))
-    sim.run()
-    assert seen == [5, 10]
-    assert sim.events_fused == 1
-
-
-def test_fuse_refused_on_time_tie_with_queue_head():
-    """An inline continuation tying the queue head must lose FIFO order."""
-    sim = Simulator(fusion=True)
-    seen = []
-
-    def racer():
-        # Continuation due exactly at the head's cycle: the queued event
-        # holds the smaller sequence number and must run first.
-        assert not sim.try_fuse(10)
-        sim.schedule_at(10, lambda: seen.append("late"))
-
-    sim.schedule(10, lambda: seen.append("head"))
-    sim.schedule(1, racer)
-    sim.run()
-    assert seen == ["head", "late"]
-    assert sim.events_fused == 0
-
-
 def test_fuse_refused_when_daemon_event_due():
-    sim = Simulator(fusion=True)
-    ticks = []
-    sim.schedule(7, lambda: ticks.append(("daemon", sim.now)), daemon=True)
-    results = []
-    sim.schedule(1, lambda: results.append(sim.try_fuse(7)))
-    sim.schedule(1, lambda: results.append(sim.try_fuse(8)))
-    sim.schedule(9, lambda: ticks.append(("real", sim.now)))
-    sim.run()
-    # Both attempts tie or pass the daemon due time 7: refused.
-    assert results == [False, False]
-    assert ticks == [("daemon", 7), ("real", 9)]
+    """A daemon due before the head sends control back to run(), and the
+    daemon sees the same pending events as in an unswitched run."""
+    def setup(sim, log):
+        seen = []
+
+        def daemon():
+            # Heap order of the pending events; sequence numbers differ
+            # between modes (fused continuations take none), order does not.
+            pending = [(t, cb.__self__.core_id) for t, _s, cb in sorted(sim._queue)]
+            seen.append((sim.now, pending))
+
+        sim.schedule(25, daemon, daemon=True)
+        sim.schedule(26, daemon, daemon=True)
+        return seen
+
+    plans = [(0, [10] * 5), (3, [10] * 5), (6, [10] * 5)]
+    fused, fused_log, fused_seen = _run_threads(plans, fusion=True, setup=setup)
+    plain, plain_log, plain_seen = _run_threads(plans, fusion=False, setup=setup)
+    assert fused_log == plain_log
+    assert fused_seen == plain_seen
+    assert [cycle for cycle, _ in fused_seen] == [25, 26]
+    # At cycle 25 the three cores' completions at 26, 30 and 33 are queued.
+    assert fused_seen[0][1] == [(26, 2), (30, 0), (33, 1)]
+    assert _total(fused) == _total(plain)
 
 
 def test_daemon_interleaving_identical_with_and_without_fusion():
-    """Daemon observers fire at the same points regardless of fusion."""
-    def scenario(fusion: bool):
-        sim = Simulator(fusion=fusion)
-        log = []
-
-        def chain(step: int):
-            log.append(("ev", sim.now))
-            if step >= 6:
-                return
-            target = sim.now + 4
-            if sim.try_fuse(target):
-                chain(step + 1)
-            else:
-                sim.schedule_at(target, lambda: chain(step + 1))
-
-        for due in (9, 18):
-            sim.schedule(due, lambda d=due: log.append(("daemon", sim.now)),
+    """Daemon observers fire at the same points whether events fuse,
+    switch or go through run()."""
+    def setup(sim, log):
+        for due in (9, 18, 31, 40):
+            sim.schedule(due, lambda: log.append((sim.now, "daemon")),
                          daemon=True)
-        sim.schedule(2, lambda: chain(0))
-        sim.schedule(10, lambda: log.append(("other", sim.now)))
-        sim.run()
-        return log, sim.events_fused
 
-    fused_log, n_fused = scenario(True)
-    unfused_log, n_unfused = scenario(False)
-    assert fused_log == unfused_log
-    assert n_unfused == 0 and n_fused > 0
+    plans = [(2, [4] * 8), (5, [7] * 4), (30, [1, 1, 1])]
+    fused, fused_log, _ = _run_threads(plans, fusion=True, setup=setup)
+    plain, plain_log, _ = _run_threads(plans, fusion=False, setup=setup)
+    assert fused_log == plain_log
+    daemons = [cycle for cycle, who in fused_log if who == "daemon"]
+    # The run ends at cycle 34: the daemon due at 40 never fires.
+    assert daemons == [9, 18, 31]
+    assert fused.events_fused > 0 and plain.events_fused == 0
+    assert _total(fused) == _total(plain)
 
 
 def test_fuse_refused_after_stop():
-    sim = Simulator(fusion=True)
+    """stop() from thread code: the current event ends, nothing fuses or
+    switches after it, and run() returns with the rest still queued."""
     results = []
+    for fusion in (True, False):
+        sim = Simulator(fusion=fusion)
+        log = []
+        cores = _cores(sim, 3)
 
-    def first():
-        sim.stop()
-        results.append(sim.try_fuse(5))
+        def stopper():
+            log.append((sim.now, "stopper"))
+            yield ops.Work(4)
+            sim.stop()
+            log.append((sim.now, "stop"))
+            yield ops.Work(1)
+            log.append((sim.now, "after"))
 
-    sim.schedule(1, first)
-    sim.schedule(20, lambda: results.append("unreachable"))
-    sim.run()
-    assert results == [False]
+        cores[0].start(_thread(sim, log, 0, [2] * 6), 0)
+        cores[1].start(stopper(), 1)
+        cores[2].start(_thread(sim, log, 2, [3] * 4), 2)
+        sim.run()
+        results.append((log, sim.now, sim.pending_events, _total(sim)))
+    assert results[0] == results[1]
+    log, now, pending, _ = results[0]
+    assert log[-1] == (5, "stop")
+    assert now == 5 and pending == 3
 
 
-def test_until_predicate_disables_fusion_for_the_whole_run():
-    sim = Simulator(fusion=True)
-    results = []
-    sim.schedule(1, lambda: results.append(sim.try_fuse(5)))
-    sim.schedule(30, lambda: None)
-    sim.run(until=lambda: False)
-    assert results == [False]
-    assert sim.events_fused == 0
+def test_until_predicate_disables_fusion_for_the_whole_run(monkeypatch):
+    pops = _counting_pops(monkeypatch)
+    plans = [(0, [5] * 6), (1, [5] * 6)]
+
+    def until_for(log):
+        return lambda: len(log) >= 7
+
+    runs = []
+    for fusion in (True, False):
+        log = []
+        sim = Simulator(fusion=fusion)
+        cores = _cores(sim, 2)
+        for core, (delay, works) in zip(cores, plans):
+            core.start(_thread(sim, log, core.core_id, works), delay)
+        sim.run(until=until_for(log))
+        runs.append((log, sim.now, sim.events_executed, sim.events_fused))
+    assert runs[0] == runs[1]
+    log, _, executed, fused = runs[0]
+    assert len(log) == 7 and fused == 0
+    # Every event of both runs was popped by run(): no switching either.
+    assert pops["pops"] == 2 * executed
 
 
 def test_fuse_refused_beyond_max_cycles():
-    sim = Simulator(max_cycles=100, fusion=True)
-    results = []
-    sim.schedule(1, lambda: results.append(sim.try_fuse(101)))
-    sim.run()
-    assert results == [False]
+    """The head is past max_cycles: the trampoline leaves it to run(),
+    which raises the same error as an unswitched run."""
+    outcomes = []
+    for fusion in (True, False):
+        sim = Simulator(max_cycles=100, fusion=fusion)
+        log = []
+        cores = _cores(sim, 2)
+        # Core 0's completion at 120 is queued when core 1's op, due at
+        # 130, cannot fuse (past max_cycles) and the head is past it too.
+        cores[0].start(_thread(sim, log, 0, [120]), 0)
+        cores[1].start(_thread(sim, log, 1, [40, 40, 50]), 0)
+        with pytest.raises(SimulationError) as err:
+            sim.run()
+        outcomes.append((str(err.value), log, sim.now, sim.pending_events))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (
+        "simulation exceeded max_cycles=100; likely deadlock or runaway spin loop"
+    )
+
+
+def test_uli_partial_and_wake_heads_return_to_run():
+    """A ULI request (a partial) and a handler wake at the head are run
+    by run(), never inline; handler entry and the ack land on the same
+    cycles as in an unswitched run."""
+    def scenario(fusion):
+        sim = Simulator(fusion=fusion)
+        log = []
+        cores = _cores(sim, 3, uli_network=_WireStub(), uli_entry_latency=2)
+        callers = []
+
+        def caller_names():
+            # Frames: this helper, the generator, Core._resume, then
+            # what called the trampoline.
+            frame = sys._getframe(3)
+            names = []
+            while frame is not None and len(names) < 2:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            return tuple(names)
+
+        def thief():
+            log.append((sim.now, "thief"))
+            yield ops.Work(2)
+            ack = yield ops.UliSend(1)
+            callers.append(("ack", caller_names()))
+            log.append((sim.now, "ack", ack))
+            yield ops.Work(3)
+            log.append((sim.now, "thief-done"))
+
+        def victim():
+            yield ops.ULI_ENABLE
+            for _ in range(6):
+                log.append((sim.now, "victim"))
+                yield ops.Work(2)
+
+        def handler(thief_id):
+            callers.append(("handler", caller_names()))
+            log.append((sim.now, "handler", thief_id))
+            yield ops.Work(3)
+
+        cores[1].uli_handler_factory = handler
+        cores[0].start(thief(), 0)
+        cores[1].start(victim(), 0)
+        cores[2].start(_thread(sim, log, 2, [1] * 12), 0)
+        sim.run()
+        return log, callers, sim.now, _total(sim), sim.events_fused
+
+    fused = scenario(True)
+    plain = scenario(False)
+    assert fused[:4] == plain[:4]
+    log, callers = fused[0], fused[1]
+    assert any(entry[1] == "handler" for entry in log)
+    # The handler starts from its wake and the thief from the ULI
+    # response, both dispatched by run() itself.
+    assert callers == [
+        ("handler", ("_resume_none", "run")),
+        ("ack", ("deliver_uli_response", "run")),
+    ]
+
+
+def test_fusion_stats_accounting():
+    plans = [(1, [1] * 5), (50, [2, 2])]
+    fused, _, _ = _run_threads(plans, fusion=True)
+    plain, _, _ = _run_threads(plans, fusion=False)
+    stats = fused.fusion_stats()
+    # Two start wakes; core 0's five completions fuse, as do core 1's two.
+    assert stats["events_executed"] == 2
+    assert stats["events_fused"] == 7
+    assert stats["events_total"] == 9 == plain.fusion_stats()["events_total"]
+    assert stats["fused_ratio"] == pytest.approx(7 / 9)
 
 
 # ----------------------------------------------------------------------
@@ -293,50 +489,19 @@ def test_daemon_exception_propagates_without_running_regular_event():
 
 def test_rearming_daemon_ticks_alongside_event_chain():
     """A self-re-arming daemon (watchdog idiom) observes every interval."""
-    def scenario(fusion: bool):
-        sim = Simulator(fusion=fusion)
-        log = []
-
+    def setup(sim, log):
         def tick():
-            log.append(("tick", sim.now))
+            log.append((sim.now, "tick"))
             sim.schedule(10, tick, daemon=True)
 
-        def chain(step: int):
-            log.append(("ev", sim.now))
-            if step >= 8:
-                return
-            target = sim.now + 4
-            if sim.try_fuse(target):
-                chain(step + 1)
-            else:
-                sim.schedule_at(target, lambda: chain(step + 1))
-
         sim.schedule(10, tick, daemon=True)
-        sim.schedule(1, lambda: chain(0))
-        sim.run()
-        return log, sim.events_fused
 
-    fused_log, n_fused = scenario(True)
-    unfused_log, n_unfused = scenario(False)
-    assert fused_log == unfused_log
-    assert n_unfused == 0 and n_fused > 0
-    # Daemon ticks interleave with the chain but never outlive it: the
-    # last logged entry is a regular event, not a daemon tick.
-    assert fused_log[-1][0] == "ev"
-    assert ("tick", 10) in fused_log and ("tick", 20) in fused_log
-
-
-def test_fusion_stats_accounting():
-    sim = Simulator(fusion=True)
-
-    def fuser():
-        assert sim.try_fuse(sim.now + 1)
-
-    sim.schedule(1, fuser)
-    sim.schedule(10, lambda: None)
-    sim.run()
-    stats = sim.fusion_stats()
-    assert stats["events_executed"] == 2
-    assert stats["events_fused"] == 1
-    assert stats["events_total"] == 3
-    assert stats["fused_ratio"] == pytest.approx(1 / 3)
+    plans = [(1, [4] * 8), (3, [6] * 5)]
+    fused, fused_log, _ = _run_threads(plans, fusion=True, setup=setup)
+    plain, plain_log, _ = _run_threads(plans, fusion=False, setup=setup)
+    assert fused_log == plain_log
+    assert fused.events_fused > 0 and plain.events_fused == 0
+    # Daemon ticks interleave with the threads but never outlive them:
+    # the last logged entry is a thread's, not a daemon tick.
+    assert fused_log[-1][1] != "tick"
+    assert (10, "tick") in fused_log and (30, "tick") in fused_log

@@ -16,9 +16,9 @@ from repro.machine import Machine
 
 
 def run_once(app_name, kind, params, *, fusion, serial=False, tracer=None,
-             seed=42):
+             seed=42, scale="tiny"):
     app = make_app(app_name, **params)
-    machine = Machine(make_config(kind, "tiny", seed=seed), tracer=tracer)
+    machine = Machine(make_config(kind, scale, seed=seed), tracer=tracer)
     machine.sim.fusion_enabled = fusion
     app.setup(machine)
     kwargs = {"serial_elision": True} if serial else {}
@@ -34,30 +34,37 @@ def run_once(app_name, kind, params, *, fusion, serial=False, tracer=None,
     }
 
 
-#: (app, config kind, params, serial) — spans MESI hardware coherence,
-#: software-centric HCC, DTS (ULI steal delivery), and the throughput
-#: kernels whose event streams fuse ~100%.
+#: (app, config kind, params, serial, machine scale) — spans MESI
+#: hardware coherence, software-centric HCC, DTS (ULI steal delivery), the
+#: throughput kernels whose event streams fuse ~100%, and the 64-core
+#: ``paper`` machine, where most events switch between cores instead.
 DIFFERENTIAL_PAIRS = [
-    ("cilk5-cs", "bt-mesi", dict(n=96, grain=32), False),
-    ("ligra-bfs", "bt-hcc-gwt", dict(scale=5, grain=8), False),
-    ("cilk5-cs", "bt-hcc-dts-dnv", dict(n=96, grain=16), False),
+    ("cilk5-cs", "bt-mesi", dict(n=96, grain=32), False, "tiny"),
+    ("ligra-bfs", "bt-hcc-gwt", dict(scale=5, grain=8), False, "tiny"),
+    ("cilk5-cs", "bt-hcc-dts-dnv", dict(n=96, grain=16), False, "tiny"),
     # The remaining big.TINY configs, so every coherence mix is covered.
-    ("cilk5-cs", "bt-hcc-dnv", dict(n=128, grain=32), False),
-    ("cilk5-cs", "bt-hcc-gwb", dict(n=128, grain=32), False),
-    ("cilk5-cs", "bt-hcc-dts-gwt", dict(n=128, grain=32), False),
-    ("cilk5-cs", "bt-hcc-dts-gwb", dict(n=128, grain=32), False),
-    ("kernel-spin", "serial-io", dict(iters=4000, grain=512), True),
-    ("kernel-stream", "serial-io", dict(n=64, passes=4, grain=32), True),
+    ("cilk5-cs", "bt-hcc-dnv", dict(n=128, grain=32), False, "tiny"),
+    ("cilk5-cs", "bt-hcc-gwb", dict(n=128, grain=32), False, "tiny"),
+    ("cilk5-cs", "bt-hcc-dts-gwt", dict(n=128, grain=32), False, "tiny"),
+    ("cilk5-cs", "bt-hcc-dts-gwb", dict(n=128, grain=32), False, "tiny"),
+    ("kernel-spin", "serial-io", dict(iters=4000, grain=512), True, "tiny"),
+    ("kernel-stream", "serial-io", dict(n=64, passes=4, grain=32), True, "tiny"),
+    ("ligra-bfs", "bt-mesi", dict(scale=6, grain=4), False, "paper"),
+    ("ligra-bfs", "bt-hcc-dts-gwb", dict(scale=6, grain=4), False, "paper"),
 ]
 
 
 @pytest.mark.parametrize(
-    "app_name,kind,params,serial", DIFFERENTIAL_PAIRS,
-    ids=[f"{p[0]}/{p[1]}" for p in DIFFERENTIAL_PAIRS],
+    "app_name,kind,params,serial,scale", DIFFERENTIAL_PAIRS,
+    ids=[f"{p[0]}/{p[1]}" + ("" if p[4] == "tiny" else f"/{p[4]}")
+         for p in DIFFERENTIAL_PAIRS],
 )
-def test_fused_and_unfused_runs_are_identical(app_name, kind, params, serial):
-    fused = run_once(app_name, kind, params, fusion=True, serial=serial)
-    unfused = run_once(app_name, kind, params, fusion=False, serial=serial)
+def test_fused_and_unfused_runs_are_identical(app_name, kind, params, serial,
+                                              scale):
+    fused = run_once(app_name, kind, params, fusion=True, serial=serial,
+                     scale=scale)
+    unfused = run_once(app_name, kind, params, fusion=False, serial=serial,
+                       scale=scale)
     assert fused["cycles"] == unfused["cycles"]
     assert fused["flatten"] == unfused["flatten"]
     assert fused["traffic"] == unfused["traffic"]

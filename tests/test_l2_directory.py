@@ -284,5 +284,5 @@ def test_route_tables_match_mesh(geometry):
             )
             for n_bytes in range(CTRL_BYTES, LINE_DATA_BYTES + 1, 8):
                 expected = mesh.latency(core_pos, bank_pos, n_bytes)
-                assert l2._noc_latency(core, bank, n_bytes) == expected
+                assert l2._head[core][bank] + l2._body[n_bytes] == expected
                 assert mesh.latency(bank_pos, core_pos, n_bytes) == expected
