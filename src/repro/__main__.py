@@ -33,9 +33,9 @@ def _kind_arg(text: str) -> str:
 
 
 def _apply_harness_flags(args) -> None:
-    """Wire --jobs / --results-dir / --no-store / observability flags into
-    the harness.  The observability knobs go through the environment so
-    forked grid workers inherit them."""
+    """Wire --jobs / --results-dir / --no-store / --ledger into the
+    harness.  The ledger goes through the environment so forked grid
+    workers inherit it."""
     import os
 
     from repro.harness import set_default_jobs, set_result_store
@@ -46,8 +46,6 @@ def _apply_harness_flags(args) -> None:
         set_result_store(args.results_dir)
     if getattr(args, "jobs", None) is not None:
         set_default_jobs(args.jobs)
-    if getattr(args, "heartbeat_dir", None):
-        os.environ["REPRO_HEARTBEAT_DIR"] = args.heartbeat_dir
     if getattr(args, "ledger", None) is not None:
         os.environ["REPRO_LEDGER"] = args.ledger
         from repro.obs.ledger import reset_ledger
@@ -281,29 +279,6 @@ def _cmd_checkpoint(args) -> int:
     return 0
 
 
-def _cmd_top(args) -> int:
-    from repro.obs.heartbeat import heartbeat_dir
-    from repro.obs.top import run_top
-
-    directory = args.dir or heartbeat_dir()
-    if not directory:
-        print(
-            "repro top: no snapshot directory "
-            "(pass --dir or set REPRO_HEARTBEAT_DIR)",
-            file=sys.stderr,
-        )
-        return 2
-    return run_top(
-        directory,
-        interval=args.interval,
-        once=args.once,
-        prom_path=args.prom,
-        frames=args.frames,
-        clean=args.clean,
-        stale_after=args.stale_after,
-    )
-
-
 def _cmd_profile(args) -> int:
     from repro.obs.profile import (
         format_profile,
@@ -373,10 +348,6 @@ def main(argv=None) -> int:
         help="append one JSONL manifest line per run_experiment; with no "
              "FILE, the ledger lives next to the result store "
              "(ledger.jsonl); equivalent to REPRO_LEDGER")
-    harness_flags.add_argument(
-        "--heartbeat-dir", default=None, metavar="DIR",
-        help="write live per-run progress snapshots into DIR (tail them "
-             "with 'repro top'); equivalent to REPRO_HEARTBEAT_DIR")
 
     sub.add_parser("list", help="list apps, configurations, and scales")
 
@@ -543,34 +514,6 @@ def main(argv=None) -> int:
     ws_parser.add_argument("app", choices=sorted(PAPER_APPS))
     ws_parser.add_argument("--scale", default="quick", choices=sorted(SCALES))
 
-    top_parser = sub.add_parser(
-        "top",
-        help="live top-style view over heartbeat snapshots written by runs "
-             "started with --heartbeat-dir / REPRO_HEARTBEAT_DIR")
-    top_parser.add_argument(
-        "--dir", default=None, metavar="DIR",
-        help="snapshot directory (default: REPRO_HEARTBEAT_DIR)")
-    top_parser.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="refresh period (default: 1.0)")
-    top_parser.add_argument(
-        "--once", action="store_true",
-        help="print a single frame and exit (no screen clearing)")
-    top_parser.add_argument(
-        "--frames", type=positive_int, default=None, metavar="N",
-        help="exit after N frames (plain output, no screen clearing)")
-    top_parser.add_argument(
-        "--prom", default=None, metavar="FILE",
-        help="also maintain a Prometheus textfile with sweep aggregates")
-    top_parser.add_argument(
-        "--clean", action="store_true",
-        help="garbage-collect snapshots whose writer process is dead "
-             "(runs killed without finalizing) instead of listing them")
-    top_parser.add_argument(
-        "--stale-after", type=float, default=None, metavar="SECONDS",
-        help="flag a live run as stale? after this many seconds without "
-             "a heartbeat (default: 30)")
-
     profile_parser = sub.add_parser(
         "profile",
         help="profile the simulator itself: wall-clock attribution per op "
@@ -622,7 +565,6 @@ def main(argv=None) -> int:
         "fuzz": _cmd_fuzz,
         "verify": _cmd_verify,
         "checkpoint": _cmd_checkpoint,
-        "top": _cmd_top,
         "profile": _cmd_profile,
         "report": _cmd_report,
     }[args.command]

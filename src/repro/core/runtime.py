@@ -98,8 +98,9 @@ class WorkStealingRuntime:
         self.steal_policy = steal_policy
         self._big_core_ids = machine.big_core_ids()
         #: Deadlock watchdog grace period in cycles (None = no watchdog).
-        #: Must exceed the longest single task's cycle count: the heartbeat
-        #: only advances at scheduling points (task start, spawn, handler).
+        #: Must exceed the longest single task's cycle count: the progress
+        #: counter only advances at scheduling points (task start, spawn,
+        #: handler).
         self.watchdog_grace = watchdog
         #: Deliberately-broken coherence disciplines for sanitizer positive
         #: controls (repro.sanitize): "no-thief-flush" skips the flush

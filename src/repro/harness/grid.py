@@ -178,11 +178,11 @@ class _Progress:
 def _live_helper_threads():
     """Names of live non-daemon threads other than the caller's.
 
-    Forking while a non-daemon helper (ledger appender, heartbeat writer,
-    third-party pool) is running clones whatever locks it holds into the
-    child — where no thread will ever release them — so fork is only safe
-    when none are alive.  Daemon threads are excluded: the obs helpers are
-    daemonic by construction and hold no locks across their sleep.
+    Forking while a non-daemon helper (a third-party pool, say) is running
+    clones whatever locks it holds into the child — where no thread will
+    ever release them — so fork is only safe when none are alive.  Daemon
+    threads are excluded: they are assumed to hold no locks across their
+    sleep.
     """
     import threading
 

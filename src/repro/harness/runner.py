@@ -41,7 +41,6 @@ from repro.faults import FaultPlan
 from repro.harness.params import app_params
 from repro.harness.resultstore import STORE_SCHEMA, ResultStore, hash_key
 from repro.machine import Machine
-from repro.obs.heartbeat import heartbeat_dir
 
 
 @dataclass
@@ -431,9 +430,8 @@ def run_point(
             )
             return result
 
-    # The uncached path runs in a helper so this wrapper can guarantee the
-    # observability postconditions on *every* exit: exactly one ledger
-    # line per call (success or failure) and a finalized heartbeat file.
+    # The uncached path runs in a helper so this wrapper can guarantee
+    # exactly one ledger line per call on *every* exit, success or failure.
     ctx: dict = {}
     try:
         result = _simulate_experiment(point, tracer, sample_interval, ckpt, ctx)
@@ -448,9 +446,6 @@ def run_point(
                 "lineage": ctx["lineage"],
             })
     except Exception as exc:
-        heartbeat = ctx.get("heartbeat")
-        if heartbeat is not None:
-            heartbeat.finalize("failed", error=repr(exc))
         _ledger_record(
             "failed", point,
             wall_s=time.perf_counter() - started, store_key=store_key,
@@ -459,9 +454,6 @@ def run_point(
             seed=ctx.get("seed"), lineage=ctx.get("lineage"),
         )
         raise
-    heartbeat = ctx.get("heartbeat")
-    if heartbeat is not None:
-        heartbeat.finalize("done")
     _ledger_record(
         "ok", point,
         wall_s=time.perf_counter() - started, store_key=store_key,
@@ -476,9 +468,8 @@ def _simulate_experiment(
     """The uncached simulation path of :func:`run_point`.
 
     ``ctx`` is an out-channel for provenance the caller needs even when
-    this function raises mid-run: the machine seed, the checkpoint lineage
-    dict, and the heartbeat writer (the caller finalizes it — "done" or
-    "failed" — once the outcome is known).
+    this function raises mid-run: the machine seed and the checkpoint
+    lineage dict.
     """
     global _SIM_COUNT
     _SIM_COUNT += 1
@@ -515,32 +506,14 @@ def _simulate_experiment(
         rt_kwargs["watchdog"] = point.watchdog
     runtime = WorkStealingRuntime(machine, **rt_kwargs)
 
-    heartbeat = None
-    hb_dir = heartbeat_dir()
-    if hb_dir:
-        from repro.obs.heartbeat import HeartbeatWriter
-
-        heartbeat = HeartbeatWriter.for_run(
-            machine, runtime, hb_dir,
-            meta={
-                "app": point.app,
-                "kind": point.kind,
-                "scale": point.scale,
-                "serial": bool(point.serial),
-            },
-        )
-        ctx["heartbeat"] = heartbeat
-
     sampler = None
     if sample_interval is not None:
         from repro.obs.metrics import machine_metrics
         from repro.trace.sampler import IntervalSampler
         from repro.trace.tracer import NULL_TRACER
 
-        # engine=False: event/fusion gauges differ between fused and
-        # unfused runs, and sampled traces must stay byte-identical.
         sampler = IntervalSampler(
-            machine.sim, machine_metrics(machine, engine=False).collect,
+            machine.sim, machine_metrics(machine).collect,
             sample_interval,
             tracer=tracer if tracer is not None else NULL_TRACER,
         )
@@ -564,8 +537,6 @@ def _simulate_experiment(
     # queue (restore rebuilds simulator state).
     if daemon is not None:
         daemon.arm()
-    if heartbeat is not None:
-        heartbeat.start()
     if resume_snap is not None:
         cycles = runtime.resume_run()
     else:

@@ -13,7 +13,7 @@ not from analytic hit-rate formulas.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.mem.address import LINE_BYTES, WORDS_PER_LINE
 
@@ -172,10 +172,9 @@ class TagArray:
             )
         return self._sets[self._set_index(line_addr)].pop(line_addr, None)
 
-    def lines(self) -> Iterator[CacheLine]:
-        """Iterate over all resident lines (snapshot; safe to mutate array)."""
-        for cache_set in self._sets:
-            yield from list(cache_set.values())
+    def lines(self) -> List[CacheLine]:
+        """All resident lines in set order (a snapshot; safe to mutate array)."""
+        return [line for s in self._sets if s for line in s.values()]
 
     def resident_count(self) -> int:
         return sum(len(s) for s in self._sets)

@@ -9,9 +9,10 @@ column (Figure 1 of the paper).
 The model is analytic: a message's latency is per-hop router+channel delay
 for its head flit plus one cycle per body flit (:meth:`Mesh.head_latency`,
 :meth:`Mesh.body_flits`); ``repro.mem.l2`` tabulates both per (core, bank)
-route when the machine is built.  Link-level contention is not simulated
-flit-by-flit (endpoint contention is modeled at L2 banks and DRAM
-controllers instead); injected bytes and byte-hops are accounted exactly.
+route and ``repro.noc.uli`` per (core, core) route when the machine is
+built.  Link-level contention is not simulated flit-by-flit (endpoint
+contention is modeled at L2 banks and DRAM controllers instead); injected
+bytes and byte-hops are accounted exactly.
 """
 
 from __future__ import annotations

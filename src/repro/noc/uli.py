@@ -45,15 +45,28 @@ class UliNetwork:
         self.sim = sim
         self.tracer = tracer
         self._tracing = tracer.enabled and sim is not None
+        # Route tables, indexed [src_core][dst_core] over every mesh tile:
+        # XY hop count, and the unjittered message latency (head flit plus
+        # the body flits of one ULI message, as ``Mesh.latency``).
+        positions = [
+            mesh.core_position(core) for core in range(mesh.rows * mesh.cols)
+        ]
+        self._hops = [[mesh.hops(a, b) for b in positions] for a in positions]
+        body = mesh.body_flits(ULI_MESSAGE_BYTES)
+        self._latency = [
+            [mesh.head_latency(hops) + body for hops in row] for row in self._hops
+        ]
 
     def send_latency(self, src_core: int, dst_core: int) -> int:
         """Latency in cycles for one ULI message between two cores."""
-        a = self.mesh.core_position(src_core)
-        b = self.mesh.core_position(dst_core)
-        latency = self.mesh.latency(a, b, ULI_MESSAGE_BYTES)
+        latency = self._latency[src_core][dst_core]
+        # Jitter draws in ``Mesh.latency``'s order: the NoC draw, then the
+        # ULI delay draw.
+        if self.mesh.fault_injector is not None:
+            latency += self.mesh.fault_injector.noc_extra()
         if self.fault_injector is not None:
             latency += self.fault_injector.uli_extra(src_core, dst_core)
-        hops = self.mesh.hops(a, b)
+        hops = self._hops[src_core][dst_core]
         cnt = self._cnt
         cnt["messages"] += 1
         cnt["total_hops"] += hops

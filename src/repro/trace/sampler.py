@@ -4,11 +4,8 @@ The end-of-run aggregates in ``StatGroup`` explain *how much* happened but
 not *when*; the sampler turns them into a time series by snapshotting a
 flat statistics view every ``interval`` simulated cycles and recording the
 delta since the previous snapshot.  The resulting series feeds the Chrome
-trace counter tracks (hit rate, traffic, steals per interval), the CSV
-export below, and any number of additional *sinks* — callables invoked
-with every ``(cycle, delta)`` pair — so consumers (JSONL export, the
-metrics registry in ``repro.obs.metrics``) no longer have to pose as
-tracers.
+trace counter tracks (hit rate, traffic, steals per interval) and the CSV
+export below.
 
 Scheduling: the sampler rides the simulation's own event queue as *daemon*
 events (``Simulator.schedule(..., daemon=True)``), which never keep the run
@@ -36,9 +33,6 @@ from repro.trace.tracer import NULL_TRACER, NullTracer
 
 Snapshot = Dict[str, Union[int, float]]
 
-#: A sample consumer: called as ``sink(cycle, delta)`` for every sample.
-Sink = Callable[[int, Snapshot], None]
-
 
 class IntervalSampler:
     """Snapshot a statistics source every ``interval`` cycles.
@@ -46,9 +40,7 @@ class IntervalSampler:
     ``source`` is either a :class:`StatGroup` (sampled via ``snapshot()``)
     or any zero-argument callable returning a flat ``{name: number}`` dict
     (e.g. ``MetricsRegistry.collect``).  Deltas are kept in
-    :attr:`samples` and forwarded to every registered sink; the ``tracer``
-    argument is kept as a convenience for the original consumer and simply
-    becomes the first sink.
+    :attr:`samples` and forwarded to the ``tracer``'s counter tracks.
     """
 
     def __init__(
@@ -66,14 +58,7 @@ class IntervalSampler:
         #: (cycle, {stat: delta}) — only stats that changed in the interval.
         self.samples: List[Tuple[int, Snapshot]] = []
         self._prev: Optional[Snapshot] = None
-        self._sinks: List[Sink] = []
-        if tracer is not NULL_TRACER:
-            self._sinks.append(tracer.counter_sample)
-
-    def add_sink(self, sink: Sink) -> "IntervalSampler":
-        """Register an additional ``(cycle, delta)`` consumer."""
-        self._sinks.append(sink)
-        return self
+        self._tracer = tracer
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -94,8 +79,8 @@ class IntervalSampler:
         * a tick fired at the final cycle but regular events at that same
           cycle changed counters after it (daemons run first within a
           cycle) — merge the residue into that last sample and re-emit
-          only the residue to sinks, keeping both the sample list and the
-          sink stream telescoping to the end-of-run totals;
+          only the residue to the tracer, keeping both the sample list and
+          the counter track telescoping to the end-of-run totals;
         * the last tick already saw the final state — nothing to do.
         """
         if self._prev is None:
@@ -111,8 +96,7 @@ class IntervalSampler:
         for key, value in residue.items():
             merged[key] = merged.get(key, 0) + value
         self.samples[-1] = (cycle, merged)
-        for sink in self._sinks:
-            sink(cycle, residue)
+        self._tracer.counter_sample(cycle, residue)
 
     # ------------------------------------------------------------------
     # Internals
@@ -138,8 +122,7 @@ class IntervalSampler:
     def _record(self, cycle: int) -> None:
         delta = self._delta()
         self.samples.append((cycle, delta))
-        for sink in self._sinks:
-            sink(cycle, delta)
+        self._tracer.counter_sample(cycle, delta)
 
 
 def samples_to_csv(samples: List[Tuple[int, Snapshot]]) -> str:

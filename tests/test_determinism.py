@@ -88,37 +88,6 @@ def observed_fingerprint(kind, app_name, params, seed, instrument=None):
 
 
 @pytest.mark.parametrize("kind,app_name,params", OBS_MATRIX)
-def test_heartbeat_runs_are_bit_identical_to_bare_runs(
-    kind, app_name, params, tmp_path
-):
-    """A heartbeat-instrumented run (daemon-event telemetry writing JSON
-    snapshots) is cycle- and memory-digest-identical to a bare run."""
-    from repro.obs import HeartbeatWriter
-
-    def instrument(machine, rt):
-        hb = HeartbeatWriter(
-            machine,
-            rt,
-            str(tmp_path / f"{kind}-{app_name}.json"),
-            interval=500,  # aggressive cadence: many daemon ticks per run
-            min_wall_s=0.0,  # write every beat, never throttle
-        )
-        hb.start()
-        return lambda: hb.finalize("done")
-
-    bare = observed_fingerprint(kind, app_name, params, seed=42)
-    beating = observed_fingerprint(kind, app_name, params, seed=42, instrument=instrument)
-    assert bare == beating
-    # The instrument genuinely ran: the snapshot file exists and beat often.
-    import json
-
-    snap = json.loads((tmp_path / f"{kind}-{app_name}.json").read_text())
-    assert snap["status"] == "done"
-    assert snap["beats"] >= 2
-    assert snap["cycle"] == bare[0]
-
-
-@pytest.mark.parametrize("kind,app_name,params", OBS_MATRIX)
 def test_profiled_runs_are_bit_identical_to_bare_runs(kind, app_name, params):
     """An engine-profiled run (probed frames, wrapped op dispatch and
     memory/NoC methods) is cycle- and digest-identical to bare, and its

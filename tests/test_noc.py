@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.engine import StatGroup
 from repro.mem.dram import DramController
 from repro.noc import Mesh, MeshConfig, UliNetwork
+from repro.noc.uli import ULI_MESSAGE_BYTES
 
 
 def mesh(rows=4, cols=4):
@@ -121,6 +122,23 @@ class TestUliNetwork:
         net = UliNetwork(mesh(), StatGroup("m"))
         assert net.utilization(100) == 0.0
         assert net.average_latency() == 0.0
+
+    def test_route_tables_match_mesh_on_paper_machine(self):
+        from repro.config import make_config
+        from repro.machine import Machine
+
+        machine = Machine(make_config("bt-hcc-dts-gwb", "paper"))
+        m, net = machine.mesh, machine.uli_network
+        n_cores = machine.config.n_cores
+        assert n_cores == 64
+        for a in range(n_cores):
+            pa = m.core_position(a)
+            for b in range(n_cores):
+                pb = m.core_position(b)
+                assert net._hops[a][b] == m.hops(pa, pb)
+                assert net._latency[a][b] == m.latency(pa, pb, ULI_MESSAGE_BYTES)
+                assert net.send_latency(a, b) == net._latency[a][b]
+        assert machine.stats.child("uli_network").get("messages") == n_cores**2
 
 
 class TestDramController:

@@ -1,14 +1,13 @@
 """Tests for the observability subsystem (repro.obs).
 
-Covers the metrics registry and exporters, heartbeat snapshots, the run
-ledger (exactly one line per ``run_experiment`` outcome), the engine
-profiler's attribution, the ``repro top`` / ``repro profile`` /
-``repro report`` CLI surfaces, the grid progress ETA estimator, the
-interval sampler's tail-flush invariant, and termlog's JSON mode.
+Covers the metrics registry, the run ledger (exactly one line per
+``run_experiment`` outcome), the engine profiler's attribution, the
+``repro profile`` / ``repro report`` CLI surfaces, the grid progress ETA
+estimator, the interval sampler's tail-flush invariant, and termlog's JSON
+mode.
 """
 
 import json
-import os
 
 import pytest
 
@@ -20,18 +19,10 @@ from repro.engine.stats import StatGroup
 from repro.harness import clear_cache, run_experiment, set_result_store
 from repro.harness import termlog
 from repro.machine import Machine
-from repro.obs import (
-    HeartbeatWriter,
-    MetricsRegistry,
-    RunLedger,
-    host_fingerprint,
-    machine_metrics,
-    prometheus_lines,
-    set_ledger,
-    write_prometheus_textfile,
-)
+from repro.obs import MetricsRegistry, RunLedger, host_fingerprint, set_ledger
 from repro.obs.ledger import read_ledger, read_ledger_with_errors, reset_ledger
 from repro.trace.sampler import IntervalSampler
+from repro.trace.tracer import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -53,7 +44,7 @@ def tiny_machine(app_name="cilk5-cs", kind="bt-mesi", **params):
 
 
 # ----------------------------------------------------------------------
-# Metrics registry + exporters
+# Metrics registry
 # ----------------------------------------------------------------------
 class TestMetrics:
     def test_registry_merges_sources_later_wins(self):
@@ -67,91 +58,10 @@ class TestMetrics:
         snap = registry.collect()
         assert snap == {"m.x": 99, "extra.y": 1.5}
 
-    def test_machine_metrics_engine_flag(self):
-        _app, machine = tiny_machine()
-        with_engine = machine_metrics(machine, engine=True).collect()
-        without = machine_metrics(machine, engine=False).collect()
-        assert "engine.events_executed" in with_engine
-        assert "engine.events_fused" in with_engine
-        assert not any(key.startswith("engine.") for key in without)
-
-    def test_prometheus_lines_sanitized_sorted_labeled(self):
-        text = prometheus_lines(
-            {"mem.l1-hits": 4, "a": 1.5}, labels={"app": "cs"}
-        )
-        lines = text.strip().split("\n")
-        assert lines == [
-            'repro_a{app="cs"} 1.5',
-            'repro_mem_l1_hits{app="cs"} 4',
-        ]
-
-    def test_prometheus_textfile_roundtrip(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        write_prometheus_textfile(str(path), {"top.runs": 2})
-        assert path.read_text() == "repro_top_runs 2\n"
-        # No temp litter left behind.
-        assert list(tmp_path.iterdir()) == [path]
-
     def test_host_fingerprint_shape(self):
         fp = host_fingerprint()
         assert fp["python"] and fp["machine"] is not None
         assert "node" in fp and "cpu_count" in fp
-
-
-# ----------------------------------------------------------------------
-# Heartbeat
-# ----------------------------------------------------------------------
-class TestHeartbeat:
-    def test_snapshot_file_lifecycle(self, tmp_path):
-        app, machine = tiny_machine()
-        rt = WorkStealingRuntime(machine)
-        path = tmp_path / "beat.json"
-        hb = HeartbeatWriter(
-            machine, rt, str(path), interval=500, min_wall_s=0.0,
-            meta={"app": "cilk5-cs"},
-        )
-        hb.start()
-        snap = json.loads(path.read_text())
-        assert snap["status"] == "running" and snap["cycle"] == 0
-        cycles = rt.run(app.make_root())
-        app.check()
-        hb.finalize("done")
-        snap = json.loads(path.read_text())
-        assert snap["status"] == "done"
-        assert snap["cycle"] == cycles
-        assert snap["beats"] >= 2
-        assert snap["meta"]["app"] == "cilk5-cs"
-        assert snap["tasks"]["executed"] > 0
-        assert len(snap["cores"]) == len(machine.cores)
-        assert snap["events"]["events_total"] > 0
-        # Atomic replace: no temp file survives.
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["beat.json"]
-
-    def test_for_run_names_are_per_process_unique(self, tmp_path):
-        _app, machine = tiny_machine()
-        rt = WorkStealingRuntime(machine)
-        a = HeartbeatWriter.for_run(machine, rt, str(tmp_path), {"app": "x"})
-        b = HeartbeatWriter.for_run(machine, rt, str(tmp_path), {"app": "x"})
-        assert a.path != b.path
-
-    def test_rejects_bad_interval(self, tmp_path):
-        _app, machine = tiny_machine()
-        rt = WorkStealingRuntime(machine)
-        with pytest.raises(ValueError):
-            HeartbeatWriter(machine, rt, str(tmp_path / "b.json"), interval=0)
-
-    def test_run_experiment_emits_heartbeat(self, tmp_path, monkeypatch):
-        hb_dir = tmp_path / "hb"
-        monkeypatch.setenv("REPRO_HEARTBEAT_DIR", str(hb_dir))
-        run_experiment("cilk5-mt", "bt-mesi", "tiny", use_cache=False)
-        files = list(hb_dir.glob("*.json"))
-        assert len(files) == 1
-        snap = json.loads(files[0].read_text())
-        assert snap["status"] == "done"
-        assert snap["meta"] == {
-            "app": "cilk5-mt", "kind": "bt-mesi", "scale": "tiny",
-            "serial": False,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -291,137 +201,6 @@ class TestProfiler:
         assert trace["traceEvents"] and all(
             e["dur"] > 0 for e in trace["traceEvents"]
         )
-
-
-# ----------------------------------------------------------------------
-# repro top
-# ----------------------------------------------------------------------
-class TestTop:
-    def _write_snap(self, directory, name, **overrides):
-        # Default pid is our own (a live writer); dead-writer tests
-        # override it with a reaped child's pid.
-        snap = {
-            "schema": 1, "pid": os.getpid(), "status": "running", "error": None,
-            "meta": {"app": "cilk5-cs", "kind": "bt-mesi", "scale": "tiny"},
-            "started_at": 0.0, "updated_at": 100.0, "wall_s": 100.0,
-            "beats": 3, "cycle": 5000, "max_cycles": 10000,
-            "events": {"events_total": 10, "events_fused": 5,
-                       "fused_ratio": 0.5},
-            "events_per_sec": 2e6, "cycles_per_sec": 1e6,
-            "tasks": {"spawned": 4, "executed": 2, "outstanding": 2,
-                      "steals": 1, "steal_attempts": 3},
-            "cores": [
-                {"id": 0, "big": True, "busy": 90, "idle": 10, "deque": 0},
-                {"id": 1, "big": False, "busy": 10, "idle": 90, "deque": 2},
-            ],
-            "sanitizer": None, "watchdog": None,
-        }
-        snap.update(overrides)
-        (directory / name).write_text(json.dumps(snap))
-        return snap
-
-    def test_read_snapshots_skips_foreign_files(self, tmp_path):
-        from repro.obs.top import read_snapshots
-
-        self._write_snap(tmp_path, "a.json")
-        (tmp_path / "junk.json").write_text("{not json")
-        (tmp_path / "other-schema.json").write_text('{"schema": 99}')
-        (tmp_path / "notes.txt").write_text("ignored")
-        snaps, skipped = read_snapshots(str(tmp_path))
-        assert len(snaps) == 1 and skipped == 2
-
-    def test_render_rows_and_staleness(self, tmp_path):
-        from repro.obs.top import read_snapshots, render
-
-        self._write_snap(tmp_path, "a.json")
-        self._write_snap(
-            tmp_path, "b.json", status="done", updated_at=200.0,
-            meta={"app": "ligra-bfs", "kind": "bt-hcc-gwb", "scale": "quick"},
-        )
-        snaps, skipped = read_snapshots(str(tmp_path))
-        frame = render(snaps, skipped, now=210.0)
-        assert "2 run(s)" in frame and "done:1" in frame
-        assert "ligra-bfs" in frame and "cilk5-cs" in frame
-        # a.json last updated at t=100, rendered at t=210 → stale.
-        assert "stale?" in frame
-        # Core bar: core0 >=75% busy (#), core1 idle with queued work (!).
-        assert "#!" in frame
-
-    def test_stale_threshold_configurable(self, tmp_path):
-        from repro.obs.top import read_snapshots, render
-
-        self._write_snap(tmp_path, "a.json", updated_at=100.0)
-        snaps, _ = read_snapshots(str(tmp_path))
-        # 110s of silence: stale under the default 30s, fine under 500s.
-        assert "stale?" in render(snaps, now=210.0)
-        assert "stale?" not in render(snaps, now=210.0, stale_after=500.0)
-
-    @staticmethod
-    def _dead_pid():
-        """A pid guaranteed dead: fork a child and reap it."""
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0)
-        os.waitpid(pid, 0)
-        return pid
-
-    def test_dead_writer_labeled_dead_not_stale(self, tmp_path):
-        from repro.obs.top import read_snapshots, render
-
-        self._write_snap(tmp_path, "a.json", pid=self._dead_pid())
-        snaps, _ = read_snapshots(str(tmp_path))
-        frame = render(snaps, now=1e12)  # far beyond any stale threshold
-        assert "dead" in frame and "stale?" not in frame
-
-    def test_gc_dead_snapshots(self, tmp_path):
-        from repro.obs.top import gc_dead_snapshots, read_snapshots
-
-        self._write_snap(tmp_path, "live.json")
-        self._write_snap(tmp_path, "orphan.json", pid=self._dead_pid())
-        # A *finished* run's writer is expected to be gone: keep the file.
-        self._write_snap(
-            tmp_path, "finished.json", pid=self._dead_pid(), status="done"
-        )
-        removed = gc_dead_snapshots(str(tmp_path))
-        assert removed == ["orphan.json"]
-        names = {s["_file"] for s in read_snapshots(str(tmp_path))[0]}
-        assert names == {"live.json", "finished.json"}
-
-    def test_cli_top_clean_flag(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        self._write_snap(tmp_path, "orphan.json", pid=self._dead_pid())
-        self._write_snap(tmp_path, "live.json")
-        assert main(["top", "--dir", str(tmp_path), "--once", "--clean"]) == 0
-        out = capsys.readouterr().out
-        assert "collected dead snapshot orphan.json" in out
-        assert not (tmp_path / "orphan.json").exists()
-        assert (tmp_path / "live.json").exists()
-
-    def test_sweep_gauges(self, tmp_path):
-        from repro.obs.top import read_snapshots, sweep_gauges
-
-        self._write_snap(tmp_path, "a.json")
-        self._write_snap(tmp_path, "b.json", status="done")
-        gauges = sweep_gauges(read_snapshots(str(tmp_path))[0])
-        assert gauges["top.runs"] == 2
-        assert gauges["top.runs_running"] == 1
-        assert gauges["top.runs_done"] == 1
-        assert gauges["top.events_per_sec"] == 2e6
-
-    def test_cli_top_once(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        self._write_snap(tmp_path, "a.json")
-        assert main(["top", "--dir", str(tmp_path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "repro top" in out and "cilk5-cs" in out
-
-    def test_cli_top_without_dir_fails(self, monkeypatch, capsys):
-        from repro.__main__ import main
-
-        monkeypatch.delenv("REPRO_HEARTBEAT_DIR", raising=False)
-        assert main(["top", "--once"]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -584,15 +363,16 @@ class TestSamplerFinalize:
         sim = Simulator()
         stats = StatGroup("m")
         sim.schedule(10, lambda: stats.add("x", 7))  # same cycle as the tick
-        sink_stream = []
-        sampler = IntervalSampler(sim, stats, interval=10)
-        sampler.add_sink(lambda cycle, delta: sink_stream.append((cycle, delta)))
+        tracer = Tracer()
+        sampler = IntervalSampler(sim, stats, interval=10, tracer=tracer)
         sampler.start()
         assert sim.run() == 10
         sampler.finalize()
         assert sampler.samples == [(10, {"m.x": 7})]
-        # The sink saw the stale tick then the residue — also telescoping.
-        assert self.telescope(sink_stream) == {"m.x": 7}
+        # The counter track saw the stale tick then the residue — also
+        # telescoping.
+        assert tracer.samples == [(10, {}), (10, {"m.x": 7})]
+        assert self.telescope(tracer.samples) == {"m.x": 7}
 
     def test_finalize_without_ticks_records_closing_sample(self):
         sim = Simulator()
