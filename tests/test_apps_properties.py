@@ -4,6 +4,9 @@ These run under the functional Cilkview executor (no timing) so hypothesis
 can afford many examples, plus targeted properties of the graph generator.
 """
 
+import hashlib
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import CilkviewAnalyzer
@@ -96,6 +99,45 @@ def test_rmat_edges_in_range(scale, degree, seed):
 @given(st.integers(2, 8), st.integers(0, 2**32))
 def test_rmat_deterministic(scale, seed):
     assert rmat(scale, 4, seed) == rmat(scale, 4, seed)
+
+
+def _digest(*seqs):
+    """sha256 over integer sequences, independent of their container type."""
+    h = hashlib.sha256()
+    for seq in seqs:
+        h.update(",".join(map(str, seq)).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((9, 8, 42), "395398606e324a22d1184ed499c96582bf08b1590c855917c0a279b1659d9de4"),
+    ((11, 8, 7), "fb2bd2b5f4acfebef3a9db800edf6ada166265bffaaa6231823af5853a06de58"),
+])
+def test_rmat_edges_pinned(args, digest):
+    """The generator's edge stream, byte for byte (flattened u, v pairs)."""
+    assert _digest([x for edge in rmat(*args) for x in edge]) == digest
+
+
+@pytest.mark.parametrize("key, m, digest", [
+    # The four distinct graphs of the quick Ligra apps...
+    ((9, 8, 42, True, False), 5568,
+     "d8e7cc9d40562335513518f0acfac19fea4fefefe77da4c9f7e9410e0f2b2677"),
+    ((9, 8, 42, True, True), 5568,
+     "3f6c7b4b875ae00577bde7376cb7b209d45388db939da052a86021b527dbbe18"),
+    ((8, 8, 42, True, False), 2590,
+     "4a530eb072629bcfa692be749db629fc4b75822c8a46541463fe6871f2c7a0b1"),
+    ((7, 8, 42, True, False), 1148,
+     "c38f3a85c825abd3c87414a154bfdb7b78eba18a1a475f1e86c1f1017c8b9900"),
+    # ...and ligra-bf's weighted graph at paper scale.
+    ((10, 8, 42, True, True), 12056,
+     "8d932d2ce99834b1446a60acad6ccaf459b078d12a9354d00729cf0587f4493f"),
+])
+def test_rmat_graph_csr_pinned(key, m, digest):
+    """The CSR arrays every Ligra input is loaded from, byte for byte."""
+    g = rmat_graph(*key)
+    assert g.m == m
+    assert _digest(g.offsets, g.edge_targets, g.weights or ()) == digest
 
 
 @given(st.integers(2, 7), st.integers(1, 6), st.integers(0, 2**32))
