@@ -3,18 +3,26 @@
 * :func:`rmat` — a from-scratch deterministic R-MAT edge generator (the
   paper's inputs are rMat graphs), recursively placing each edge into a
   quadrant with the classic (a, b, c, d) = (0.57, 0.19, 0.19, 0.05) split.
-* :class:`HostGraph` — host-side CSR with symmetrization, deduplication,
-  sorted adjacency lists, and deterministic edge weights.
+* :class:`HostGraph` — immutable host-side CSR with symmetrization,
+  deduplication, sorted adjacency, and deterministic edge weights;
+  :func:`rmat_graph` builds each distinct one once per process.
 * :class:`SimGraph` — the CSR arrays in simulated memory with generator
   accessors used by the kernels.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 from repro.apps.common import SimArray
 from repro.engine.rng import XorShift64
+
+# XorShift64's constants, for the inlined draws of :func:`rmat`.
+_MASK64 = (1 << 64) - 1
+_XORSHIFT_MUL = 0x2545F4914F6CDD1D
+_TWO53 = float(1 << 53)
 
 
 def rmat(
@@ -25,32 +33,49 @@ def rmat(
     b: float = 0.19,
     c: float = 0.19,
 ) -> List[Tuple[int, int]]:
-    """Generate ~``n * avg_degree`` R-MAT edges over ``n = 2**scale`` vertices."""
+    """Generate ~``n * avg_degree`` R-MAT edges over ``n = 2**scale`` vertices.
+
+    Each quadrant choice draws one ``XorShift64.random()``; the xorshift64*
+    step and its 53-bit float scaling are written out inline (the same
+    draws, in the same order) because this loop makes ``n_edges * scale``
+    of them.
+    """
     n = 1 << scale
     n_edges = n * avg_degree
-    rng = XorShift64(seed)
+    x = XorShift64(seed)._state
+    ab = a + b
+    abc = ab + c
     edges = []
+    append = edges.append
     for _ in range(n_edges):
         u = v = 0
         half = n >> 1
         while half:
-            r = rng.random()
+            x ^= x >> 12
+            x ^= (x << 25) & _MASK64
+            x ^= x >> 27
+            r = (((x * _XORSHIFT_MUL) & _MASK64) >> 11) / _TWO53
             if r < a:
                 pass
-            elif r < a + b:
+            elif r < ab:
                 v += half
-            elif r < a + b + c:
+            elif r < abc:
                 u += half
             else:
                 u += half
                 v += half
             half >>= 1
-        edges.append((u, v))
+        append((u, v))
     return edges
 
 
 class HostGraph:
-    """Host-side CSR graph built from an edge list."""
+    """Host-side CSR graph built from an edge list.
+
+    Immutable: ``offsets``, ``edge_targets`` and ``weights`` are tuples,
+    because :func:`rmat_graph` hands one instance to every simulation of a
+    process.
+    """
 
     def __init__(
         self,
@@ -67,26 +92,25 @@ class HostGraph:
             edge_set.add((u, v))
             if symmetric:
                 edge_set.add((v, u))
-        adjacency: List[List[int]] = [[] for _ in range(n)]
-        for u, v in sorted(edge_set):
-            adjacency[u].append(v)
+        ordered = sorted(edge_set)
+        counts = [0] * (n + 1)
+        for u, _ in ordered:
+            counts[u + 1] += 1
         self.n = n
-        self.adj = adjacency
-        self.m = sum(len(nbrs) for nbrs in adjacency)
-        self.offsets = [0] * (n + 1)
-        for v in range(n):
-            self.offsets[v + 1] = self.offsets[v] + len(adjacency[v])
-        self.edge_targets = [v for nbrs in adjacency for v in nbrs]
-        self.weights: Optional[List[int]] = None
+        self.m = len(ordered)
+        self.offsets: Tuple[int, ...] = tuple(accumulate(counts))
+        self.edge_targets: Tuple[int, ...] = tuple(v for _, v in ordered)
+        self.weights: Optional[Tuple[int, ...]] = None
         if weighted:
             rng = XorShift64(weight_seed)
-            self.weights = [1 + rng.randint(0, 7) for _ in range(self.m)]
+            self.weights = tuple(1 + rng.randint(0, 7) for _ in range(self.m))
 
     def degree(self, v: int) -> int:
         return self.offsets[v + 1] - self.offsets[v]
 
-    def neighbors(self, v: int) -> List[int]:
-        return self.adj[v]
+    def neighbors(self, v: int) -> Tuple[int, ...]:
+        """``v``'s sorted adjacency: a slice of ``edge_targets``."""
+        return self.edge_targets[self.offsets[v]:self.offsets[v + 1]]
 
     def edge_weight(self, v: int, edge_index: int) -> int:
         """Weight of the ``edge_index``-th outgoing edge of ``v``."""
@@ -102,9 +126,18 @@ def rmat_graph(
     symmetric: bool = True,
     weighted: bool = False,
 ) -> HostGraph:
-    """Convenience: generate an rMat edge list and build the CSR graph."""
-    n = 1 << scale
-    return HostGraph(n, rmat(scale, avg_degree, seed), symmetric, weighted)
+    """Generate an rMat edge list and build the CSR graph, once per process.
+
+    Memoized on every argument (normalized, so positional and keyword calls
+    share an entry); callers get the same immutable :class:`HostGraph`.
+    """
+    return _rmat_graph(scale, avg_degree, seed, symmetric, weighted)
+
+
+# One scale's eight Ligra apps use at most five distinct graphs.
+@functools.lru_cache(maxsize=8)
+def _rmat_graph(scale, avg_degree, seed, symmetric, weighted) -> HostGraph:
+    return HostGraph(1 << scale, rmat(scale, avg_degree, seed), symmetric, weighted)
 
 
 class SimGraph:

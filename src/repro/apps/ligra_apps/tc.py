@@ -89,12 +89,13 @@ class LigraTriangleCounting(LigraApp):
 
     def _reference_count(self):
         count = 0
-        adj_sets = [set(nbrs) for nbrs in self.graph.adj]
-        for u in range(self.graph.n):
-            for v in self.graph.neighbors(u):
+        graph = self.graph
+        adj_sets = [set(graph.neighbors(u)) for u in range(graph.n)]
+        for u in range(graph.n):
+            for v in graph.neighbors(u):
                 if v <= u:
                     continue
-                for w in self.graph.neighbors(v):
+                for w in graph.neighbors(v):
                     if w > v and w in adj_sets[u]:
                         count += 1
         return count

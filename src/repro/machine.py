@@ -185,8 +185,8 @@ class Machine:
         self.memory.write_word(addr, value)
 
     def host_write_array(self, base: int, values) -> None:
-        for i, value in enumerate(values):
-            self.memory.write_word(base + i * WORD_BYTES, value)
+        """Write consecutive words directly into DRAM (pre-run input loading)."""
+        self.memory.write_array(base, values)
 
     def host_read_word(self, addr: int) -> int:
         """Coherent post-run read: checks L1 owners, then L2, then DRAM."""

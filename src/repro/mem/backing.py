@@ -53,6 +53,22 @@ class MainMemory:
         stored = self._lines.setdefault(base, [0] * WORDS_PER_LINE)
         stored[word_index(addr)] = value
 
+    def write_array(self, addr: int, values) -> None:
+        """Write ``values`` to consecutive words from ``addr``, a line at a
+        time.  Lines are created in ascending address order, as the same
+        writes made one :meth:`write_word` at a time would create them."""
+        lines = self._lines
+        base = line_addr(addr)
+        first = word_index(addr)
+        i, n = 0, len(values)
+        while i < n:
+            end = min(i + WORDS_PER_LINE - first, n)
+            stored = lines.get(base)
+            if stored is None:
+                stored = lines[base] = [0] * WORDS_PER_LINE
+            stored[first:first + end - i] = values[i:end]
+            i, base, first = end, base + LINE_BYTES, 0
+
     @property
     def footprint_bytes(self) -> int:
         return len(self._lines) * LINE_BYTES

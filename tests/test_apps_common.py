@@ -134,7 +134,7 @@ class TestSimGraph:
             return out
 
         adjacency = drive(machine, 1, body(ctxs[1]))
-        assert adjacency == graph.adj
+        assert adjacency == [list(graph.neighbors(v)) for v in range(graph.n)]
 
     def test_unweighted_graph_weight_is_one(self, machine):
         graph = rmat_graph(3, 2, seed=5, weighted=False)

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import CilkviewAnalyzer
 from repro.apps import make_app
 from repro.apps.cilk5.nqueens import NQ_SOLUTIONS, CilkNQueens
-from repro.apps.ligra.graph import HostGraph, rmat, rmat_graph
+from repro.apps.ligra.graph import HostGraph, _rmat_graph, rmat, rmat_graph
+from repro.engine.rng import XorShift64
 
 
 def run_functionally(app):
@@ -101,6 +102,36 @@ def test_rmat_deterministic(scale, seed):
     assert rmat(scale, 4, seed) == rmat(scale, 4, seed)
 
 
+def _reference_rmat(scale, avg_degree, seed, a=0.57, b=0.19, c=0.19):
+    """The generator written with one ``XorShift64.random()`` call per draw."""
+    n = 1 << scale
+    rng = XorShift64(seed)
+    edges = []
+    for _ in range(n * avg_degree):
+        u = v = 0
+        half = n >> 1
+        while half:
+            r = rng.random()
+            if r < a:
+                pass
+            elif r < a + b:
+                v += half
+            elif r < a + b + c:
+                u += half
+            else:
+                u += half
+                v += half
+            half >>= 1
+        edges.append((u, v))
+    return edges
+
+
+@given(st.integers(1, 7), st.integers(1, 4),
+       st.one_of(st.just(0), st.integers(0, 2**70)))
+def test_rmat_matches_per_call_reference(scale, degree, seed):
+    assert rmat(scale, degree, seed) == _reference_rmat(scale, degree, seed)
+
+
 def _digest(*seqs):
     """sha256 over integer sequences, independent of their container type."""
     h = hashlib.sha256()
@@ -113,7 +144,7 @@ def _digest(*seqs):
 @pytest.mark.parametrize("args, digest", [
     ((9, 8, 42), "395398606e324a22d1184ed499c96582bf08b1590c855917c0a279b1659d9de4"),
     ((11, 8, 7), "fb2bd2b5f4acfebef3a9db800edf6ada166265bffaaa6231823af5853a06de58"),
-])
+], ids=["9-8-42", "11-8-7"])
 def test_rmat_edges_pinned(args, digest):
     """The generator's edge stream, byte for byte (flattened u, v pairs)."""
     assert _digest([x for edge in rmat(*args) for x in edge]) == digest
@@ -132,7 +163,7 @@ def test_rmat_edges_pinned(args, digest):
     # ...and ligra-bf's weighted graph at paper scale.
     ((10, 8, 42, True, True), 12056,
      "8d932d2ce99834b1446a60acad6ccaf459b078d12a9354d00729cf0587f4493f"),
-])
+], ids=["quick-9", "quick-9-weighted", "quick-8", "quick-7", "paper-10-weighted"])
 def test_rmat_graph_csr_pinned(key, m, digest):
     """The CSR arrays every Ligra input is loaded from, byte for byte."""
     g = rmat_graph(*key)
@@ -140,15 +171,43 @@ def test_rmat_graph_csr_pinned(key, m, digest):
     assert _digest(g.offsets, g.edge_targets, g.weights or ()) == digest
 
 
+def test_rmat_graph_memo_shares_one_graph_per_key():
+    g = rmat_graph(6, 4, 11, True, True)
+    assert rmat_graph(6, 4, 11, weighted=True) is g
+    assert rmat_graph(scale=6, avg_degree=4, seed=11, symmetric=True, weighted=True) is g
+    assert rmat_graph(6, 4, 11, True, False) is not g
+    assert rmat_graph(6, 4, 12, True, True) is not g
+    assert rmat_graph(6, 4, 11, False, True) is not g
+
+
+@pytest.mark.parametrize("field", ["offsets", "edge_targets", "weights"])
+def test_memoized_graph_arrays_are_read_only(field):
+    g = rmat_graph(5, 4, 3, weighted=True)
+    with pytest.raises(TypeError):
+        getattr(g, field)[0] = 99
+
+
+def test_rmat_graph_memo_stays_bounded():
+    memo = _rmat_graph.cache_info
+    for seed in range(20):
+        rmat_graph(3, 2, seed)
+        assert memo().currsize <= memo().maxsize
+    assert memo().maxsize < 20
+
+
 @given(st.integers(2, 7), st.integers(1, 6), st.integers(0, 2**32))
 def test_host_graph_invariants(scale, degree, seed):
     g = rmat_graph(scale, degree, seed, symmetric=True)
+    # Every generated edge, in both directions, and nothing else.
+    expected = {(u, v) for u, v in rmat(scale, degree, seed) if u != v}
+    expected |= {(v, u) for u, v in expected}
+    assert {(u, v) for u in range(g.n) for v in g.neighbors(u)} == expected
     # CSR consistency.
     assert g.offsets[0] == 0 and g.offsets[-1] == g.m
     assert len(g.edge_targets) == g.m
     for v in range(g.n):
         nbrs = g.neighbors(v)
-        assert nbrs == sorted(nbrs)  # sorted adjacency
+        assert nbrs == tuple(sorted(nbrs))  # sorted adjacency
         assert len(set(nbrs)) == len(nbrs)  # deduplicated
         assert v not in nbrs  # no self loops
         for u in nbrs:  # symmetric
@@ -165,9 +224,9 @@ def test_host_graph_weights_deterministic_positive():
 def test_host_graph_directed_mode():
     edges = [(0, 1), (1, 2)]
     g = HostGraph(3, edges, symmetric=False)
-    assert g.neighbors(0) == [1]
-    assert g.neighbors(1) == [2]
-    assert g.neighbors(2) == []
+    assert g.neighbors(0) == (1,)
+    assert g.neighbors(1) == (2,)
+    assert g.neighbors(2) == ()
 
 
 # ----------------------------------------------------------------------

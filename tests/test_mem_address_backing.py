@@ -137,3 +137,22 @@ class TestMainMemory:
         mem.write_word(0x1008, 1)  # same line
         mem.write_word(0x2000, 1)  # new line
         assert mem.footprint_bytes == 2 * LINE_BYTES
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 30)), max_size=4),
+        st.integers(0, 40),
+        st.lists(st.integers(-(2**62), 2**62), max_size=30),
+        st.booleans(),
+    )
+    def test_array_write_matches_word_writes(self, earlier, start, values, as_tuple):
+        """An array write leaves the same lines, in the same creation order,
+        as writing its words one at a time, over lines already written."""
+        by_word, by_array = MainMemory(), MainMemory()
+        for mem in (by_word, by_array):
+            for word, value in earlier:
+                mem.write_word(0x4000 + word * WORD_BYTES, value)
+        base = 0x4000 + start * WORD_BYTES
+        for i, value in enumerate(values):
+            by_word.write_word(base + i * WORD_BYTES, value)
+        by_array.write_array(base, tuple(values) if as_tuple else values)
+        assert list(by_array.export_state().items()) == list(by_word.export_state().items())
