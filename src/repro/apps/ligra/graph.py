@@ -19,11 +19,6 @@ from typing import List, Optional, Tuple
 from repro.apps.common import SimArray
 from repro.engine.rng import XorShift64
 
-# XorShift64's constants, for the inlined draws of :func:`rmat`.
-_MASK64 = (1 << 64) - 1
-_XORSHIFT_MUL = 0x2545F4914F6CDD1D
-_TWO53 = float(1 << 53)
-
 
 def rmat(
     scale: int,
@@ -33,16 +28,10 @@ def rmat(
     b: float = 0.19,
     c: float = 0.19,
 ) -> List[Tuple[int, int]]:
-    """Generate ~``n * avg_degree`` R-MAT edges over ``n = 2**scale`` vertices.
-
-    Each quadrant choice draws one ``XorShift64.random()``; the xorshift64*
-    step and its 53-bit float scaling are written out inline (the same
-    draws, in the same order) because this loop makes ``n_edges * scale``
-    of them.
-    """
+    """Generate ~``n * avg_degree`` R-MAT edges over ``n = 2**scale`` vertices."""
     n = 1 << scale
     n_edges = n * avg_degree
-    x = XorShift64(seed)._state
+    random = XorShift64(seed).random
     ab = a + b
     abc = ab + c
     edges = []
@@ -51,10 +40,7 @@ def rmat(
         u = v = 0
         half = n >> 1
         while half:
-            x ^= x >> 12
-            x ^= (x << 25) & _MASK64
-            x ^= x >> 27
-            r = (((x * _XORSHIFT_MUL) & _MASK64) >> 11) / _TWO53
+            r = random()
             if r < a:
                 pass
             elif r < ab:

@@ -89,13 +89,13 @@ class LigraTriangleCounting(LigraApp):
 
     def _reference_count(self):
         count = 0
-        graph = self.graph
-        adj_sets = [set(graph.neighbors(u)) for u in range(graph.n)]
-        for u in range(graph.n):
-            for v in graph.neighbors(u):
+        adj = [self.graph.neighbors(u) for u in range(self.graph.n)]
+        adj_sets = [set(nbrs) for nbrs in adj]
+        for u, nbrs in enumerate(adj):
+            for v in nbrs:
                 if v <= u:
                     continue
-                for w in graph.neighbors(v):
+                for w in adj[v]:
                     if w > v and w in adj_sets[u]:
                         count += 1
         return count

@@ -23,15 +23,13 @@ analytically — requester->bank mesh hops, bank queue delay (busy-until
 model), L2 tag/data access, optional DRAM fetch through the bank's memory
 controller, optional owner recall / sharer invalidation round trips, and the
 response hops back.  The core<->bank geometry is fixed, so hop counts, head
-latencies and coherence round trips are tabulated per (core, bank), once per
-mesh geometry in a process; fault-injected NoC jitter is drawn per message
-on top of them.
+latencies and coherence round trips are tabulated per (core, bank) when the
+L2 is built; fault-injected NoC jitter is drawn per message on top of them.
 Traffic is recorded per the paper's Figure 8 message categories.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.stats import StatGroup
@@ -47,30 +45,7 @@ from repro.mem.traffic import (
     WORD_DATA_BYTES,
     TrafficMeter,
 )
-from repro.noc.mesh import Mesh, MeshConfig
-
-
-@functools.lru_cache(maxsize=8)
-def _route_tables(config: MeshConfig, n_banks: int) -> tuple:
-    """Read-only route tables, built once per mesh geometry and bank count
-    and shared by every L2 on it.
-
-    ``hops``, ``head`` and ``round_trip`` are indexed [core_id][bank_id]
-    over every mesh tile: XY hop count, head-flit latency, and the
-    coherence round trip (probe out, ack back, one cycle at the L1).
-    ``body[n]`` is the body-flit serialization of an n-byte message (at
-    most a command + full line).
-    """
-    mesh = Mesh(config)
-    bank_pos = [mesh.bank_position(b, n_banks) for b in range(n_banks)]
-    hops = tuple(
-        tuple(mesh.hops(mesh.core_position(core), pos) for pos in bank_pos)
-        for core in range(mesh.rows * mesh.cols)
-    )
-    head = tuple(tuple(mesh.head_latency(h) for h in row) for row in hops)
-    round_trip = tuple(tuple(2 * h + 1 for h in row) for row in head)
-    body = tuple(mesh.body_flits(n) for n in range(LINE_DATA_BYTES + 1))
-    return hops, head, round_trip, body
+from repro.noc.mesh import Mesh
 
 
 class _Bank:
@@ -120,9 +95,18 @@ class SharedL2:
             raise ValueError("need one DRAM controller per L2 bank")
         self.dram = dram_controllers
         self._l1s: Dict[int, "object"] = {}
-        self._hops, self._head, self._round_trip, self._body = _route_tables(
-            mesh.config, n_banks
-        )
+        # Route tables, indexed [core_id][bank_id] over every mesh tile: XY
+        # hop count, head-flit latency, and the coherence round trip (probe
+        # out, ack back, one cycle at the L1).  ``_body[n]`` is the body-flit
+        # serialization of an n-byte message (at most a command + full line).
+        bank_pos = [mesh.bank_position(b, n_banks) for b in range(n_banks)]
+        self._hops = [
+            [mesh.hops(mesh.core_position(core), pos) for pos in bank_pos]
+            for core in range(mesh.rows * mesh.cols)
+        ]
+        self._head = [[mesh.head_latency(h) for h in row] for row in self._hops]
+        self._round_trip = [[2 * head + 1 for head in row] for row in self._head]
+        self._body = [mesh.body_flits(n) for n in range(LINE_DATA_BYTES + 1)]
 
     # ------------------------------------------------------------------
     # Wiring

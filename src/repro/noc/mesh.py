@@ -9,8 +9,8 @@ column (Figure 1 of the paper).
 The model is analytic: a message's latency is per-hop router+channel delay
 for its head flit plus one cycle per body flit (:meth:`Mesh.head_latency`,
 :meth:`Mesh.body_flits`); ``repro.mem.l2`` tabulates both per (core, bank)
-route and ``repro.noc.uli`` per (core, core) route, once per mesh geometry
-in a process.  Link-level contention is not simulated flit-by-flit (endpoint
+route and ``repro.noc.uli`` per (core, core) route when the machine is
+built.  Link-level contention is not simulated flit-by-flit (endpoint
 contention is modeled at L2 banks and DRAM controllers instead); injected
 bytes and byte-hops are accounted exactly.
 """

@@ -22,28 +22,12 @@ the rest of the stats tree.
 
 from __future__ import annotations
 
-import functools
-
 from repro.engine.stats import StatGroup
-from repro.noc.mesh import Mesh, MeshConfig
+from repro.noc.mesh import Mesh
 from repro.trace.tracer import NULL_TRACER
 
 #: Each ULI message is a single word: destination + payload.
 ULI_MESSAGE_BYTES = 8
-
-
-@functools.lru_cache(maxsize=8)
-def _route_tables(config: MeshConfig) -> tuple:
-    """Read-only route tables, built once per mesh geometry and shared by
-    every ULI network on it.  Indexed [src_core][dst_core] over every mesh
-    tile: XY hop count, and the unjittered message latency (head flit plus
-    the body flits of one ULI message, as ``Mesh.latency``)."""
-    mesh = Mesh(config)
-    positions = [mesh.core_position(core) for core in range(mesh.rows * mesh.cols)]
-    hops = tuple(tuple(mesh.hops(a, b) for b in positions) for a in positions)
-    body = mesh.body_flits(ULI_MESSAGE_BYTES)
-    latency = tuple(tuple(mesh.head_latency(h) + body for h in row) for row in hops)
-    return hops, latency
 
 
 class UliNetwork:
@@ -61,7 +45,17 @@ class UliNetwork:
         self.sim = sim
         self.tracer = tracer
         self._tracing = tracer.enabled and sim is not None
-        self._hops, self._latency = _route_tables(mesh.config)
+        # Route tables, indexed [src_core][dst_core] over every mesh tile:
+        # XY hop count, and the unjittered message latency (head flit plus
+        # the body flits of one ULI message, as ``Mesh.latency``).
+        positions = [
+            mesh.core_position(core) for core in range(mesh.rows * mesh.cols)
+        ]
+        self._hops = [[mesh.hops(a, b) for b in positions] for a in positions]
+        body = mesh.body_flits(ULI_MESSAGE_BYTES)
+        self._latency = [
+            [mesh.head_latency(hops) + body for hops in row] for row in self._hops
+        ]
 
     def send_latency(self, src_core: int, dst_core: int) -> int:
         """Latency in cycles for one ULI message between two cores."""

@@ -13,7 +13,6 @@ from repro.analysis import CilkviewAnalyzer
 from repro.apps import make_app
 from repro.apps.cilk5.nqueens import NQ_SOLUTIONS, CilkNQueens
 from repro.apps.ligra.graph import HostGraph, _rmat_graph, rmat, rmat_graph
-from repro.engine.rng import XorShift64
 
 
 def run_functionally(app):
@@ -100,36 +99,6 @@ def test_rmat_edges_in_range(scale, degree, seed):
 @given(st.integers(2, 8), st.integers(0, 2**32))
 def test_rmat_deterministic(scale, seed):
     assert rmat(scale, 4, seed) == rmat(scale, 4, seed)
-
-
-def _reference_rmat(scale, avg_degree, seed, a=0.57, b=0.19, c=0.19):
-    """The generator written with one ``XorShift64.random()`` call per draw."""
-    n = 1 << scale
-    rng = XorShift64(seed)
-    edges = []
-    for _ in range(n * avg_degree):
-        u = v = 0
-        half = n >> 1
-        while half:
-            r = rng.random()
-            if r < a:
-                pass
-            elif r < a + b:
-                v += half
-            elif r < a + b + c:
-                u += half
-            else:
-                u += half
-                v += half
-            half >>= 1
-        edges.append((u, v))
-    return edges
-
-
-@given(st.integers(1, 7), st.integers(1, 4),
-       st.one_of(st.just(0), st.integers(0, 2**70)))
-def test_rmat_matches_per_call_reference(scale, degree, seed):
-    assert rmat(scale, degree, seed) == _reference_rmat(scale, degree, seed)
 
 
 def _digest(*seqs):
