@@ -1,5 +1,6 @@
 """Tests for the repro.trace subsystem (tracer, sampler, exporters, CLI)."""
 
+import hashlib
 import json
 
 import pytest
@@ -217,6 +218,29 @@ def test_cli_trace_subcommand(tmp_path, capsys):
     assert main(argv) == 0
     assert out.read_bytes() == first, "trace must be byte-identical on re-run"
     assert csv.read_text().startswith("cycle,")
+
+
+#: sha256 of the two files CI's trace smoke job exports.  The interval
+#: sampler's source and the Perfetto counter tracks feed both, so a change
+#: to either that moves one byte of an exported trace fails here.
+TRACE_SMOKE_SHA256 = {
+    "json": "e3681b2cdc4b2b7b623f18f4b5c9d8761f0537938979357cf8f60393b11a0a09",
+    "csv": "8ed168197ed97f03f40dac5f236b6f8d62787b32755f4f96b60a1053ae063986",
+}
+
+
+def test_cli_trace_smoke_bytes_are_pinned(tmp_path, capsys):
+    paths = {ext: tmp_path / f"trace.{ext}" for ext in TRACE_SMOKE_SHA256}
+    assert main([
+        "trace", "cilksort", "--kind", "hcc-dts-dnv", "--scale", "tiny",
+        "--out", str(paths["json"]), "--csv", str(paths["csv"]),
+    ]) == 0
+    capsys.readouterr()
+    digests = {
+        ext: hashlib.sha256(path.read_bytes()).hexdigest()
+        for ext, path in paths.items()
+    }
+    assert digests == TRACE_SMOKE_SHA256
 
 
 def test_cli_run_json(capsys):
