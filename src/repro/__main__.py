@@ -279,27 +279,6 @@ def _cmd_checkpoint(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    from repro.obs.profile import (
-        format_profile,
-        run_profile,
-        write_chrome_trace,
-        write_profile,
-    )
-
-    payload = run_profile(repeats=args.repeats, quick=args.quick)
-    print(format_profile(payload))
-    if args.out:
-        write_profile(payload, args.out)
-        print(f"profile written: {args.out}", file=sys.stderr)
-    if args.trace:
-        write_chrome_trace(payload, args.trace)
-        print(f"trace written  : {args.trace} "
-              "(load in https://ui.perfetto.dev or chrome://tracing)",
-              file=sys.stderr)
-    return 0
-
-
 def _cmd_report(args) -> int:
     from repro.obs.report import run_report
 
@@ -514,24 +493,6 @@ def main(argv=None) -> int:
     ws_parser.add_argument("app", choices=sorted(PAPER_APPS))
     ws_parser.add_argument("--scale", default="quick", choices=sorted(SCALES))
 
-    profile_parser = sub.add_parser(
-        "profile",
-        help="profile the simulator itself: wall-clock attribution per op "
-             "kind and component (coroutines, L1/L2/DRAM, NoC, event loop) "
-             "over the profile mix")
-    profile_parser.add_argument(
-        "--quick", action="store_true",
-        help="profile the small CI smoke mix instead of the full default mix")
-    profile_parser.add_argument(
-        "--repeats", type=positive_int, default=1, metavar="N",
-        help="runs per mix entry (default: 1)")
-    profile_parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the attribution payload as JSON")
-    profile_parser.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write a Chrome-trace flamegraph-style view of the attribution")
-
     report_parser = sub.add_parser(
         "report",
         help="aggregate a run ledger into per-sweep summaries "
@@ -565,7 +526,6 @@ def main(argv=None) -> int:
         "fuzz": _cmd_fuzz,
         "verify": _cmd_verify,
         "checkpoint": _cmd_checkpoint,
-        "profile": _cmd_profile,
         "report": _cmd_report,
     }[args.command]
     code = handler(args)

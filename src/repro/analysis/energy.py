@@ -36,9 +36,6 @@ class EnergyReport:
     total_pj: float
     breakdown_pj: Dict[str, float] = field(default_factory=dict)
 
-    def ratio_to(self, other: "EnergyReport") -> float:
-        return self.total_pj / max(1e-12, other.total_pj)
-
 
 def energy_counts(machine: Machine) -> Dict[str, float]:
     """Raw activity counts the energy model is a linear function of.

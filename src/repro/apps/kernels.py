@@ -1,9 +1,8 @@
 """Simulator-throughput microkernels (not part of the paper's Table III).
 
 Two synthetic apps that stress the discrete-event kernel itself rather
-than any modeled algorithm.  ``repro profile`` includes them in its mix,
-and ``tests/test_fusion.py`` and ``tests/test_obs.py`` use them as
-dispatch-bound test inputs:
+than any modeled algorithm.  ``tests/test_fusion.py`` and
+``tests/test_obs.py`` use them as dispatch-bound test inputs:
 
 * ``kernel-spin``  — back-to-back unit ``Work`` ops: the maximum event
   rate the engine can sustain, isolating dispatch + event-fusion cost.

@@ -69,9 +69,6 @@ class LigraRadii(LigraApp):
         got = self.radii.host_read()
         assert got == expected_radii, "ligra-radii: eccentricity estimates mismatch"
 
-    def estimated_radius(self) -> int:
-        return max(self.radii.host_read())
-
     def _reference(self):
         n = self.graph.n
         vis = [0] * n

@@ -670,9 +670,6 @@ class WorkStealingRuntime:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def mailbox_addr(self, tid: int) -> int:
-        return self._mailboxes[tid]
-
     def diagnostic(self) -> dict:
         """JSON-able stalled-state dump for DeadlockError / failed grid points.
 

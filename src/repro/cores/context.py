@@ -39,10 +39,6 @@ class ThreadContext:
     def load(self, addr: int) -> ops.Load:
         return ops.Load(addr)
 
-    def bypass_load(self, addr: int) -> ops.Load:
-        """Uncached load resolved at the shared L2 (mailbox reads)."""
-        return ops.Load(addr, bypass=True)
-
     def store(self, addr: int, value: Any) -> ops.Store:
         return ops.Store(addr, value)
 

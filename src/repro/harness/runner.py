@@ -508,12 +508,11 @@ def _simulate_experiment(
 
     sampler = None
     if sample_interval is not None:
-        from repro.obs.metrics import machine_metrics
-        from repro.trace.sampler import IntervalSampler
+        from repro.trace.sampler import IntervalSampler, machine_snapshot
         from repro.trace.tracer import NULL_TRACER
 
         sampler = IntervalSampler(
-            machine.sim, machine_metrics(machine).collect,
+            machine.sim, lambda: machine_snapshot(machine),
             sample_interval,
             tracer=tracer if tracer is not None else NULL_TRACER,
         )

@@ -102,10 +102,6 @@ class AddressSpace:
                 return region.name
         return "<unmapped>"
 
-    @property
-    def bytes_allocated(self) -> int:
-        return self._next - self.BASE
-
     # Checkpoint support (repro.engine.checkpoint).
     def export_state(self) -> dict:
         return {

@@ -77,11 +77,3 @@ class TrafficMeter:
         self.bytes = dict(state["bytes"])
         self.byte_hops = dict(state["byte_hops"])
         self.messages = dict(state["messages"])
-
-    def merged_with(self, other: "TrafficMeter") -> "TrafficMeter":
-        out = TrafficMeter()
-        for cat in CATEGORIES:
-            out.bytes[cat] = self.bytes[cat] + other.bytes[cat]
-            out.byte_hops[cat] = self.byte_hops[cat] + other.byte_hops[cat]
-            out.messages[cat] = self.messages[cat] + other.messages[cat]
-        return out

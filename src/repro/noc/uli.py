@@ -85,9 +85,3 @@ class UliNetwork:
         if capacity == 0:
             return 0.0
         return flit_hops / capacity
-
-    def average_latency(self) -> float:
-        messages = self.stats.get("messages")
-        if messages == 0:
-            return 0.0
-        return self.stats.get("total_latency") / messages

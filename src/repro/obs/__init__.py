@@ -1,4 +1,4 @@
-"""Observability: self-profiling, a run ledger and a metrics registry.
+"""Observability: self-profiling and a run ledger.
 
 Perfetto traces and end-of-run ``StatGroup`` aggregates explain a finished
 run.  This package adds wall-time attribution of the simulator itself and a
@@ -6,12 +6,10 @@ durable record of past work:
 
 * :mod:`repro.obs.profile` — lightweight wall-clock attribution inside the
   engine hot loop (per op kind and per component: coroutines, L1/L2/DRAM,
-  NoC, event loop), off by default, driven by ``repro profile``.
+  NoC, event loop), off by default, driven by ``bench/run.py --trace``.
 * :mod:`repro.obs.ledger` — every ``run_experiment`` appends one
   machine-readable manifest line (keys, seeds, lineage, wall time, host
   fingerprint, outcome) to a JSONL ledger; ``repro report`` aggregates it.
-* :mod:`repro.obs.metrics` — a counter/gauge registry over ``StatGroup``
-  that the interval sampler snapshots for the tracer's counter tracks.
 
 The profiler and the ledger are **off by default** and neither
 participates in result identity: an observed run is byte-identical to a
@@ -43,7 +41,6 @@ def host_fingerprint() -> dict:
 
 
 from repro.obs.ledger import RunLedger, get_ledger, set_ledger  # noqa: E402
-from repro.obs.metrics import MetricsRegistry, machine_metrics  # noqa: E402
 from repro.obs.profile import EngineProfiler, WallProfiler  # noqa: E402
 
 __all__ = [
@@ -51,8 +48,6 @@ __all__ = [
     "RunLedger",
     "get_ledger",
     "set_ledger",
-    "MetricsRegistry",
-    "machine_metrics",
     "EngineProfiler",
     "WallProfiler",
 ]

@@ -1,7 +1,6 @@
 """Engine self-profiling: wall-clock attribution for the hot loop.
 
-The engine floor (~0.4 µs/op on the profile mix) cannot be attacked blind:
-"the simulator is slow" is not actionable, "38% of wall time is inside
+"The simulator is slow" is not actionable; "38% of wall time is inside
 ``frame.send`` and 22% inside the L2 directory" is.  This module measures
 where *host* wall-clock time goes during a simulation, per architectural
 op kind and per component:
@@ -47,43 +46,21 @@ results are bit-identical either way, only host time changes
 ``runtime.coroutine`` per checkpoint-logged send, one ``op.<kind>`` per
 executed op).
 
-``repro profile`` drives :func:`run_profile` over :data:`PROFILE_MIX` (or
-:data:`SMOKE_MIX` with ``--quick``) and renders :func:`format_profile`;
-``--trace`` additionally writes a Chrome-trace JSON (:func:`chrome_trace`)
-that catapult / Perfetto render as a flamegraph-style timeline.
+``bench/run.py --trace`` drives it over the benchmark's workloads and
+reports each layer's share of wall time, with the residual as
+``engine.share``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections import defaultdict
 from types import GeneratorType
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.cores.ops import NOP
 
-#: The ``repro profile`` mix as ``(app, kind, scale, serial)`` rows, weighted
-#: toward dispatch-bound runs (the ``kernel-*`` microkernels and
-#: serial-elision baselines) with one task-parallel run on a DTS config.
-PROFILE_MIX = (
-    ("kernel-spin", "serial-io", "large", True),
-    ("kernel-spin", "serial-io", "quick", True),
-    ("kernel-stream", "serial-io", "quick", True),
-    ("cilk5-cs", "serial-io", "quick", True),
-    ("ligra-bfs", "serial-io", "quick", True),
-    ("cilk5-cs", "bt-hcc-dts-dnv", "tiny", False),
-)
-
-#: Small mix for ``repro profile --quick`` and CI smoke runs (seconds).
-SMOKE_MIX = (
-    ("kernel-spin", "serial-io", "tiny", True),
-    ("kernel-stream", "serial-io", "tiny", True),
-    ("cilk5-cs", "bt-hcc-dts-dnv", "tiny", False),
-)
-
-#: Components the acceptance criterion counts as "named": every label the
-#: profiler can emit, including the residual.
+#: The label of the residual: wall time no probe measured directly.
 RESIDUAL_LABEL = "engine.loop"
 
 
@@ -212,8 +189,8 @@ class EngineProfiler:
     process.
     """
 
-    def __init__(self, profiler: Optional[WallProfiler] = None):
-        self.wall = profiler if profiler is not None else WallProfiler()
+    def __init__(self):
+        self.wall = WallProfiler()
         #: Host seconds for the whole run (set by the driver around
         #: ``runtime.run``); the residual is measured against this.
         self.total_wall = 0.0
@@ -237,148 +214,3 @@ class EngineProfiler:
         if machine.sanitizer is not None:
             prof.wrap(machine.sanitizer, _SANITIZER_METHODS, "sanitize.walk")
         return self
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-    def attribution(self) -> dict:
-        """Ranked attribution with the unmeasured residual made explicit."""
-        measured = dict(self.wall.seconds)
-        measured_total = sum(measured.values())
-        total = max(self.total_wall, measured_total)
-        residual = max(0.0, total - measured_total)
-        rows = [
-            {
-                "component": label,
-                "seconds": secs,
-                "calls": self.wall.calls.get(label, 0),
-                "share": secs / total if total > 0 else 0.0,
-            }
-            for label, secs in measured.items()
-        ]
-        rows.append(
-            {
-                "component": RESIDUAL_LABEL,
-                "seconds": residual,
-                "calls": 0,
-                "share": residual / total if total > 0 else 0.0,
-            }
-        )
-        rows.sort(key=lambda r: r["seconds"], reverse=True)
-        return {
-            "total_wall_s": total,
-            "measured_wall_s": measured_total,
-            # Fraction of wall time attributed by direct probes (the
-            # residual bucket is named but not *measured*).
-            "coverage": measured_total / total if total > 0 else 0.0,
-            "components": rows,
-        }
-
-
-# ----------------------------------------------------------------------
-# The `repro profile` driver
-# ----------------------------------------------------------------------
-def profile_entry(entry, profiler: Optional[EngineProfiler] = None) -> EngineProfiler:
-    """Run one ``(app, kind, scale, serial)`` mix row under a profiled machine.
-
-    Each row gets a fresh machine with fusion on, and only ``runtime.run``
-    counts toward ``total_wall`` (setup and check are excluded).  Passing
-    one ``profiler`` across rows accumulates a mix-wide attribution.
-    """
-    from repro.apps import make_app
-    from repro.config import make_config
-    from repro.core import WorkStealingRuntime
-    from repro.harness.params import app_params
-    from repro.machine import Machine
-
-    app_name, kind, scale, serial = entry
-    prof = profiler if profiler is not None else EngineProfiler()
-    app = make_app(app_name, **app_params(app_name, scale))
-    machine = Machine(make_config(kind, scale))
-    app.setup(machine)
-    prof.install(machine)
-    kwargs = {"serial_elision": True} if serial else {}
-    runtime = WorkStealingRuntime(machine, **kwargs)
-    start = time.perf_counter()
-    runtime.run(app.make_root(serial=False))
-    prof.total_wall += time.perf_counter() - start
-    app.check()
-    return prof
-
-
-def run_profile(mix=None, repeats: int = 1, quick: bool = False) -> dict:
-    """Profile a mix (default :data:`PROFILE_MIX`, or :data:`SMOKE_MIX`
-    when ``quick``); returns the attribution payload."""
-    if mix is None:
-        mix = SMOKE_MIX if quick else PROFILE_MIX
-    prof = EngineProfiler()
-    for entry in mix:
-        for _ in range(max(1, repeats)):
-            profile_entry(entry, prof)
-    payload = prof.attribution()
-    payload["mix"] = [
-        {"app": app, "kind": kind, "scale": scale, "serial": serial}
-        for app, kind, scale, serial in mix
-    ]
-    payload["repeats"] = repeats
-    return payload
-
-
-def format_profile(payload: dict) -> str:
-    """Ranked attribution table for the CLI."""
-    total = payload["total_wall_s"]
-    lines = [
-        f"profiled wall time: {total:.3f}s  "
-        f"(direct probe coverage {100 * payload['coverage']:.1f}%)",
-        f"{'component':<20} {'seconds':>9} {'share':>7} {'calls':>12}",
-    ]
-    for row in payload["components"]:
-        if row["seconds"] <= 0 and row["calls"] == 0:
-            continue
-        lines.append(
-            f"{row['component']:<20} {row['seconds']:>9.4f} "
-            f"{100 * row['share']:>6.1f}% {row['calls']:>12}"
-        )
-    return "\n".join(lines)
-
-
-def chrome_trace(payload: dict) -> dict:
-    """Attribution as Chrome trace-event JSON (flamegraph-style).
-
-    Each component becomes one complete ("X") event laid out sequentially
-    on a single track, sized by its exclusive seconds — load the file in
-    ``chrome://tracing`` / Perfetto and the width ordering *is* the ranked
-    attribution.  (A true call-by-call timeline would be gigabytes for a
-    profile-mix run; this is the summary view.)
-    """
-    events = []
-    t_us = 0.0
-    for row in payload["components"]:
-        dur_us = row["seconds"] * 1e6
-        if dur_us <= 0:
-            continue
-        events.append(
-            {
-                "name": row["component"],
-                "ph": "X",
-                "ts": t_us,
-                "dur": dur_us,
-                "pid": 1,
-                "tid": 1,
-                "args": {"calls": row["calls"], "share": row["share"]},
-            }
-        )
-        t_us += dur_us
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_profile(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_chrome_trace(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(payload), fh)
-        fh.write("\n")

@@ -5,7 +5,8 @@ not *when*; the sampler turns them into a time series by snapshotting a
 flat statistics view every ``interval`` simulated cycles and recording the
 delta since the previous snapshot.  The resulting series feeds the Chrome
 trace counter tracks (hit rate, traffic, steals per interval) and the CSV
-export below.
+export below.  :func:`machine_snapshot` is the view ``run_point`` samples:
+the machine's whole statistics tree plus NoC traffic bytes by category.
 
 Scheduling: the sampler rides the simulation's own event queue as *daemon*
 events (``Simulator.schedule(..., daemon=True)``), which never keep the run
@@ -39,7 +40,7 @@ class IntervalSampler:
 
     ``source`` is either a :class:`StatGroup` (sampled via ``snapshot()``)
     or any zero-argument callable returning a flat ``{name: number}`` dict
-    (e.g. ``MetricsRegistry.collect``).  Deltas are kept in
+    (e.g. a :func:`machine_snapshot` of one machine).  Deltas are kept in
     :attr:`samples` and forwarded to the ``tracer``'s counter tracks.
     """
 
@@ -123,6 +124,20 @@ class IntervalSampler:
         delta = self._delta()
         self.samples.append((cycle, delta))
         self._tracer.counter_sample(cycle, delta)
+
+
+def machine_snapshot(machine) -> Snapshot:
+    """One machine's statistics tree, then its NoC bytes per category as
+    ``traffic.<category>`` (the Perfetto "traffic bytes" track sums them).
+
+    It holds no simulator event or fusion counts: those legitimately differ
+    between fused and unfused runs, and sampled traces must stay
+    byte-identical across the two (``tests/test_fusion.py``).
+    """
+    snap = machine.stats.snapshot()
+    for category, n_bytes in machine.traffic.snapshot().items():
+        snap[f"traffic.{category}"] = n_bytes
+    return snap
 
 
 def samples_to_csv(samples: List[Tuple[int, Snapshot]]) -> str:

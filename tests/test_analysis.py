@@ -143,4 +143,4 @@ class TestEnergyModel:
         machine.cores[0].stats.add("cycles_compute", 100)
         a = estimate_energy(machine)
         b = estimate_energy(machine, coefficients={"big_core_cycle": 50.0})
-        assert b.ratio_to(a) == pytest.approx(2.0)
+        assert b.total_pj == pytest.approx(2.0 * a.total_pj)

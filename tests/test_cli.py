@@ -131,23 +131,3 @@ def test_unreadable_checkpoint_is_a_usage_error(capsys, tmp_path):
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith("repro run: unreadable snapshot")
-
-
-def test_profile_quick_writes_smoke_mix(capsys, tmp_path):
-    import json
-
-    out = tmp_path / "p.json"
-    assert main(["profile", "--quick", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    assert payload["mix"] == [
-        {"app": "kernel-spin", "kind": "serial-io", "scale": "tiny",
-         "serial": True},
-        {"app": "kernel-stream", "kind": "serial-io", "scale": "tiny",
-         "serial": True},
-        {"app": "cilk5-cs", "kind": "bt-hcc-dts-dnv", "scale": "tiny",
-         "serial": False},
-    ]
-    calls = {row["component"]: row["calls"] for row in payload["components"]}
-    for label in ("runtime.coroutine", "op.work", "op.load"):
-        assert calls.get(label, 0) > 0, label
-    assert "runtime.coroutine" in capsys.readouterr().out

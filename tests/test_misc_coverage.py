@@ -25,15 +25,6 @@ class TestTrafficMeter:
         with pytest.raises(KeyError):
             TrafficMeter().record("warp_drive", 8, 1)
 
-    def test_merged_with(self):
-        a, b = TrafficMeter(), TrafficMeter()
-        a.record("wb_req", 16, 2)
-        b.record("wb_req", 16, 4)
-        merged = a.merged_with(b)
-        assert merged.bytes["wb_req"] == 32
-        assert merged.byte_hops["wb_req"] == 96
-        assert a.bytes["wb_req"] == 16  # originals untouched
-
     def test_snapshot_covers_all_categories(self):
         snap = TrafficMeter().snapshot()
         assert set(snap) == set(CATEGORIES)
@@ -124,17 +115,6 @@ class TestBreakdownConsistency:
 
 
 class TestAppExtras:
-    def test_radii_estimated_radius_positive(self):
-        from repro.analysis import CilkviewAnalyzer
-        from repro.apps import make_app
-
-        app = make_app("ligra-radii", scale=4, grain=4)
-        analyzer = CilkviewAnalyzer()
-        app.setup(analyzer.machine)
-        analyzer.analyze(app.make_root())
-        app.check()
-        assert app.estimated_radius() >= 1
-
     def test_nq_rejects_unknown_board(self):
         from repro.apps import make_app
 

@@ -108,7 +108,6 @@ class TestUliNetwork:
         net = UliNetwork(mesh(), stats)
         lat = net.send_latency(0, 15)
         assert lat == 6 * 2  # 6 hops x (router+channel)
-        assert net.average_latency() == lat
         assert stats.child("uli_network").get("messages") == 1
 
     def test_utilization_bounded(self):
@@ -121,7 +120,6 @@ class TestUliNetwork:
     def test_utilization_zero_without_traffic(self):
         net = UliNetwork(mesh(), StatGroup("m"))
         assert net.utilization(100) == 0.0
-        assert net.average_latency() == 0.0
 
     def test_route_tables_match_mesh_on_paper_machine(self):
         from repro.config import make_config

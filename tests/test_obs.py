@@ -1,10 +1,9 @@
 """Tests for the observability subsystem (repro.obs).
 
-Covers the metrics registry, the run ledger (exactly one line per
-``run_experiment`` outcome), the engine profiler's attribution, the
-``repro profile`` / ``repro report`` CLI surfaces, the grid progress ETA
-estimator, the interval sampler's tail-flush invariant, and termlog's JSON
-mode.
+Covers the host fingerprint, the run ledger (exactly one line per
+``run_experiment`` outcome), the engine profiler's exclusive attribution,
+the ``repro report`` CLI surface, the grid progress ETA estimator and the
+interval sampler's tail-flush invariant.
 """
 
 import json
@@ -17,9 +16,8 @@ from repro.core import WorkStealingRuntime
 from repro.engine.simulator import Simulator
 from repro.engine.stats import StatGroup
 from repro.harness import clear_cache, run_experiment, set_result_store
-from repro.harness import termlog
 from repro.machine import Machine
-from repro.obs import MetricsRegistry, RunLedger, host_fingerprint, set_ledger
+from repro.obs import RunLedger, host_fingerprint, set_ledger
 from repro.obs.ledger import read_ledger, read_ledger_with_errors, reset_ledger
 from repro.trace.sampler import IntervalSampler
 from repro.trace.tracer import Tracer
@@ -44,20 +42,9 @@ def tiny_machine(app_name="cilk5-cs", kind="bt-mesi", **params):
 
 
 # ----------------------------------------------------------------------
-# Metrics registry
+# Host fingerprint
 # ----------------------------------------------------------------------
 class TestMetrics:
-    def test_registry_merges_sources_later_wins(self):
-        stats = StatGroup("m")
-        stats.add("x", 3)
-        registry = (
-            MetricsRegistry()
-            .register(stats)
-            .register(lambda: {"extra.y": 1.5, "m.x": 99}, prefix="")
-        )
-        snap = registry.collect()
-        assert snap == {"m.x": 99, "extra.y": 1.5}
-
     def test_host_fingerprint_shape(self):
         fp = host_fingerprint()
         assert fp["python"] and fp["machine"] is not None
@@ -178,29 +165,6 @@ class TestProfiler:
         prof.exit()
         assert prof.calls == {"outer": 1, "inner": 1}
         assert all(s >= 0 for s in prof.seconds.values())
-
-    def test_quick_profile_attributes_wall_time(self):
-        from repro.obs.profile import (
-            RESIDUAL_LABEL, chrome_trace, format_profile, run_profile,
-        )
-
-        payload = run_profile(quick=True)
-        components = {r["component"]: r for r in payload["components"]}
-        # Everything is attributed to *named* components: direct probes
-        # plus the explicitly named residual cover >= 90% by construction,
-        # and direct probes alone must carry real weight.
-        assert sum(r["share"] for r in payload["components"]) >= 0.9
-        assert payload["coverage"] > 0.4
-        assert RESIDUAL_LABEL in components
-        assert "runtime.coroutine" in components
-        assert "mem.l1" in components and components["mem.l1"]["calls"] > 0
-        assert any(name.startswith("op.") for name in components)
-        text = format_profile(payload)
-        assert "runtime.coroutine" in text and "coverage" in text
-        trace = chrome_trace(payload)
-        assert trace["traceEvents"] and all(
-            e["dur"] > 0 for e in trace["traceEvents"]
-        )
 
 
 # ----------------------------------------------------------------------
@@ -412,45 +376,3 @@ class TestSamplerFinalize:
             if value != baseline.get(key, 0)
         }
         assert self.telescope(sampler.samples) == expected
-
-
-# ----------------------------------------------------------------------
-# Termlog JSON mode
-# ----------------------------------------------------------------------
-class TestTermlogJson:
-    @pytest.fixture(autouse=True)
-    def clean_state(self, monkeypatch):
-        monkeypatch.setattr(termlog, "_status_active", False)
-        monkeypatch.setenv("REPRO_LOG_JSON", "1")
-        monkeypatch.setenv("REPRO_VERBOSE", "1")
-
-    def parse(self, err):
-        return [json.loads(line) for line in err.strip().split("\n")]
-
-    def test_log_alert_status_are_json_lines(self, capsys):
-        termlog.log("plain line")
-        termlog.alert("deadlock!")
-        termlog.status("[1/2] working")
-        records = self.parse(capsys.readouterr().err)
-        assert [(r["kind"], r["msg"]) for r in records] == [
-            ("log", "plain line"),
-            ("alert", "deadlock!"),
-            ("status", "[1/2] working"),
-        ]
-        assert all(
-            set(r) == {"ts", "level", "kind", "msg"} and r["ts"] > 0
-            for r in records
-        )
-        assert records[1]["level"] == 0  # alerts always emit
-
-    def test_json_mode_respects_verbosity_for_log(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_VERBOSE", "0")
-        termlog.log("hidden")
-        termlog.alert("still shown")
-        records = self.parse(capsys.readouterr().err)
-        assert [r["kind"] for r in records] == ["alert"]
-
-    def test_human_mode_is_the_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_LOG_JSON", "0")
-        termlog.log("human")
-        assert capsys.readouterr().err == "human\n"
