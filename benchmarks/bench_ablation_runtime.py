@@ -1,11 +1,13 @@
-"""Ablations of runtime design choices beyond the paper's main matrix:
+"""Ablation of a runtime design choice beyond the paper's main matrix:
+lock-based deques (the paper's Figure 3 choice) vs Chase-Lev lock-free
+deques, on hardware coherence and on HCC.
 
-* lock-based deques (the paper's Figure 3 choice) vs Chase-Lev lock-free
-  deques, on hardware coherence and on HCC.  On HCC the lock-free deque
-  must issue every control access as an AMO — at the shared L2 for the
-  GPU protocols — which is exactly why the paper keeps the simpler lock.
-* random victim selection (the paper) vs an asymmetry-aware "big-first"
-  policy that probes a big core before falling back to random.
+The lock-free deque issues every control access as an AMO (at the shared
+L2 for the GPU protocols), so AMO counts rise.  That does not make it
+slower on this model: on cilk5-cs and ligra-bfs at quick scale, machine
+seeds 0-3, it ran in 0.68-1.00x the lock's cycles with 1.10-2.17x its
+AMOs (EXPERIMENTS.md, "Runtime design choices").  The cycles alone do not
+explain the paper's choice of the lock.
 """
 
 from repro.apps import make_app
@@ -52,18 +54,3 @@ def test_deque_kind_ablation(benchmark, scale):
         ratio = table[(kind, "chase-lev")][0] / table[(kind, "lock")][0]
         assert 0.2 < ratio < 5.0
 
-
-def test_steal_policy_ablation(benchmark, scale):
-    def collect():
-        return {
-            policy: run_one("bt-mesi", scale, steal_policy=policy)
-            for policy in ("random", "big-first")
-        }
-
-    table = benchmark.pedantic(collect, rounds=1, iterations=1)
-    lines = [f"Steal-policy ablation on {APP} (cycles / steals):"]
-    for policy, (cycles, steals, _amos) in table.items():
-        lines.append(f"  {policy:10s} {cycles:>9d} {steals:>6d}")
-    print_block("\n".join(lines))
-    ratio = table["big-first"][0] / table["random"][0]
-    assert 0.3 < ratio < 3.0  # same ballpark; direction is workload-dependent

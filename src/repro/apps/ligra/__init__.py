@@ -1,7 +1,6 @@
 """Ligra-style graph processing substrate."""
 
 from repro.apps.ligra.base import LigraApp
-from repro.apps.ligra.edgemap import DenseFrontier, EdgeMapF, edge_map, vertex_map
 from repro.apps.ligra.graph import HostGraph, SimGraph, rmat, rmat_graph
 
 __all__ = [
@@ -10,8 +9,4 @@ __all__ = [
     "SimGraph",
     "rmat",
     "rmat_graph",
-    "DenseFrontier",
-    "EdgeMapF",
-    "edge_map",
-    "vertex_map",
 ]

@@ -3,11 +3,9 @@
 from repro.apps.ligra_apps.bc import LigraBetweennessCentrality
 from repro.apps.ligra_apps.bf import LigraBellmanFord
 from repro.apps.ligra_apps.bfs import LigraBfs
-from repro.apps.ligra_apps.bfs_em import LigraBfsEdgeMap
 from repro.apps.ligra_apps.bfsbv import LigraBfsBitvector
 from repro.apps.ligra_apps.cc import LigraConnectedComponents
 from repro.apps.ligra_apps.mis import LigraMis
-from repro.apps.ligra_apps.pagerank import LigraPageRank
 from repro.apps.ligra_apps.radii import LigraRadii
 from repro.apps.ligra_apps.tc import LigraTriangleCounting
 
@@ -16,10 +14,8 @@ __all__ = [
     "LigraBellmanFord",
     "LigraBfs",
     "LigraBfsBitvector",
-    "LigraBfsEdgeMap",
     "LigraConnectedComponents",
     "LigraMis",
-    "LigraPageRank",
     "LigraRadii",
     "LigraTriangleCounting",
 ]

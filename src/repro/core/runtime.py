@@ -57,13 +57,10 @@ class WorkStealingRuntime:
         self,
         machine: Machine,
         variant: Optional[str] = None,
-        deque_capacity: int = 4096,
-        handler_steals_tail: bool = False,
         dts_elide_queue_sync: bool = True,
         dts_elide_parent_sync: bool = True,
         serial_elision: bool = False,
         deque_kind: str = "lock",
-        steal_policy: str = "random",
         watchdog: Optional[int] = None,
         break_coherence: Optional[str] = None,
     ):
@@ -82,21 +79,12 @@ class WorkStealingRuntime:
         #: no deques, no reference counts, no coherence ops.  This is the
         #: "serial IO" baseline of Table III (the Cilk serial elision).
         self.serial_elision = serial_elision
-        self.handler_steals_tail = handler_steals_tail
         #: Ablation flags for the two DTS software optimizations (Section IV-B/C).
         self.dts_elide_queue_sync = dts_elide_queue_sync
         self.dts_elide_parent_sync = dts_elide_parent_sync
 
         if deque_kind not in ("lock", "chase-lev"):
             raise ValueError(f"unknown deque kind {deque_kind!r}")
-        if steal_policy not in ("random", "big-first"):
-            raise ValueError(f"unknown steal policy {steal_policy!r}")
-        #: Victim selection: "random" (the paper) or "big-first", an
-        #: asymmetry-aware policy in the spirit of Torng et al. [ISCA'16]
-        #: that probes a big core before falling back to random — big cores
-        #: run the root of the task tree and hold the largest subtasks.
-        self.steal_policy = steal_policy
-        self._big_core_ids = machine.big_core_ids()
         #: Deadlock watchdog grace period in cycles (None = no watchdog).
         #: Must exceed the longest single task's cycle count: the progress
         #: counter only advances at scheduling points (task start, spawn,
@@ -120,7 +108,7 @@ class WorkStealingRuntime:
         self.n_threads = machine.config.n_cores
         deque_cls = TaskDeque if deque_kind == "lock" else ChaseLevDeque
         self.deques = [
-            deque_cls(machine, tid, deque_capacity) for tid in range(self.n_threads)
+            deque_cls(machine, tid) for tid in range(self.n_threads)
         ]
         # One mailbox word per thread, each on its own cache line.
         self._mailboxes = [
@@ -272,15 +260,6 @@ class WorkStealingRuntime:
             return ctx.amo_sub(task.parent.rc_addr, 1)
         return ops.NOP
 
-    def _choose_victim(self, ctx) -> int:
-        if self.steal_policy == "big-first":
-            # Probe an actual big core: candidates come from the machine's
-            # big-core id list, not an assumed 0..n_big-1 id range.
-            big_candidates = [c for c in self._big_core_ids if c != ctx.tid]
-            if big_candidates and ctx.rng.random() < 0.5:
-                return big_candidates[ctx.rng.randint(0, len(big_candidates) - 1)]
-        return ctx.choose_victim()
-
     # ------------------------------------------------------------------
     # Steal backoff
     # ------------------------------------------------------------------
@@ -329,7 +308,7 @@ class WorkStealingRuntime:
         steal_start = ctx._steal_start = self.machine.sim.now
         if self._tracing:
             self.tracer.core_state(ctx.tid, steal_start, "steal-attempt")
-        vid = self._choose_victim(ctx)
+        vid = ctx.choose_victim()
         vdq = self.deques[vid]
         if self.deque_kind == "chase-lev":
             task_id = yield vdq.steal(ctx)
@@ -398,7 +377,7 @@ class WorkStealingRuntime:
         steal_start = ctx._steal_start = self.machine.sim.now
         if self._tracing:
             self.tracer.core_state(ctx.tid, steal_start, "steal-attempt")
-        vid = self._choose_victim(ctx)
+        vid = ctx.choose_victim()
         vdq = self.deques[vid]
         if self.deque_kind == "chase-lev":
             task_id = yield vdq.steal(ctx)
@@ -485,7 +464,7 @@ class WorkStealingRuntime:
         steal_start = ctx._steal_start = self.machine.sim.now
         if self._tracing:
             self.tracer.core_state(ctx.tid, steal_start, "steal-attempt")
-        vid = self._choose_victim(ctx)
+        vid = ctx.choose_victim()
         ack = yield ctx.uli_send_req(vid)
         if not ack:
             self._cnt["steal_nacks"] += 1
@@ -557,10 +536,7 @@ class WorkStealingRuntime:
             spin_prev = core.spinning
             core.spinning = True
             self._cnt["uli_handler_runs"] += 1
-            if self.handler_steals_tail:
-                task_id = yield dq.dequeue_tail(ctx)
-            else:
-                task_id = yield dq.steal_head(ctx)
+            task_id = yield dq.steal_head(ctx)
             if task_id:
                 # Only a successful export is watchdog progress: a wedged
                 # victim still answers steal requests with NACKs forever.
@@ -606,15 +582,15 @@ class WorkStealingRuntime:
                 yield steal(ctx)
         ctx.core.spinning = False
 
-    def run(self, root: Task, main_tid: int = 0) -> int:
+    def run(self, root: Task) -> int:
         """Execute ``root`` to completion; returns elapsed cycles."""
         if self.done:
             raise SimulationError("runtime already ran a program")
-        self.start_threads(root, main_tid)
+        self.start_threads(root)
         return self._drive()
 
-    def start_threads(self, root: Task, main_tid: int = 0) -> None:
-        """Start one thread generator per core (main runs ``root``).
+    def start_threads(self, root: Task) -> None:
+        """Start one thread generator per core (core 0 runs ``root``).
 
         Split out of :meth:`run` so checkpoint restore
         (``repro.engine.checkpoint``) can start fresh generators and replay
@@ -625,7 +601,7 @@ class WorkStealingRuntime:
             ctx = self.contexts[tid]
             if self._tracing:
                 self.tracer.core_state(tid, machine.sim.now, "idle")
-            if tid == main_tid:
+            if tid == 0:
                 machine.cores[tid].start(self._main_thread(ctx, root))
             else:
                 machine.cores[tid].start(self._worker_thread(ctx))

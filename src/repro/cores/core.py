@@ -42,8 +42,8 @@ then the trampoline takes the simulator's next step itself when it can
   core.  On the 64-core machines, where few completions fuse, most
   events run this way;
 * otherwise park the result, push the continuation and return to
-  ``Simulator.run`` (ULI deliveries, wakes, due daemons, ``until`` runs
-  and the ``max_cycles`` error).
+  ``Simulator.run`` (ULI deliveries, wakes, due daemons and the
+  ``max_cycles`` error).
 
 The continuation is ``_resume`` itself, bound to the core, so an event
 popped by the run loop costs one call.  ULI handler entry is checked at
@@ -410,7 +410,7 @@ class Core:
                         # Victim-side DTS cost (Section VI-C: "<1% of execution time").
                         core._cnt["cycles_uli_handler"] += latency
                     completion = sim.now + latency
-                    if fusible and not sim._stop_requested:
+                    if fusible:
                         if not queue or queue[0][0] > completion:
                             if completion <= max_cycles and (
                                 not daemon_queue or daemon_queue[0][0] > completion

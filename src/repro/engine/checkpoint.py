@@ -477,7 +477,7 @@ def _validate_replay(machine, runtime, snap: dict) -> None:
         )
 
 
-def restore_run_state(machine, snap: dict, root, main_tid: int = 0) -> None:
+def restore_run_state(machine, snap: dict, root) -> None:
     """Restore ``snap`` into a freshly built machine/runtime pair.
 
     The caller must have rebuilt the app, machine (with checkpointing
@@ -508,7 +508,7 @@ def restore_run_state(machine, snap: dict, root, main_tid: int = 0) -> None:
         tracer.enabled = False
     runtime._tracing = False
     try:
-        runtime.start_threads(root, main_tid)
+        runtime.start_threads(root)
         _replay_log(machine, snap["log"])
         _validate_replay(machine, runtime, snap)
     finally:

@@ -31,15 +31,11 @@ completion time and, with the regular and daemon queues in view, either
   ``heapreplace``, which pops that head in the same step, and the
   trampoline advances the clock to it and runs that core inline; or
 * pushes its continuation and returns to :meth:`run` (ULI deliveries,
-  wakes, due daemons, ``until`` runs and the ``max_cycles`` error all
-  take this path).
+  wakes, due daemons and the ``max_cycles`` error all take this path).
 
 Both shortcuts are taken only while
 
-* fusion is enabled and a ``run()`` without an ``until`` predicate is
-  active (an ``until`` predicate must be re-evaluated after *every*
-  event, so fusion is disabled for such runs),
-* ``stop()`` has not been requested,
+* fusion is enabled and a ``run()`` is active,
 * the event that runs next is due at or before ``max_cycles`` (the
   runaway guard must fire exactly as it would on the heap path), and
 * no daemon event is due at or before it.
@@ -85,8 +81,6 @@ class Simulator:
         "_seq",
         "now",
         "max_cycles",
-        "_running",
-        "_stop_requested",
         "fusion_enabled",
         "_fusible",
         "events_executed",
@@ -99,13 +93,11 @@ class Simulator:
         self._seq = 0
         self.now = 0
         self.max_cycles = max_cycles
-        self._running = False
-        self._stop_requested = False
         if fusion is None:
             fusion = not os.environ.get("REPRO_NO_FUSION")
         #: Whether the trampoline may fuse and switch events at all.
         self.fusion_enabled = bool(fusion)
-        #: True only inside a ``run()`` that is allowed to fuse.
+        #: True only inside ``run()``, and only while fusion is enabled.
         self._fusible = False
         #: Events popped from the heap, by the run loop or by a core's
         #: trampoline switching to the queue head.
@@ -143,18 +135,14 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[Callable[[], bool]] = None) -> int:
+    def run(self) -> int:
         """Drain the event queue.
 
-        Runs until no regular (non-daemon) events remain, ``until()``
-        returns True (checked after each event), ``stop()`` is called, or
-        ``max_cycles`` is exceeded.  Returns the final cycle count.
+        Runs until no regular (non-daemon) events remain; raises
+        :class:`SimulationError` once an event is due past ``max_cycles``.
+        Returns the final cycle count.
         """
-        self._running = True
-        self._stop_requested = False
-        # An ``until`` predicate must observe every event boundary, so its
-        # presence forces the slow path for the whole run.
-        self._fusible = self.fusion_enabled and until is None
+        self._fusible = self.fusion_enabled
         queue = self._queue
         daemon_queue = self._daemon_queue
         heappop = heapq.heappop
@@ -170,7 +158,7 @@ class Simulator:
                 if daemon_queue and daemon_queue[0][0] <= time:
                     # Return the popped event before draining daemons so the
                     # heap is complete while they run: a checkpoint daemon
-                    # snapshots the queue, and a stopping daemon (deadlock
+                    # snapshots the queue, and a raising daemon (deadlock
                     # watchdog) must leave the un-executed event in place.
                     # Re-arms always land strictly in the future, so the
                     # re-pop below cannot loop.
@@ -179,25 +167,14 @@ class Simulator:
                         dtime, _dseq, dcallback = heappop(daemon_queue)
                         self.now = dtime
                         dcallback()
-                        if self._stop_requested:
-                            break
-                    if self._stop_requested:
-                        break
                     continue
                 self.now = time
                 executed += 1
                 callback()
-                if self._stop_requested or (until is not None and until()):
-                    break
         finally:
-            self._running = False
             self._fusible = False
             self.events_executed += executed
         return self.now
-
-    def stop(self) -> None:
-        """Request the run loop to stop after the current event."""
-        self._stop_requested = True
 
     @property
     def pending_events(self) -> int:
@@ -242,7 +219,6 @@ class Simulator:
         self._queue = list(events)
         heapq.heapify(self._queue)
         self._daemon_queue.clear()
-        self._stop_requested = False
 
     def fusion_stats(self) -> dict:
         """Host-side event accounting: heap events vs fused continuations."""

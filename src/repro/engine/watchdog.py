@@ -15,11 +15,6 @@ caller still reports outstanding work, the watchdog raises
 the caller (per-core ULI state, deque occupancy, runtime stats).  The
 harness grid knows how to record that dump as a failed point so a large
 sweep survives one wedged configuration.
-
-Interaction with ``stop()`` (see ``Simulator.run``): a stop request —
-whether issued by a regular event or by an earlier daemon — prevents both
-later daemons *and* the already-popped regular event from firing, so a
-finished run can never trip the watchdog posthumously.
 """
 
 from __future__ import annotations
@@ -115,7 +110,7 @@ class Watchdog:
                     f"(grace {self.grace}) at cycle {sim.now} with work outstanding",
                     diagnostic,
                 )
-            # Work finished but the runtime has not stopped the simulator
-            # yet (drain phase): keep watching without raising.
+            # Work finished and the cores are still draining their last
+            # events: keep watching without raising.
             self._last_change = sim.now
         self.sim.schedule(self.interval, self._tick, daemon=True)

@@ -161,11 +161,11 @@ class Machine:
 
         return capture_run_state(self)
 
-    def restore(self, snap: dict, root, main_tid: int = 0) -> None:
+    def restore(self, snap: dict, root) -> None:
         """Restore a run snapshot into this freshly built machine."""
         from repro.engine.checkpoint import restore_run_state
 
-        restore_run_state(self, snap, root, main_tid)
+        restore_run_state(self, snap, root)
 
     # ------------------------------------------------------------------
     # Thread contexts
@@ -231,9 +231,6 @@ class Machine:
     # ------------------------------------------------------------------
     def tiny_core_ids(self) -> List[int]:
         return [c for c in range(self.config.n_cores) if not self.config.is_big_core(c)]
-
-    def big_core_ids(self) -> List[int]:
-        return [c for c in range(self.config.n_cores) if self.config.is_big_core(c)]
 
     def core_labels(self) -> dict:
         """Display labels for trace tracks: {core_id: "core N (big|tiny)"}."""

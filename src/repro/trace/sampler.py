@@ -29,7 +29,6 @@ import io
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.engine.simulator import Simulator
-from repro.engine.stats import StatGroup
 from repro.trace.tracer import NULL_TRACER, NullTracer
 
 Snapshot = Dict[str, Union[int, float]]
@@ -38,16 +37,16 @@ Snapshot = Dict[str, Union[int, float]]
 class IntervalSampler:
     """Snapshot a statistics source every ``interval`` cycles.
 
-    ``source`` is either a :class:`StatGroup` (sampled via ``snapshot()``)
-    or any zero-argument callable returning a flat ``{name: number}`` dict
-    (e.g. a :func:`machine_snapshot` of one machine).  Deltas are kept in
+    ``source`` is a zero-argument callable returning a flat
+    ``{name: number}`` dict (e.g. a :func:`machine_snapshot` of one
+    machine, or a ``StatGroup.snapshot``).  Deltas are kept in
     :attr:`samples` and forwarded to the ``tracer``'s counter tracks.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        source: Union[StatGroup, Callable[[], Snapshot]],
+        source: Callable[[], Snapshot],
         interval: int,
         tracer: NullTracer = NULL_TRACER,
     ):
@@ -55,7 +54,7 @@ class IntervalSampler:
             raise ValueError(f"sample interval must be >= 1 cycle, got {interval}")
         self.sim = sim
         self.interval = interval
-        self._snapshot = source.snapshot if isinstance(source, StatGroup) else source
+        self._snapshot = source
         #: (cycle, {stat: delta}) — only stats that changed in the interval.
         self.samples: List[Tuple[int, Snapshot]] = []
         self._prev: Optional[Snapshot] = None

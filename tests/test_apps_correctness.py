@@ -89,17 +89,3 @@ def test_parallel_and_serial_elision_agree():
     WorkStealingRuntime(machine_ser, serial_elision=True).run(app_ser.make_root())
 
     assert app_par.c.host_read() == app_ser.c.host_read()
-
-
-@pytest.mark.parametrize("kind", CORNER_KINDS)
-def test_pagerank_extension_app(kind):
-    """PageRank (extension kernel): deterministic float ranks on every config."""
-    from repro.apps import make_app
-    from repro.core import WorkStealingRuntime
-
-    app = make_app("ligra-pr", scale=5, grain=8, iterations=3)
-    machine = tiny_machine(kind)
-    app.setup(machine)
-    rt = WorkStealingRuntime(machine)
-    rt.run(app.make_root())
-    app.check()

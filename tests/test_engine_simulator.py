@@ -70,25 +70,6 @@ def test_zero_delay_event_runs_at_current_cycle():
     assert times == [4]
 
 
-def test_stop_halts_the_run_loop():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1, lambda: (seen.append(1), sim.stop()))
-    sim.schedule(2, lambda: seen.append(2))
-    sim.run()
-    assert seen == [1]
-    assert sim.pending_events == 1
-
-
-def test_until_predicate_stops_run():
-    sim = Simulator()
-    seen = []
-    for t in range(1, 6):
-        sim.schedule(t, lambda t=t: seen.append(t))
-    sim.run(until=lambda: len(seen) >= 3)
-    assert seen == [1, 2, 3]
-
-
 def test_max_cycles_guard_raises():
     sim = Simulator(max_cycles=100)
 
@@ -157,7 +138,7 @@ def _cores(sim, n, **kwargs):
     return cores
 
 
-def _run_threads(plans, *, fusion, max_cycles=100_000, until=None, setup=None):
+def _run_threads(plans, *, fusion, max_cycles=100_000, setup=None):
     """Start one core per ``(start delay, works)`` plan and run.
 
     Returns (simulator, log, what ``setup`` returned).
@@ -168,7 +149,7 @@ def _run_threads(plans, *, fusion, max_cycles=100_000, until=None, setup=None):
     for core, (delay, works) in zip(cores, plans):
         core.start(_thread(sim, log, core.core_id, works), delay)
     extra = setup(sim, log) if setup is not None else None
-    sim.run(until=until)
+    sim.run()
     return sim, log, extra
 
 
@@ -288,57 +269,6 @@ def test_daemon_interleaving_identical_with_and_without_fusion():
     assert _total(fused) == _total(plain)
 
 
-def test_fuse_refused_after_stop():
-    """stop() from thread code: the current event ends, nothing fuses or
-    switches after it, and run() returns with the rest still queued."""
-    results = []
-    for fusion in (True, False):
-        sim = Simulator(fusion=fusion)
-        log = []
-        cores = _cores(sim, 3)
-
-        def stopper():
-            log.append((sim.now, "stopper"))
-            yield ops.Work(4)
-            sim.stop()
-            log.append((sim.now, "stop"))
-            yield ops.Work(1)
-            log.append((sim.now, "after"))
-
-        cores[0].start(_thread(sim, log, 0, [2] * 6), 0)
-        cores[1].start(stopper(), 1)
-        cores[2].start(_thread(sim, log, 2, [3] * 4), 2)
-        sim.run()
-        results.append((log, sim.now, sim.pending_events, _total(sim)))
-    assert results[0] == results[1]
-    log, now, pending, _ = results[0]
-    assert log[-1] == (5, "stop")
-    assert now == 5 and pending == 3
-
-
-def test_until_predicate_disables_fusion_for_the_whole_run(monkeypatch):
-    pops = _counting_pops(monkeypatch)
-    plans = [(0, [5] * 6), (1, [5] * 6)]
-
-    def until_for(log):
-        return lambda: len(log) >= 7
-
-    runs = []
-    for fusion in (True, False):
-        log = []
-        sim = Simulator(fusion=fusion)
-        cores = _cores(sim, 2)
-        for core, (delay, works) in zip(cores, plans):
-            core.start(_thread(sim, log, core.core_id, works), delay)
-        sim.run(until=until_for(log))
-        runs.append((log, sim.now, sim.events_executed, sim.events_fused))
-    assert runs[0] == runs[1]
-    log, _, executed, fused = runs[0]
-    assert len(log) == 7 and fused == 0
-    # Every event of both runs was popped by run(): no switching either.
-    assert pops["pops"] == 2 * executed
-
-
 def test_fuse_refused_beyond_max_cycles():
     """The head is past max_cycles: the trampoline leaves it to run(),
     which raises the same error as an unswitched run."""
@@ -433,44 +363,8 @@ def test_fusion_stats_accounting():
 
 
 # ----------------------------------------------------------------------
-# Daemon events interacting with stop() (watchdog-style usage)
+# Daemon events interacting with the run loop (watchdog-style usage)
 # ----------------------------------------------------------------------
-
-def test_stop_from_daemon_preempts_popped_regular_event():
-    """A daemon stopping the run must prevent the co-due regular event."""
-    sim = Simulator()
-    seen = []
-    sim.schedule(5, lambda: (seen.append("daemon"), sim.stop()), daemon=True)
-    sim.schedule(5, lambda: seen.append("regular"))
-    sim.run()
-    assert seen == ["daemon"]
-    # The regular event went back on the queue unexecuted.
-    assert sim.pending_events == 1
-    assert sim.now == 5
-
-
-def test_stop_from_daemon_suppresses_later_same_due_daemon():
-    sim = Simulator()
-    seen = []
-    sim.schedule(5, lambda: (seen.append("d1"), sim.stop()), daemon=True)
-    sim.schedule(5, lambda: seen.append("d2"), daemon=True)
-    sim.schedule(6, lambda: seen.append("regular"))
-    sim.run()
-    assert seen == ["d1"]
-    assert sim.pending_events == 1
-
-
-def test_run_resumes_cleanly_after_daemon_stop():
-    """The pushed-back event runs on the next run() call."""
-    sim = Simulator()
-    seen = []
-    sim.schedule(5, lambda: (seen.append("daemon"), sim.stop()), daemon=True)
-    sim.schedule(5, lambda: seen.append("regular"))
-    sim.run()
-    sim.run()
-    assert seen == ["daemon", "regular"]
-    assert sim.pending_events == 0
-
 
 def test_daemon_exception_propagates_without_running_regular_event():
     """A raising daemon (the watchdog) must preempt the co-due event."""
@@ -485,6 +379,8 @@ def test_daemon_exception_propagates_without_running_regular_event():
     with pytest.raises(SimulationError, match="watchdog fired"):
         sim.run()
     assert seen == []
+    # The regular event went back on the queue unexecuted.
+    assert sim.pending_events == 1
 
 
 def test_rearming_daemon_ticks_alongside_event_chain():

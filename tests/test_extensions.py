@@ -1,16 +1,11 @@
-"""Tests for extension features: Chase-Lev lock-free deques and the
-asymmetry-aware ("big-first") steal policy."""
+"""Tests for the Chase-Lev lock-free deque extension."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.config.system import SCALES, make_config
 from repro.core import Task, WorkStealingRuntime
 from repro.core.chaselev import ChaseLevDeque
 from repro.core.taskqueue import TaskDeque
-from repro.cores import ops
 from repro.engine.simulator import SimulationError
-from repro.machine import Machine
 from repro.mem.address import WORD_BYTES
 
 from helpers import run_thread, tiny_machine
@@ -232,67 +227,3 @@ class TestTaskDequeOverflow:
         ):
             drive(machine, 2, body(ctxs[2]))
 
-
-class _ForcedRng:
-    """Deterministic rng stub: always takes the big-first branch and picks
-    the candidate at a fixed offset."""
-
-    def __init__(self, pick: int = 0):
-        self.pick = pick
-
-    def random(self) -> float:
-        return 0.0  # < 0.5, so the policy probes a big core
-
-    def randint(self, a: int, b: int) -> int:
-        return min(a + self.pick, b)
-
-    def choice_excluding(self, n: int, excluded: int) -> int:
-        return 0 if excluded != 0 else 1
-
-
-class TestStealPolicy:
-    @pytest.mark.parametrize("kind", ("bt-mesi", "bt-hcc-dts-gwb"))
-    def test_big_first_policy_correct(self, kind):
-        machine = tiny_machine(kind)
-        rt = WorkStealingRuntime(machine, steal_policy="big-first")
-        out = machine.address_space.alloc_words(1, "out")
-        rt.run(FibTask(9, out))
-        assert machine.host_read_word(out) == pyfib(9)
-        assert rt.stats.get("steals") > 0
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            WorkStealingRuntime(tiny_machine(), steal_policy="chaotic")
-
-    def test_big_first_never_selects_self(self):
-        machine = tiny_machine()
-        rt = WorkStealingRuntime(machine, steal_policy="big-first")
-        ctx = rt.contexts[0]  # the only big core: must not pick itself
-        for _ in range(100):
-            assert rt._choose_victim(ctx) != 0
-
-    @pytest.mark.parametrize("scale", sorted(SCALES))
-    def test_big_first_probes_a_real_big_core_at_every_scale(self, scale):
-        """Regression: the policy must draw candidates from the machine's
-        actual big-core id list, not an assumed 0..n_big-1 range."""
-        machine = Machine(make_config("bt-mesi", scale))
-        rt = WorkStealingRuntime(machine, steal_policy="big-first")
-        big_ids = machine.big_core_ids()
-        tiny_ids = machine.tiny_core_ids()
-        assert big_ids and tiny_ids
-
-        # From a tiny core, every candidate offset lands on a real big core.
-        ctx = rt.contexts[tiny_ids[0]]
-        for pick in range(len(big_ids)):
-            ctx.rng = _ForcedRng(pick)
-            victim = rt._choose_victim(ctx)
-            assert victim in big_ids
-            assert victim != ctx.tid
-
-        # From a big core, the policy never probes itself.
-        big_ctx = rt.contexts[big_ids[0]]
-        big_ctx.rng = _ForcedRng(0)
-        victim = rt._choose_victim(big_ctx)
-        assert victim != big_ctx.tid
-        if len(big_ids) > 1:
-            assert victim in big_ids

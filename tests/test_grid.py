@@ -327,14 +327,14 @@ class TestMemoKeyCanonicalization:
             "cilk5-mt", "bt-mesi", "quick",
             app_overrides={"grain": 2},
             config_overrides={"tiny_l1": {"size_bytes": 8192, "assoc": 2}},
-            runtime_kwargs={"steal_policy": "big-first"},
+            runtime_kwargs={"deque_kind": "chase-lev"},
         ).key()
         hash(key)
         again = GridPoint(
             "cilk5-mt", "bt-mesi", "quick",
             app_overrides={"grain": 2},
             config_overrides={"tiny_l1": {"assoc": 2, "size_bytes": 8192}},
-            runtime_kwargs={"steal_policy": "big-first"},
+            runtime_kwargs={"deque_kind": "chase-lev"},
         ).key()
         assert key == again
         assert key != GridPoint("cilk5-mt", "bt-mesi", "quick").key()

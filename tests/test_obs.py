@@ -314,7 +314,7 @@ class TestSamplerFinalize:
         stats = StatGroup("m")
         for cycle in (5, 15, 25, 42):
             sim.schedule(cycle, lambda: stats.add("x", 2))
-        sampler = IntervalSampler(sim, stats, interval=10)
+        sampler = IntervalSampler(sim, stats.snapshot, interval=10)
         sampler.start()
         sim.run()
         sampler.finalize()
@@ -328,7 +328,7 @@ class TestSamplerFinalize:
         stats = StatGroup("m")
         sim.schedule(10, lambda: stats.add("x", 7))  # same cycle as the tick
         tracer = Tracer()
-        sampler = IntervalSampler(sim, stats, interval=10, tracer=tracer)
+        sampler = IntervalSampler(sim, stats.snapshot, interval=10, tracer=tracer)
         sampler.start()
         assert sim.run() == 10
         sampler.finalize()
@@ -342,7 +342,7 @@ class TestSamplerFinalize:
         sim = Simulator()
         stats = StatGroup("m")
         sim.schedule(3, lambda: stats.add("x"))
-        sampler = IntervalSampler(sim, stats, interval=100)
+        sampler = IntervalSampler(sim, stats.snapshot, interval=100)
         sampler.start()
         sim.run()
         sampler.finalize()
@@ -352,7 +352,7 @@ class TestSamplerFinalize:
         sim = Simulator()
         stats = StatGroup("m")
         sim.schedule(4, lambda: stats.add("x"))
-        sampler = IntervalSampler(sim, stats, interval=2)
+        sampler = IntervalSampler(sim, stats.snapshot, interval=2)
         sampler.start()
         sim.run()
         sampler.finalize()
@@ -365,7 +365,7 @@ class TestSamplerFinalize:
         StatGroup snapshot (the regression the tail-drop bug broke)."""
         app, machine = tiny_machine()
         rt = WorkStealingRuntime(machine)
-        sampler = IntervalSampler(machine.sim, machine.stats, interval=1000)
+        sampler = IntervalSampler(machine.sim, machine.stats.snapshot, interval=1000)
         baseline = dict(machine.stats.snapshot())
         sampler.start()
         rt.run(app.make_root())

@@ -136,10 +136,6 @@ class TestDtsAblations:
         )
         assert result == pyfib(9)
 
-    def test_handler_tail_steal_variant(self):
-        _, rt, result, _ = run_fib("bt-hcc-dts-gwb", handler_steals_tail=True)
-        assert result == pyfib(9)
-
     def test_elisions_reduce_flushes(self):
         def flushes(**kwargs):
             machine, rt, result, _ = run_fib("bt-hcc-dts-gwb", n=10, **kwargs)

@@ -114,7 +114,7 @@ def test_sampler_delta_correctness():
     sim.schedule(5, lambda: stats.add("x", 3))
     sim.schedule(15, lambda: stats.add("x", 4))
     sim.schedule(25, lambda: stats.add("y", 1))
-    sampler = IntervalSampler(sim, stats, interval=10)
+    sampler = IntervalSampler(sim, stats.snapshot, interval=10)
     sampler.start()
     sim.run()
     sampler.finalize()
@@ -134,7 +134,7 @@ def test_sampler_does_not_extend_the_run():
     sim = Simulator()
     stats = StatGroup("m")
     sim.schedule(3, lambda: stats.add("x"))
-    sampler = IntervalSampler(sim, stats, interval=100)
+    sampler = IntervalSampler(sim, stats.snapshot, interval=100)
     sampler.start()
     assert sim.run() == 3
     sampler.finalize()
@@ -155,7 +155,7 @@ def test_daemon_events_do_not_keep_simulator_alive():
 
 def test_sampler_rejects_bad_interval():
     with pytest.raises(ValueError):
-        IntervalSampler(Simulator(), StatGroup("m"), interval=0)
+        IntervalSampler(Simulator(), StatGroup("m").snapshot, interval=0)
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +222,12 @@ def test_cli_trace_subcommand(tmp_path, capsys):
 
 #: sha256 of the two files CI's trace smoke job exports.  The interval
 #: sampler's source and the Perfetto counter tracks feed both, so a change
-#: to either that moves one byte of an exported trace fails here.
+#: to either that moves one byte of an exported trace fails here.  The
+#: 500-cycle interval is shorter than the run, so the export holds
+#: mid-run sampler ticks, not just the closing sample.
 TRACE_SMOKE_SHA256 = {
-    "json": "e3681b2cdc4b2b7b623f18f4b5c9d8761f0537938979357cf8f60393b11a0a09",
-    "csv": "8ed168197ed97f03f40dac5f236b6f8d62787b32755f4f96b60a1053ae063986",
+    "json": "5e254590d4d33c69f2476e747916068e6f55ac56f783a6bd09e7f5e92dd3d26c",
+    "csv": "e63aa9c8a21736930fa586628c0516a340be2c730365eedbd55175834f12c6bd",
 }
 
 
@@ -233,9 +235,12 @@ def test_cli_trace_smoke_bytes_are_pinned(tmp_path, capsys):
     paths = {ext: tmp_path / f"trace.{ext}" for ext in TRACE_SMOKE_SHA256}
     assert main([
         "trace", "cilksort", "--kind", "hcc-dts-dnv", "--scale", "tiny",
+        "--interval", "500",
         "--out", str(paths["json"]), "--csv", str(paths["csv"]),
     ]) == 0
     capsys.readouterr()
+    csv_rows = paths["csv"].read_text().splitlines()
+    assert len(csv_rows) - 1 > 1, "the sampler must tick before the run ends"
     digests = {
         ext: hashlib.sha256(path.read_bytes()).hexdigest()
         for ext, path in paths.items()
