@@ -1,4 +1,4 @@
-"""Tests for the Chase-Lev lock-free deque extension."""
+"""Tests for the Chase-Lev lock-free deque extension and deque overflow."""
 
 import pytest
 
