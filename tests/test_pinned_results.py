@@ -12,6 +12,13 @@ Four more points cover what the quick machine does not: the 64-core
 DTS, and a run under the ``timing`` fault plan, whose NoC jitter draws
 must keep their order.
 
+Six more run the runtime options no Table III point uses: Chase-Lev
+deques on MESI and on HCC, each DTS software optimization switched off,
+and both deliberately broken coherence disciplines.  A broken runtime's
+answer is not a claim (cilk5-cs on bt-hcc-dts-gwb without the thief's
+flush computes a wrong one), so those two points skip ``app.check()``;
+their cycles, digest and statistics are pinned all the same.
+
 Any change to simulated timing, coherence traffic or final memory fails
 here.  A deliberate model change must regenerate the file
 (``PYTHONPATH=src python tests/test_pinned_results.py``) and show the
@@ -37,30 +44,55 @@ POINTS = [
     (app, CONFIG_KINDS[i % len(CONFIG_KINDS)]) for i, app in enumerate(PAPER_APPS)
 ]
 
-#: id -> (app, kind, scale, app overrides, fault plan).  The paper-machine
-#: inputs are the bench's ``manycore-paper`` ones for ligra-bfs.
+#: id -> (app, kind, scale, app overrides, fault plan, runtime kwargs).
+#: The paper-machine inputs are the bench's ``manycore-paper`` ones for
+#: ligra-bfs.
 EXTRA_POINTS = {
-    f"paper:ligra-bfs/{kind}": ("ligra-bfs", kind, "paper", dict(scale=6, grain=4), None)
+    f"paper:ligra-bfs/{kind}": ("ligra-bfs", kind, "paper", dict(scale=6, grain=4), None, {})
     for kind in ("bt-mesi", "bt-hcc-gwt", "bt-hcc-dts-gwb")
 }
 EXTRA_POINTS["quick:cilk5-cs/bt-hcc-dts-gwt+timing"] = (
-    "cilk5-cs", "bt-hcc-dts-gwt", "quick", {}, "timing"
+    "cilk5-cs", "bt-hcc-dts-gwt", "quick", {}, "timing", {}
 )
+EXTRA_POINTS.update({
+    "quick:cilk5-cs/bt-mesi+chase-lev": (
+        "cilk5-cs", "bt-mesi", "quick", {}, None, dict(deque_kind="chase-lev")
+    ),
+    "quick:ligra-bfs/bt-hcc-gwb+chase-lev": (
+        "ligra-bfs", "bt-hcc-gwb", "quick", {}, None, dict(deque_kind="chase-lev")
+    ),
+    "quick:cilk5-cs/bt-hcc-dts-gwb+keep-queue-sync": (
+        "cilk5-cs", "bt-hcc-dts-gwb", "quick", {}, None, dict(dts_elide_queue_sync=False)
+    ),
+    "quick:cilk5-cs/bt-hcc-dts-gwb+keep-parent-sync": (
+        "cilk5-cs", "bt-hcc-dts-gwb", "quick", {}, None, dict(dts_elide_parent_sync=False)
+    ),
+    "quick:cilk5-cs/bt-hcc-gwb+no-thief-flush": (
+        "cilk5-cs", "bt-hcc-gwb", "quick", {}, None, dict(break_coherence="no-thief-flush")
+    ),
+    "quick:cilk5-cs/bt-hcc-dts-gwb+no-parent-invalidate": (
+        "cilk5-cs", "bt-hcc-dts-gwb", "quick", {}, None,
+        dict(break_coherence="no-parent-invalidate"),
+    ),
+})
 
 
 def point_id(app_name, kind):
     return f"{app_name}/{kind}"
 
 
-def simulate(app_name, kind, scale=SCALE, app_overrides=None, faults=None):
+def simulate(app_name, kind, scale=SCALE, app_overrides=None, faults=None,
+             runtime_kwargs=None):
     """One Table III point, the way ``run_experiment`` simulates it."""
+    runtime_kwargs = runtime_kwargs or {}
     machine = Machine(make_config(kind, scale), faults=faults)
     app = make_app(app_name, **{**app_params(app_name, scale), **(app_overrides or {})})
     app.setup(machine)
     serial = kind == "serial-io"
-    runtime = WorkStealingRuntime(machine, serial_elision=serial)
+    runtime = WorkStealingRuntime(machine, serial_elision=serial, **runtime_kwargs)
     cycles = runtime.run(app.make_root(serial=False))
-    app.check()
+    if "break_coherence" not in runtime_kwargs:
+        app.check()
     stats = json.dumps(sorted(machine.stats.flatten().items()))
     return {
         "cycles": cycles,
