@@ -16,6 +16,12 @@ This module implements all three runtime variants of the paper's Figure 3:
   runtime skip AMOs, flushes and the final invalidate whenever no child was
   actually stolen (the DAG-consistency optimizations of Section IV-C).
 
+The variants share one ``spawn``, one local poll (``_poll_local``) and one
+steal (``_steal``); each difference is an inline branch on flags fixed in
+``__init__``.  ``wait`` is one loop for ``hw`` and ``hcc``; DTS keeps its
+own (``_wait_dts``), which reads ``has_stolen_child`` before the reference
+count.
+
 The variant is normally derived from the machine's configuration, but can
 be forced (e.g. running the HCC runtime on a MESI machine — the coherence
 ops no-op — or ablating the DTS software optimizations).
@@ -104,6 +110,17 @@ class WorkStealingRuntime:
                 "DTS makes deques thread-private; a lock-free deque is moot"
             )
         self.deque_kind = deque_kind
+        # The Figure 3 decisions, fixed for the run and tested inline on the
+        # scheduling paths: lock-deque accesses are bracketed by
+        # invalidate/flush (hcc); deques are thread-private and steals are
+        # ULI round trips (dts); a stolen task runs between an invalidate
+        # and a flush (every variant but hw).
+        self._hw = variant == "hw"
+        self._hcc = variant == "hcc"
+        self._dts = variant == "dts"
+        self._lock_free = deque_kind == "chase-lev"
+        self._thief_flush = break_coherence != "no-thief-flush"
+        self._parent_invalidate = break_coherence != "no-parent-invalidate"
         self.contexts = machine.make_contexts()
         self.n_threads = machine.config.n_cores
         deque_cls = TaskDeque if deque_kind == "lock" else ChaseLevDeque
@@ -127,7 +144,7 @@ class WorkStealingRuntime:
         self.tracer = getattr(machine, "tracer", NULL_TRACER)
         self._tracing = self.tracer.enabled
         machine.runtime = self
-        if self.variant == "dts":
+        if self._dts:
             self._install_uli_handlers()
 
     # ------------------------------------------------------------------
@@ -160,36 +177,55 @@ class WorkStealingRuntime:
         self._cnt["spawns"] += 1
         self.progress += 1
         dq = self.deques[ctx.tid]
-        if self.deque_kind == "chase-lev":
-            # Lock-free publication; the push itself flushes user data on
-            # protocols that need it before the tail becomes visible.
-            yield dq.push(ctx, task.task_id)
-        elif self.variant == "hw":
-            yield dq.lock_acquire(ctx)
-            yield dq.enqueue(ctx, task.task_id)
-            yield dq.lock_release(ctx)
-        elif self.variant == "hcc":
-            yield dq.lock_acquire(ctx)
-            yield ctx.cache_invalidate()
-            yield dq.enqueue(ctx, task.task_id)
-            yield ctx.cache_flush()
-            yield dq.lock_release(ctx)
-        else:  # dts
+        if self._dts:
             yield ctx.uli_disable()
             yield dq.enqueue(ctx, task.task_id)
             yield ctx.uli_enable()
             if not self.dts_elide_queue_sync:
                 # Ablation: keep the conservative per-spawn flush.
                 yield ctx.cache_flush()
+        elif self._lock_free:
+            # Lock-free publication; the push itself flushes user data on
+            # protocols that need it before the tail becomes visible.
+            yield dq.push(ctx, task.task_id)
+        else:
+            yield dq.lock_acquire(ctx)
+            if self._hcc:
+                yield ctx.cache_invalidate()
+            yield dq.enqueue(ctx, task.task_id)
+            if self._hcc:
+                yield ctx.cache_flush()
+            yield dq.lock_release(ctx)
 
     def wait(self, ctx, parent: Task):
-        """Figure 3 ``task::wait``: scheduling loop until children join."""
-        if self.variant == "hw":
-            yield self._wait_hw(ctx, parent)
-        elif self.variant == "hcc":
-            yield self._wait_hcc(ctx, parent)
-        else:
+        """Figure 3 ``task::wait``: scheduling loop until children join.
+
+        This is the loop of Figures 3a and 3b; DTS has its own
+        (:meth:`_wait_dts`).
+        """
+        if self._dts:
             yield self._wait_dts(ctx, parent)
+            return
+        core = ctx.core
+        core.spinning = True
+        while True:
+            if self._tracing:
+                self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
+            if self._hcc:
+                # Poll the count at the coherence point, not a stale copy.
+                rc = yield ctx.amo_or(parent.rc_addr, 0)
+            else:
+                rc = yield ctx.load(parent.rc_addr)
+            if rc <= 0:
+                break
+            executed = yield self._poll_local(ctx)
+            if not executed:
+                yield self._steal(ctx)
+        core.spinning = False
+        # A child may have been stolen and executed remotely: invalidate so
+        # the parent sees its children's writes (DAG consistency, req. 2).
+        if self._hcc and self._parent_invalidate:
+            yield ctx.cache_invalidate()
 
     def fork_join(self, ctx, parent: Task, children: List[Task]):
         """Spawn ``children`` of ``parent`` and wait for all of them.
@@ -272,30 +308,47 @@ class WorkStealingRuntime:
             self.tracer.core_state(ctx.tid, self.machine.sim.now, "idle")
         return ctx.idle(window + ctx.rng.randint(0, window))
 
-    @staticmethod
-    def _steal_succeeded(ctx):
-        ctx._steal_failures = 0
-
     # ------------------------------------------------------------------
-    # Variant: hardware-based cache coherence (Figure 3a)
+    # Scheduling: local poll and steal (Figure 3a/b/c)
     # ------------------------------------------------------------------
-    def _poll_local_hw(self, ctx):
+    def _poll_local(self, ctx):
+        """Run the youngest task of this thread's deque, if there is one."""
         dq = self.deques[ctx.tid]
-        if self.deque_kind == "chase-lev":
+        if self._dts:
+            yield ctx.uli_disable()
+            task_id = yield dq.dequeue_tail(ctx)
+            yield ctx.uli_enable()
+        elif self._lock_free:
+            # Control accesses are AMOs (coherence-point reads), so HCC
+            # needs no whole-cache invalidate/flush pair locally.
             task_id = yield dq.take(ctx)
         else:
             yield dq.lock_acquire(ctx)
+            if self._hcc:
+                yield ctx.cache_invalidate()
             task_id = yield dq.dequeue_tail(ctx)
+            if self._hcc:
+                yield ctx.cache_flush()
             yield dq.lock_release(ctx)
         if not task_id:
             return False
         task = self.tasks[task_id]
         self._cnt["local_dequeues"] += 1
         yield self._run_task(ctx, task)
+        parent = task.parent
+        if self._dts and self.dts_elide_parent_sync and parent is not None:
+            # DTS joins a locally executed child with a plain rc update
+            # unless the victim handler marked a sibling stolen.
+            hsc = yield ctx.load(parent.hsc_addr)
+            if not hsc:
+                rc = yield ctx.load(parent.rc_addr)
+                yield ctx.store(parent.rc_addr, rc - 1)
+                return True
         yield self._decrement_parent_amo(ctx, task)
         return True
 
-    def _steal_hw(self, ctx):
+    def _steal(self, ctx):
+        """One steal attempt on a random victim; runs the task it gets."""
         if self.n_threads < 2:
             yield ctx.idle(STEAL_BACKOFF)
             return False
@@ -309,17 +362,30 @@ class WorkStealingRuntime:
         if self._tracing:
             self.tracer.core_state(ctx.tid, steal_start, "steal-attempt")
         vid = ctx.choose_victim()
-        vdq = self.deques[vid]
-        if self.deque_kind == "chase-lev":
-            task_id = yield vdq.steal(ctx)
+        if self._dts:
+            # A ULI round trip: the victim's handler exports its oldest
+            # task into this thread's mailbox before acknowledging.
+            ack = yield ctx.uli_send_req(vid)
+            if not ack:
+                self._cnt["steal_nacks"] += 1
+                yield self._steal_backoff(ctx)
+                return False
+            task_id = yield ctx.amo("xchg", self._mailboxes[ctx.tid], 0)
+        elif self._lock_free:
+            task_id = yield self.deques[vid].steal(ctx)
         else:
+            vdq = self.deques[vid]
             yield vdq.lock_acquire(ctx)
+            if self._hcc:
+                yield ctx.cache_invalidate()
             task_id = yield vdq.steal_head(ctx)
+            if self._hcc:
+                yield ctx.cache_flush()
             yield vdq.lock_release(ctx)
         if not task_id:
             yield self._steal_backoff(ctx)
             return False
-        self._steal_succeeded(ctx)
+        ctx._steal_failures = 0
         task = self.tasks[task_id]
         self._cnt["steals"] += 1
         if self._tracing:
@@ -327,168 +393,21 @@ class WorkStealingRuntime:
                 ctx.tid, vid, task_id, ctx._steal_start,
                 self.machine.sim.now, self.variant,
             )
-        yield self._run_task(ctx, task)
-        yield self._decrement_parent_amo(ctx, task)
-        return True
-
-    def _wait_hw(self, ctx, parent: Task):
-        core = ctx.core
-        core.spinning = True
-        while True:
-            if self._tracing:
-                self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            rc = yield ctx.load(parent.rc_addr)
-            if rc <= 0:
-                core.spinning = False
-                return
-            executed = yield self._poll_local_hw(ctx)
-            if not executed:
-                yield self._steal_hw(ctx)
-
-    # ------------------------------------------------------------------
-    # Variant: heterogeneous cache coherence (Figure 3b)
-    # ------------------------------------------------------------------
-    def _poll_local_hcc(self, ctx):
-        dq = self.deques[ctx.tid]
-        if self.deque_kind == "chase-lev":
-            # Control accesses are AMOs (coherence-point reads), so the
-            # whole-cache invalidate/flush pair is unnecessary locally.
-            task_id = yield dq.take(ctx)
+        if self._hw:
+            yield self._run_task(ctx, task)
         else:
-            yield dq.lock_acquire(ctx)
+            # The stolen task's parent ran on another thread: invalidate to
+            # see its writes, flush afterwards so the parent can see ours.
             yield ctx.cache_invalidate()
-            task_id = yield dq.dequeue_tail(ctx)
-            yield ctx.cache_flush()
-            yield dq.lock_release(ctx)
-        if not task_id:
-            return False
-        task = self.tasks[task_id]
-        self._cnt["local_dequeues"] += 1
-        yield self._run_task(ctx, task)
+            yield self._run_task(ctx, task)
+            if self._thief_flush:
+                yield ctx.cache_flush()
         yield self._decrement_parent_amo(ctx, task)
         return True
-
-    def _steal_hcc(self, ctx):
-        if self.n_threads < 2:
-            yield ctx.idle(STEAL_BACKOFF)
-            return False
-        self._cnt["steal_attempts"] += 1
-        # On ctx for checkpoint restore; see _steal_hw.
-        steal_start = ctx._steal_start = self.machine.sim.now
-        if self._tracing:
-            self.tracer.core_state(ctx.tid, steal_start, "steal-attempt")
-        vid = ctx.choose_victim()
-        vdq = self.deques[vid]
-        if self.deque_kind == "chase-lev":
-            task_id = yield vdq.steal(ctx)
-        else:
-            yield vdq.lock_acquire(ctx)
-            yield ctx.cache_invalidate()
-            task_id = yield vdq.steal_head(ctx)
-            yield ctx.cache_flush()
-            yield vdq.lock_release(ctx)
-        if not task_id:
-            yield self._steal_backoff(ctx)
-            return False
-        self._steal_succeeded(ctx)
-        task = self.tasks[task_id]
-        self._cnt["steals"] += 1
-        if self._tracing:
-            self.tracer.steal(
-                ctx.tid, vid, task_id, ctx._steal_start,
-                self.machine.sim.now, self.variant,
-            )
-        # The stolen task's parent ran on another thread: invalidate to see
-        # its writes, flush afterwards so the parent can see ours.
-        yield ctx.cache_invalidate()
-        yield self._run_task(ctx, task)
-        if self.break_coherence != "no-thief-flush":
-            yield ctx.cache_flush()
-        yield self._decrement_parent_amo(ctx, task)
-        return True
-
-    def _wait_hcc(self, ctx, parent: Task):
-        core = ctx.core
-        core.spinning = True
-        while True:
-            if self._tracing:
-                self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            rc = yield ctx.amo_or(parent.rc_addr, 0)
-            if rc <= 0:
-                break
-            executed = yield self._poll_local_hcc(ctx)
-            if not executed:
-                yield self._steal_hcc(ctx)
-        core.spinning = False
-        # A child may have been stolen and executed remotely: invalidate so
-        # the parent sees its children's writes (DAG consistency, req. 2).
-        if self.break_coherence != "no-parent-invalidate":
-            yield ctx.cache_invalidate()
 
     # ------------------------------------------------------------------
-    # Variant: direct task stealing (Figure 3c)
+    # DTS wait (Figure 3c)
     # ------------------------------------------------------------------
-    def _poll_local_dts(self, ctx):
-        dq = self.deques[ctx.tid]
-        yield ctx.uli_disable()
-        task_id = yield dq.dequeue_tail(ctx)
-        yield ctx.uli_enable()
-        if not task_id:
-            return False
-        task = self.tasks[task_id]
-        self._cnt["local_dequeues"] += 1
-        yield self._run_task(ctx, task)
-        yield self._finish_child_dts(ctx, task)
-        return True
-
-    def _finish_child_dts(self, ctx, task: Task):
-        """Join a locally executed child: plain rc update unless stolen."""
-        if task.parent is None:
-            return
-        if not self.dts_elide_parent_sync:
-            yield self._decrement_parent_amo(ctx, task)
-            return
-        hsc = yield ctx.load(task.parent.hsc_addr)
-        if hsc:
-            yield self._decrement_parent_amo(ctx, task)
-        else:
-            rc = yield ctx.load(task.parent.rc_addr)
-            yield ctx.store(task.parent.rc_addr, rc - 1)
-
-    def _steal_dts(self, ctx):
-        if self.n_threads < 2:
-            yield ctx.idle(STEAL_BACKOFF)
-            return False
-        self._cnt["steal_attempts"] += 1
-        # On ctx for checkpoint restore; see _steal_hw.
-        steal_start = ctx._steal_start = self.machine.sim.now
-        if self._tracing:
-            self.tracer.core_state(ctx.tid, steal_start, "steal-attempt")
-        vid = ctx.choose_victim()
-        ack = yield ctx.uli_send_req(vid)
-        if not ack:
-            self._cnt["steal_nacks"] += 1
-            yield self._steal_backoff(ctx)
-            return False
-        task_id = yield ctx.amo("xchg", self._mailboxes[ctx.tid], 0)
-        if not task_id:
-            yield self._steal_backoff(ctx)
-            return False
-        self._steal_succeeded(ctx)
-        task = self.tasks[task_id]
-        self._cnt["steals"] += 1
-        if self._tracing:
-            self.tracer.steal(
-                ctx.tid, vid, task_id, ctx._steal_start,
-                self.machine.sim.now, self.variant,
-            )
-        yield ctx.cache_invalidate()
-        yield self._run_task(ctx, task)
-        if self.break_coherence != "no-thief-flush":
-            yield ctx.cache_flush()
-        yield self._decrement_parent_amo(ctx, task)
-        return True
-
     def _wait_dts(self, ctx, parent: Task):
         core = ctx.core
         core.spinning = True
@@ -498,9 +417,9 @@ class WorkStealingRuntime:
         while rc > 0:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            executed = yield self._poll_local_dts(ctx)
+            executed = yield self._poll_local(ctx)
             if not executed:
-                yield self._steal_dts(ctx)
+                yield self._steal(ctx)
             if self.dts_elide_parent_sync:
                 hsc = yield ctx.load(parent.hsc_addr)
             else:
@@ -514,7 +433,7 @@ class WorkStealingRuntime:
             hsc = yield ctx.load(parent.hsc_addr)
         else:
             hsc = 1
-        if hsc and self.break_coherence != "no-parent-invalidate":
+        if hsc and self._parent_invalidate:
             # Some child ran remotely: invalidate to see its writes.
             yield ctx.cache_invalidate()
 
@@ -555,31 +474,21 @@ class WorkStealingRuntime:
     # Threads and program execution
     # ------------------------------------------------------------------
     def _main_thread(self, ctx, root: Task):
-        if self.variant == "dts":
+        if self._dts:
             yield ctx.uli_enable()
         yield self.run_inline(ctx, root)
         self.done = True
 
     def _worker_thread(self, ctx):
-        poll = {
-            "hw": self._poll_local_hw,
-            "hcc": self._poll_local_hcc,
-            "dts": self._poll_local_dts,
-        }[self.variant]
-        steal = {
-            "hw": self._steal_hw,
-            "hcc": self._steal_hcc,
-            "dts": self._steal_dts,
-        }[self.variant]
-        if self.variant == "dts":
+        if self._dts:
             yield ctx.uli_enable()
         ctx.core.spinning = True
         while not self.done:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            executed = yield poll(ctx)
+            executed = yield self._poll_local(ctx)
             if not executed and not self.done:
-                yield steal(ctx)
+                yield self._steal(ctx)
         ctx.core.spinning = False
 
     def run(self, root: Task) -> int:
