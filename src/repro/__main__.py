@@ -423,7 +423,9 @@ def main(argv=None) -> int:
                              help="first seed of the sweep (default: 1)")
     fuzz_parser.add_argument("--plan", default="timing", metavar="SPEC",
                              help="fault plan preset/spec (default: timing; "
-                                  "'full' adds forced evictions + steal aborts)")
+                                  "'full' adds forced evictions + steal aborts, "
+                                  "which fire only on Chase-Lev deques; a sweep "
+                                  "that fires no fault fails)")
     fuzz_parser.add_argument("--no-sanitize", action="store_true",
                              help="skip the invariant sanitizer (faults only)")
     fuzz_parser.add_argument("--watchdog", type=positive_int,

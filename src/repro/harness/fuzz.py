@@ -15,7 +15,9 @@ resident and steal aborts change who runs what, both of which legitimately
 perturb *scheduling*, though never the answer) the harness additionally
 asserts the faulted end state is byte-identical to the baseline.  For all
 plans it asserts: the app's own ``check()`` passes, the sanitizer saw
-zero violations, and no run deadlocked.
+zero violations, and no run deadlocked.  A sweep in which no seeded run
+fired a single fault tested nothing, so it fails too (steal aborts, for
+one, exist only in Chase-Lev deques, which no fuzz run uses).
 
 The deliberately broken runtime variants (``break_coherence=...``) invert
 the game: a fuzz sweep over a broken runtime must *find* violations,
@@ -90,8 +92,12 @@ class FuzzReport:
         return [c for c in self.cases if not c.ok]
 
     @property
+    def faults_fired(self) -> int:
+        return sum(c.faults_fired for c in self.cases)
+
+    @property
     def ok(self) -> bool:
-        return not self.failed_cases
+        return not self.failed_cases and self.faults_fired > 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -119,7 +125,12 @@ class FuzzReport:
                 if case.digest_match is False:
                     reasons.append("end-state digest diverged")
                 lines.append(f"seed {case.seed:<4d}     : FAIL ({'; '.join(reasons)})")
-        verdict = "ok" if self.ok else f"{len(self.failed_cases)} failing seed(s)"
+        problems = []
+        if self.failed_cases:
+            problems.append(f"{len(self.failed_cases)} failing seed(s)")
+        if not self.faults_fired:
+            problems.append("no seed fired a fault")
+        verdict = "; ".join(problems) or "ok"
         lines.append(f"verdict        : {verdict}, {self.n_violations} violation(s)")
         return "\n".join(lines)
 

@@ -83,6 +83,19 @@ def test_fuzz_positive_control(capsys):
     assert code == 0  # violations expected and found
 
 
+def test_fuzz_sweep_that_fires_no_fault_fails(capsys):
+    # Steal aborts exist only in Chase-Lev deques: on the default lock
+    # deque the steal plan perturbs nothing, and such a sweep is no test.
+    code = main([
+        "fuzz", "--app", "cilk5-cs", "--config", "bt-mesi", "--scale", "tiny",
+        "--seeds", "2", "--plan", "steal",
+    ])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "0 faults fired" in out
+    assert out.splitlines()[-1].startswith("verdict        : no seed fired a fault")
+
+
 @pytest.mark.parametrize("flag", [
     "--resume", "--keep-checkpoint",
     "--checkpoint-interval=2000", "--trace-interval=500",
