@@ -77,13 +77,6 @@ def _cmd_run(args) -> int:
     from repro.engine.checkpoint import CheckpointError
     from repro.harness import run_experiment, run_serial_baseline
 
-    tracer = None
-    sample_interval = None
-    if args.trace:
-        from repro.trace import Tracer
-
-        tracer = Tracer()
-        sample_interval = args.trace_interval or 10_000
     checkpoint = None
     if args.checkpoint:
         checkpoint = {
@@ -95,7 +88,6 @@ def _cmd_run(args) -> int:
     try:
         result = run_experiment(
             args.app, args.config, args.scale, serial=args.serial,
-            tracer=tracer, sample_interval=sample_interval,
             faults=args.faults, sanitize=args.sanitize, watchdog=args.watchdog,
             checkpoint=checkpoint,
         )
@@ -103,12 +95,6 @@ def _cmd_run(args) -> int:
         # A refused mode combination or unusable snapshot: a usage error.
         print(f"repro run: {exc}", file=sys.stderr)
         return 2
-    if tracer is not None:
-        from repro.trace import export_chrome_trace
-
-        export_chrome_trace(tracer, args.trace)
-        print(f"trace written  : {args.trace} ({tracer.n_events()} events)",
-              file=sys.stderr)
     if args.json:
         import json
 
@@ -343,13 +329,6 @@ def main(argv=None) -> int:
                             help="also run the serial-IO baseline and report speedup")
     run_parser.add_argument("--json", action="store_true",
                             help="emit the full ExperimentResult as JSON on stdout")
-    run_parser.add_argument("--trace", default=None, metavar="FILE",
-                            help="record a cycle-accurate trace to FILE "
-                                 "(Chrome trace-event JSON; bypasses the result "
-                                 "store and memo cache)")
-    run_parser.add_argument("--trace-interval", type=positive_int, default=None,
-                            metavar="N", help="stat sampling interval in cycles "
-                                              "for --trace (default: 10000)")
     run_parser.add_argument("--faults", default=None, metavar="SPEC",
                             help="inject faults: a preset (timing, full, evict, "
                                  "steal) optionally followed by key=value "
@@ -515,8 +494,6 @@ def main(argv=None) -> int:
                 or args.checkpoint_interval is not None):
             run_parser.error("--resume, --keep-checkpoint and "
                              "--checkpoint-interval need --checkpoint")
-        if not args.trace and args.trace_interval is not None:
-            run_parser.error("--trace-interval needs --trace")
     _apply_harness_flags(args)
     handler = {
         "list": _cmd_list,

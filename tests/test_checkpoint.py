@@ -423,6 +423,23 @@ class TestGuards:
         with pytest.raises(CheckpointError):
             machine.restore(snaps[0], app.make_root(serial=False))
 
+    def test_resuming_untraced_snapshot_with_tracer_is_refused(self, tmp_path):
+        """The events before an untraced snapshot were never recorded, so
+        a traced resume could not produce the whole trace."""
+        from repro.harness import run_point
+        from repro.harness.grid import GridPoint
+        from repro.trace import Tracer
+
+        point = GridPoint(APP, "bt-mesi", "tiny")
+        path = str(tmp_path / "run.ckpt")
+        run_point(point, use_cache=False,
+                  checkpoint={"path": path, "interval": 2000, "keep": True})
+        assert os.path.exists(path)
+        with pytest.raises(CheckpointError, match=(
+                "cannot resume an untraced snapshot with tracing enabled")):
+            run_point(point, tracer=Tracer(),
+                      checkpoint={"path": path, "interval": 2000, "resume": True})
+
     def test_daemon_rejects_bad_interval(self):
         _, machine, _ = build("bt-mesi")
         with pytest.raises(ValueError):

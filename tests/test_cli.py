@@ -97,42 +97,22 @@ def test_fuzz_sweep_that_fires_no_fault_fails(capsys):
 
 
 @pytest.mark.parametrize("flag", [
-    "--resume", "--keep-checkpoint",
-    "--checkpoint-interval=2000", "--trace-interval=500",
+    "--resume", "--keep-checkpoint", "--checkpoint-interval=2000",
 ])
 def test_checkpoint_flags_without_checkpoint_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["run", "cilk5-cs", "--scale", "tiny", flag])
     assert exc.value.code == 2
-    needs = "needs --trace" if flag.startswith("--trace") else "need --checkpoint"
-    assert needs in capsys.readouterr().err
+    assert "need --checkpoint" in capsys.readouterr().err
 
 
-def test_refused_run_mode_is_a_usage_error(capsys, tmp_path):
-    from repro.harness.runner import clear_cache
-
-    # A memo hit would skip the run and leave no snapshot behind; clearing
-    # afterwards keeps this run's result from satisfying later tests.
-    clear_cache()
-    snapshot = str(tmp_path / "s")
-    try:
-        assert main([
-            "run", "cilk5-cs", "--scale", "tiny", "--checkpoint", snapshot,
-            "--checkpoint-interval", "2000", "--keep-checkpoint",
-        ]) == 0
-    finally:
-        clear_cache()
-    capsys.readouterr()
-    code = main([
-        "run", "cilk5-cs", "--scale", "tiny", "--checkpoint", snapshot,
-        "--resume", "--trace", str(tmp_path / "t.json"),
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(
-        "repro run: cannot resume an untraced snapshot with tracing enabled"
-    )
-    assert "Traceback" not in err
+@pytest.mark.parametrize("flag", ["--trace=t.json", "--trace-interval=500"])
+def test_run_has_no_trace_flags(capsys, flag):
+    # Tracing is `repro trace`; `run` does not duplicate it.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "cilk5-cs", "--scale", "tiny", flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_unreadable_checkpoint_is_a_usage_error(capsys, tmp_path):

@@ -256,12 +256,3 @@ def test_cli_run_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["app"] == "cilk5-cs"
     assert payload["cycles"] > 0
-
-
-def test_cli_run_trace_flag(tmp_path):
-    out = tmp_path / "r.json"
-    assert main([
-        "run", "cilk5-mt", "--config", "bt-mesi", "--scale", "tiny",
-        "--trace", str(out), "--trace-interval", "500",
-    ]) == 0
-    assert validate_trace_file(str(out)) > 0
