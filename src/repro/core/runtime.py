@@ -363,8 +363,9 @@ class WorkStealingRuntime:
             self.tracer.core_state(ctx.tid, steal_start, "steal-attempt")
         vid = ctx.choose_victim()
         if self._dts:
-            # A ULI round trip: the victim's handler exports its oldest
-            # task into this thread's mailbox before acknowledging.
+            # A ULI round trip: the victim's handler moves its oldest task,
+            # if any, into this thread's mailbox, then acks.  A NACK means
+            # the victim was busy, halted or had ULIs disabled.
             ack = yield ctx.uli_send_req(vid)
             if not ack:
                 self._cnt["steal_nacks"] += 1
